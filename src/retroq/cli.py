@@ -25,7 +25,7 @@ from .errors import (
     TooManyOutcomesError,
 )
 from .linalg import Tolerance
-from .measurement import Measurement, Povm, QuantumState
+from .measurement import Measurement, Povm, QuantumState, Retrodictor
 from .perfect import ProjectiveRetrodictor, build_retrodictor, check_perfect
 from .simulation import run_trials
 from .synthesis import synthesize
@@ -225,7 +225,7 @@ def _cmd_simulate(args, tol: Tolerance) -> int:
     if not isinstance(m, Measurement):
         raise ValueError("simulate expects a measurement file first")
     retro = _load(args.retrodictor, tol)
-    if not isinstance(retro, (ProjectiveRetrodictor, UnambiguousRetrodictor)):
+    if not isinstance(retro, Retrodictor):
         raise ValueError("simulate expects a retrodictor file second")
     state = _load(args.state, tol)
     if not isinstance(state, QuantumState):

@@ -204,10 +204,12 @@ def check_lli(ops, tol: Tolerance = DEFAULT_TOL,
     A singular member yields a kernel witness outright.  Two or more
     operators on an output space no larger than the input space cannot be
     LLI: an eigenvector of ``A_1^{-1} A_2`` with eigenvalue ``lam`` gives
-    ``(-lam A_1 + A_2) psi = 0``.  Otherwise the smallest image singular
-    value is minimised over the unit sphere from ``n_starts`` random
-    starts; a minimum above ``LLI_SIGMA_FLOOR`` is reported as
-    ``"yes_probabilistic"``.
+    ``(-lam A_1 + A_2) psi = 0``.  More operators than output dimensions
+    leave every image matrix with a kernel (pigeonhole); the witness pairs
+    the first basis vector with a kernel vector of its image matrix.
+    Otherwise the smallest image singular value is minimised over the unit
+    sphere from ``n_starts`` random starts; a minimum above
+    ``LLI_SIGMA_FLOOR`` is reported as ``"yes_probabilistic"``.
 
     Returns ``(verdict, min_sigma, witness)`` with witness ``(psi, alpha)``
     normalised to unit length when the verdict is ``"no"``.
@@ -226,6 +228,10 @@ def check_lli(ops, tol: Tolerance = DEFAULT_TOL,
         if witness is not None:
             return "no", 0.0, witness
         # ill-conditioned leading operator: fall through to the search
+    if n > d_out:
+        psi = np.zeros(d_in, dtype=complex)
+        psi[0] = 1.0
+        return "no", 0.0, (psi, _kernel_vector(_image_matrix(mats, psi)))
     min_sigma, psi = _minimise_sigma(mats, n_starts, seed)
     if min_sigma > LLI_SIGMA_FLOOR:
         return "yes_probabilistic", min_sigma, None

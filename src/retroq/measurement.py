@@ -9,6 +9,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidOperatorSetError,
+    NotHermitianError,
     NotPsdError,
     ZeroProbabilityOutcomeError,
 )
@@ -61,12 +62,7 @@ class Measurement:
             if fro(element) <= tol.eq_residual:
                 raise InvalidOperatorSetError(f"outcome {k} has a vanishing POVM element")
             total += element
-        eye = np.eye(self.d_in)
-        if fro(total - eye) > tol.eq_residual * fro(eye):
-            raise InvalidOperatorSetError(
-                f"Kraus operators do not resolve the identity "
-                f"(deviation {fro(total - eye):.3e})"
-            )
+        _check_identity(total, tol, "Kraus operators do not resolve the identity")
 
     @property
     def n_outcomes(self) -> int:
@@ -84,6 +80,47 @@ class Measurement:
         return [a for group in self.outcomes for a in group]
 
 
+def _check_identity(total: np.ndarray, tol: Tolerance, message: str) -> None:
+    eye = np.eye(total.shape[0])
+    deviation = fro(total - eye)
+    if deviation > tol.eq_residual * fro(eye):
+        raise InvalidOperatorSetError(f"{message} (deviation {deviation:.3e})")
+
+
+def square_matrices(ops, d: int, what: str) -> list[np.ndarray]:
+    """``ops`` as complex ``d x d`` matrices; any other shape raises ``DimensionMismatchError``."""
+    mats = [as_matrix(a) for a in ops]
+    for k, a in enumerate(mats):
+        if a.shape != (d, d):
+            raise DimensionMismatchError(f"{what} {k} has shape {a.shape}; expected ({d}, {d})")
+    return mats
+
+
+def povm_elements(elements, d: int, tol: Tolerance) -> list[np.ndarray]:
+    """Check that ``elements`` are Hermitian, PSD ``d x d`` matrices summing to the identity.
+
+    Every element of such a set is bounded by the identity, so positivity is
+    decided against ``tol.psd_floor`` at scale 1, with one batched eigenvalue
+    computation over the Hermitian parts.  Returns the elements as complex
+    matrices.
+    """
+    mats = square_matrices(elements, d, "element")
+    herm = np.empty((len(mats), d, d), dtype=complex)
+    for k, e in enumerate(mats):
+        if fro(e - dagger(e)) > tol.eq_residual * fro(e):
+            raise NotHermitianError(f"element {k} is not Hermitian within tolerance")
+        herm[k] = (e + dagger(e)) / 2.0
+    lowest = np.linalg.eigvalsh(herm)[:, 0]
+    bad = np.flatnonzero(lowest < -tol.psd_floor)
+    if bad.size:
+        raise InvalidOperatorSetError(
+            f"element {bad[0]} is not PSD: most negative eigenvalue {lowest[bad[0]]:.3e} "
+            f"below the admissible floor"
+        )
+    _check_identity(sum(mats), tol, "elements do not sum to the identity")
+    return mats
+
+
 @dataclass
 class Povm:
     """Positive operators on a ``d``-dimensional space summing to the identity."""
@@ -93,34 +130,38 @@ class Povm:
     tol: InitVar[Tolerance | None] = None
 
     def __post_init__(self, tol: Tolerance | None) -> None:
-        tol = tol or DEFAULT_TOL
         if self.d < 1:
             raise InvalidOperatorSetError("dimension must be positive")
         if not self.elements:
             raise InvalidOperatorSetError("a POVM needs at least one element")
-        elems = []
-        for k, e in enumerate(self.elements):
-            e = as_matrix(e)
-            if e.shape != (self.d, self.d):
-                raise DimensionMismatchError(
-                    f"element {k} has shape {e.shape}; expected ({self.d}, {self.d})"
-                )
-            try:
-                psd_eig(e, tol, scale=1.0)
-            except NotPsdError as exc:
-                raise InvalidOperatorSetError(f"element {k} is not PSD: {exc}") from exc
-            elems.append(e)
-        self.elements = elems
-        eye = np.eye(self.d)
-        total = sum(elems)
-        if fro(total - eye) > tol.eq_residual * fro(eye):
-            raise InvalidOperatorSetError(
-                f"elements do not sum to the identity (deviation {fro(total - eye):.3e})"
-            )
+        self.elements = povm_elements(self.elements, self.d, tol or DEFAULT_TOL)
 
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
+
+
+class Retrodictor:
+    """An ``N+1``-element POVM on the output space of a measurement.
+
+    Element ``inconclusive_index`` signals an inconclusive attempt; the other
+    ``N`` elements, in order, name the retrodicted outcome.
+    """
+
+    elements: list[np.ndarray]
+    inconclusive_index: int = 0
+
+    @property
+    def d(self) -> int:
+        return self.elements[0].shape[0]
+
+    @property
+    def n_outcomes(self) -> int:
+        """Number of conclusive outcomes."""
+        return len(self.elements) - 1
+
+    def conclusive_elements(self) -> list[np.ndarray]:
+        return [e for i, e in enumerate(self.elements) if i != self.inconclusive_index]
 
 
 @dataclass
@@ -217,6 +258,24 @@ def _apply_left(a: np.ndarray, psi: np.ndarray, d_anc: int) -> np.ndarray:
     return (a @ psi.reshape(a.shape[1], d_anc)).reshape(-1)
 
 
+def _probabilities(groups: list[list[np.ndarray]], s: QuantumState, d_in: int, d_anc: int,
+                   tol: Tolerance) -> np.ndarray:
+    """Probabilities of the outcomes with Kraus operators ``groups``, zeroed below
+    ``tol.rank_rel`` and clamped to [0, 1]."""
+    p = np.empty(len(groups))
+    if s.kind == "pure":
+        for i, group in enumerate(groups):
+            images = [_apply_left(a, s.data, d_anc) for a in group]
+            p[i] = sum(float(np.vdot(phi, phi).real) for phi in images)
+    else:
+        rho_sys = s.data if d_anc == 1 else partial_trace(s.data, (d_in, d_anc), keep=0)
+        for i, group in enumerate(groups):
+            element = sum(dagger(a) @ a for a in group)
+            p[i] = float(np.trace(element @ rho_sys).real)
+    p[p < tol.rank_rel] = 0.0
+    return np.clip(p, 0.0, 1.0)
+
+
 def outcome_probabilities(m: Measurement, s: QuantumState,
                           tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Outcome distribution of ``m`` on ``s`` (first factor when bipartite).
@@ -224,22 +283,7 @@ def outcome_probabilities(m: Measurement, s: QuantumState,
     Probabilities below ``tol.rank_rel`` are reported as exactly zero; the
     vector is clamped to [0, 1] but not renormalised.
     """
-    d_anc = _split_dims(m, s)
-    p = np.empty(m.n_outcomes)
-    if s.kind == "pure":
-        for k, group in enumerate(m.outcomes):
-            total = 0.0
-            for a in group:
-                phi = _apply_left(a, s.data, d_anc)
-                total += float(np.vdot(phi, phi).real)
-            p[k] = total
-    else:
-        rho_sys = s.data if d_anc == 1 else partial_trace(s.data, (m.d_in, d_anc), keep=0)
-        for k, group in enumerate(m.outcomes):
-            element = sum(dagger(a) @ a for a in group)
-            p[k] = float(np.trace(element @ rho_sys).real)
-    p[p < tol.rank_rel] = 0.0
-    return np.clip(p, 0.0, 1.0)
+    return _probabilities(m.outcomes, s, m.d_in, _split_dims(m, s), tol)
 
 
 def apply_outcome(m: Measurement, s: QuantumState, k: int,
@@ -253,7 +297,7 @@ def apply_outcome(m: Measurement, s: QuantumState, k: int,
     if not 0 <= k < m.n_outcomes:
         raise IndexError(f"outcome index {k} out of range")
     d_anc = _split_dims(m, s)
-    p = outcome_probabilities(m, s, tol)[k]
+    p = _probabilities([m.outcomes[k]], s, m.d_in, d_anc, tol)[0]
     if p <= tol.rank_rel:
         raise ZeroProbabilityOutcomeError(f"outcome {k} has probability {p!r}")
     out_dims = (m.d_out, d_anc) if s.factor_dims is not None else None

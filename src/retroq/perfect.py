@@ -14,8 +14,8 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import InvalidOperatorSetError, NotFineGrainedError, NotPerfectlyRetrodictableError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, dagger, fro, support_projector
-from .measurement import Measurement, Povm
+from .linalg import DEFAULT_TOL, Tolerance, dagger, fro, support_projector
+from .measurement import Measurement, Povm, Retrodictor, povm_elements, square_matrices
 
 
 @dataclass
@@ -33,12 +33,13 @@ class PerfectCheckReport:
 
 
 @dataclass
-class ProjectiveRetrodictor:
+class ProjectiveRetrodictor(Retrodictor):
     """Orthogonal projectors on the output space, one per outcome.
 
     The projectors are mutually orthogonal and complete on the subspace
-    reachable by the measurement; the remainder of the output space never
-    carries a post-measurement state.
+    reachable by the measurement.  As an ``N+1``-element POVM its
+    inconclusive element (index 0) is the remainder ``I - sum_k P_k``, which
+    never fires on a post-measurement state.
     """
 
     d_out: int
@@ -47,32 +48,23 @@ class ProjectiveRetrodictor:
 
     def __post_init__(self, tol: Tolerance | None) -> None:
         tol = tol or DEFAULT_TOL
-        projs = []
-        for k, p in enumerate(self.projectors):
-            p = as_matrix(p)
-            if p.shape != (self.d_out, self.d_out):
-                raise InvalidOperatorSetError(
-                    f"projector {k} has shape {p.shape}; expected ({self.d_out}, {self.d_out})"
-                )
+        projs = square_matrices(self.projectors, self.d_out, "projector")
+        for k, p in enumerate(projs):
             if fro(p @ p - p) > tol.eq_residual * max(fro(p), 1.0):
                 raise InvalidOperatorSetError(f"operator {k} is not idempotent")
             if fro(p - dagger(p)) > tol.eq_residual * max(fro(p), 1.0):
                 raise InvalidOperatorSetError(f"operator {k} is not Hermitian")
-            projs.append(p)
         for k in range(len(projs)):
             for kp in range(k + 1, len(projs)):
                 if fro(projs[k] @ projs[kp]) > tol.eq_residual * self.d_out:
                     raise InvalidOperatorSetError(f"projectors {k} and {kp} overlap")
-        # orthogonal projectors sum to a projector, hence stay below the identity
-        total = sum(projs) if projs else np.zeros((self.d_out, self.d_out))
-        w = np.linalg.eigvalsh((total + dagger(total)) / 2.0)
-        if w.size and float(w[-1]) > 1.0 + tol.psd_floor:
-            raise InvalidOperatorSetError("projectors exceed the identity")
         self.projectors = projs
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.projectors)
+        remainder = np.eye(self.d_out) - sum(projs, np.zeros((self.d_out, self.d_out)))
+        # The projectors passed their own Hermiticity check.  For a complete set
+        # the remainder is rounding noise, which the norm-relative Hermiticity
+        # test of povm_elements would reject unless it is symmetrised.
+        remainder = (remainder + dagger(remainder)) / 2.0
+        self.elements = povm_elements([remainder] + projs, self.d_out, tol)
 
 
 @dataclass

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOL, Tolerance
-from .measurement import Measurement, QuantumState, apply_outcome, outcome_probabilities
-from .perfect import ProjectiveRetrodictor
+from .measurement import Measurement, QuantumState, Retrodictor, apply_outcome, outcome_probabilities
 from .unambiguous import UnambiguousRetrodictor
 
 _BLOCK = 8192
@@ -68,38 +67,31 @@ def _expectation(op: np.ndarray, state: QuantumState) -> float:
     return float(np.trace(op @ state.data).real)
 
 
-def _retrodictor_rows(r, post: QuantumState, n_outcomes: int,
+def _retrodictor_rows(r: Retrodictor, post: QuantumState, n_outcomes: int,
                       tol: Tolerance) -> np.ndarray:
-    """Probability vector over rows 0..N-1 (retrodicted) plus row N (inconclusive)."""
-    if isinstance(r, ProjectiveRetrodictor):
-        if r.n_outcomes != n_outcomes:
-            raise DimensionMismatchError("retrodictor outcome count differs from measurement")
-        projs = r.projectors
-        if r.d_out != post.dim:
-            if post.factor_dims is not None and r.d_out == post.factor_dims[0]:
-                d_anc = post.factor_dims[1]
-                projs = [np.kron(p, np.eye(d_anc)) for p in projs]
-            else:
-                raise DimensionMismatchError(
-                    f"retrodictor acts on dimension {r.d_out}, state has {post.dim}"
-                )
-        rows = np.array([_expectation(p, post) for p in projs])
-        inconclusive = max(0.0, 1.0 - float(rows.sum()))
-        return _clean_probs(np.append(rows, inconclusive), tol.rank_rel)
-    if isinstance(r, UnambiguousRetrodictor):
-        if r.n_outcomes != n_outcomes:
-            raise DimensionMismatchError("retrodictor outcome count differs from measurement")
-        if r.d != post.dim:
+    """Probability vector over rows 0..N-1 (retrodicted) plus row N (inconclusive).
+
+    The rows are the expectations of the retrodictor's conclusive elements
+    and of its inconclusive one; for a projective retrodictor the latter is
+    the remainder ``I - sum_k P_k``.  A retrodictor acting on the first
+    factor of a bipartite state is lifted as ``kron(E, I_anc)``.
+    """
+    if r.n_outcomes != n_outcomes:
+        raise DimensionMismatchError("retrodictor outcome count differs from measurement")
+    elements = r.elements
+    if r.d != post.dim:
+        if post.factor_dims is None or r.d != post.factor_dims[0]:
             raise DimensionMismatchError(
                 f"retrodictor acts on dimension {r.d}, state has {post.dim}"
             )
-        rows = np.array([_expectation(e, post) for e in r.conclusive_elements()])
-        inconclusive = _expectation(r.elements[r.inconclusive_index], post)
-        return _clean_probs(np.append(rows, inconclusive), tol.rank_rel)
-    raise TypeError(f"unsupported retrodictor type {type(r).__name__}")
+        eye = np.eye(post.factor_dims[1])
+        elements = [np.kron(e, eye) for e in elements]
+    rows = [_expectation(e, post) for e in elements]
+    rows.append(rows.pop(r.inconclusive_index))
+    return _clean_probs(np.array(rows), tol.rank_rel)
 
 
-def run_trials(m: Measurement, r, s: QuantumState, n_trials: int, seed: int,
+def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, seed: int,
                tol: Tolerance = DEFAULT_TOL) -> TrialReport:
     """Simulate ``n_trials`` measurement + retrodiction rounds.
 

@@ -27,17 +27,21 @@ from .errors import (
     LinearlyDependentStatesError,
     NonUnitaryInputError,
     NotFineGrainedError,
-    NotPsdError,
     ZeroProbabilityOutcomeError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, fro, numeric_rank, psd_eig
-from .measurement import Measurement, QuantumState, _apply_left, outcome_probabilities
-
-_BISECTION_STEPS = 50
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, fro, numeric_rank
+from .measurement import (
+    Measurement,
+    QuantumState,
+    Retrodictor,
+    _apply_left,
+    outcome_probabilities,
+    povm_elements,
+)
 
 
 @dataclass
-class UnambiguousRetrodictor:
+class UnambiguousRetrodictor(Retrodictor):
     """An ``N+1``-element POVM whose extra outcome signals an inconclusive attempt."""
 
     elements: list[np.ndarray]
@@ -45,38 +49,12 @@ class UnambiguousRetrodictor:
     tol: InitVar[Tolerance | None] = None
 
     def __post_init__(self, tol: Tolerance | None) -> None:
-        tol = tol or DEFAULT_TOL
         if not self.elements:
             raise InvalidOperatorSetError("need at least the inconclusive element")
         if not 0 <= self.inconclusive_index < len(self.elements):
             raise InvalidOperatorSetError("inconclusive index out of range")
-        elems = []
         d = as_matrix(self.elements[0]).shape[0]
-        for k, e in enumerate(self.elements):
-            e = as_matrix(e)
-            if e.shape != (d, d):
-                raise InvalidOperatorSetError(f"element {k} has shape {e.shape}; expected ({d}, {d})")
-            try:
-                psd_eig(e, tol, scale=1.0)
-            except NotPsdError as exc:
-                raise InvalidOperatorSetError(f"element {k} is not PSD: {exc}") from exc
-            elems.append(e)
-        eye = np.eye(d)
-        if fro(sum(elems) - eye) > tol.eq_residual * fro(eye):
-            raise InvalidOperatorSetError("elements do not sum to the identity")
-        self.elements = elems
-
-    @property
-    def d(self) -> int:
-        return self.elements[0].shape[0]
-
-    @property
-    def n_outcomes(self) -> int:
-        """Number of conclusive outcomes."""
-        return len(self.elements) - 1
-
-    def conclusive_elements(self) -> list[np.ndarray]:
-        return [e for i, e in enumerate(self.elements) if i != self.inconclusive_index]
+        self.elements = povm_elements(self.elements, d, tol or DEFAULT_TOL)
 
 
 @dataclass
@@ -110,10 +88,11 @@ def _dual_family(states: list[np.ndarray], tol: Tolerance) -> np.ndarray:
 def build_ud_povm(states, tol: Tolerance = DEFAULT_TOL) -> UnambiguousRetrodictor:
     """Error-free discriminating POVM for linearly independent unit vectors.
 
-    Element ``k >= 1`` is ``c |dual_k><dual_k| / ||dual_k||^2``; the shared
-    scale ``c`` is maximised by bisection subject to positivity of the
-    inconclusive remainder.  Components outside the span of the states are
-    absorbed into the inconclusive element.
+    Element ``k >= 1`` is ``c |dual_k><dual_k| / ||dual_k||^2``.  The shared
+    scale is the largest that keeps the inconclusive remainder
+    ``I - c T`` positive, ``c = 1 / lambda_max(T)`` with ``T`` the sum of the
+    rank-one terms, capped at ``min_k ||dual_k||^2``.  Components outside the
+    span of the states are absorbed into the inconclusive element.
     """
     vecs = []
     for k, v in enumerate(states):
@@ -123,32 +102,13 @@ def build_ud_povm(states, tol: Tolerance = DEFAULT_TOL) -> UnambiguousRetrodicto
             raise ValueError(f"state {k} must be a unit vector, got norm {nrm!r}")
         vecs.append(v)
     duals = _dual_family(vecs, tol)
-    d = duals.shape[0]
     norms2 = np.linalg.norm(duals, axis=0) ** 2
     rank_one = [np.outer(duals[:, k], np.conj(duals[:, k])) / norms2[k]
                 for k in range(len(vecs))]
     total = sum(rank_one)
-    eye = np.eye(d)
-
-    # strictly tighter than the constructor's floor so the rebuilt remainder
-    # (a differently rounded sum) still validates
-    def feasible(c: float) -> bool:
-        w = np.linalg.eigvalsh(eye - c * total)
-        return float(w[0]) >= -tol.psd_floor / 2.0
-
-    lo, hi = 0.0, float(np.min(norms2))
-    if feasible(hi):
-        c = hi
-    else:
-        for _ in range(_BISECTION_STEPS):
-            mid = (lo + hi) / 2.0
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        c = lo
+    c = min(float(np.min(norms2)), 1.0 / float(np.linalg.eigvalsh(total)[-1]))
     conclusive = [c * r for r in rank_one]
-    inconclusive = eye - sum(conclusive)
+    inconclusive = np.eye(duals.shape[0]) - sum(conclusive)
     return UnambiguousRetrodictor([inconclusive] + conclusive, 0, tol)
 
 

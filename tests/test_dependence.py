@@ -161,6 +161,18 @@ def test_single_invertible_operator_is_lli(rng):
     assert min_sigma == pytest.approx(np.linalg.svd(a, compute_uv=False)[-1], abs=1e-6)
 
 
+def test_more_operators_than_output_dimensions_are_never_lli(rng):
+    # four C^2 -> C^3 operators: every 3 x 4 image matrix has a kernel
+    ops = [ginibre(3, 2, rng) for _ in range(4)]
+    v = classify_operators(ops)
+    assert v.lld == "yes" and v.lld_reason == "pigeonhole"
+    assert v.lli == "no" and v.min_sigma == 0.0
+    psi, alpha = v.not_lli_witness
+    assert np.linalg.norm(psi) == pytest.approx(1.0)
+    assert np.linalg.norm(alpha) == pytest.approx(1.0)
+    assert np.linalg.norm(sum(ak * a for ak, a in zip(alpha, ops)) @ psi) <= 1e-10
+
+
 # --------------------------------------------------------- classify_operators
 
 def test_classify_pauli_set():

@@ -9,8 +9,11 @@ from retroq import (
     DimensionMismatchError,
     InvalidOperatorSetError,
     Measurement,
+    NotHermitianError,
     Povm,
+    ProjectiveRetrodictor,
     QuantumState,
+    UnambiguousRetrodictor,
     ZeroProbabilityOutcomeError,
     apply_outcome,
     outcome_probabilities,
@@ -57,6 +60,62 @@ def test_povm_validation():
         Povm(2, [np.diag([1.0, -0.1]), np.diag([0.0, 1.1])])
     with pytest.raises(InvalidOperatorSetError):
         Povm(2, [np.eye(2) * 0.3])
+
+
+P0 = np.diag([1.0, 0.0 + 0j])
+# rank-one projector at overlap EPS with P0: inside the pairwise tolerance
+# (eq_residual * d_out), yet P0 + TILTED exceeds the identity by EPS > psd_floor
+EPS = 1.5e-9
+TILTED = np.outer([EPS, np.sqrt(1.0 - EPS**2)], [EPS, np.sqrt(1.0 - EPS**2)]).astype(complex)
+SKEW = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+
+
+def _povm(elements):
+    return Povm(2, elements)
+
+
+def _unambiguous(elements):
+    return UnambiguousRetrodictor(elements, 0)
+
+
+def _projective(projectors):
+    return ProjectiveRetrodictor(2, projectors)
+
+
+@pytest.mark.parametrize("construct, elements, error, match", [
+    (_povm, [np.diag([1.1, 0.0]), np.diag([-0.1, 1.0])], InvalidOperatorSetError, "not PSD"),
+    (_unambiguous, [np.diag([1.1, 0.0]), np.diag([-0.1, 1.0])], InvalidOperatorSetError, "not PSD"),
+    (_projective, [P0, TILTED], InvalidOperatorSetError, "not PSD"),
+    (_povm, [np.eye(2) * 0.3, np.eye(2) * 0.3], InvalidOperatorSetError, "identity"),
+    (_unambiguous, [np.eye(2) * 0.3, np.eye(2) * 0.3], InvalidOperatorSetError, "identity"),
+    (_povm, [np.eye(2), np.zeros((3, 3))], DimensionMismatchError, "shape"),
+    (_unambiguous, [np.eye(2), np.zeros((3, 3))], DimensionMismatchError, "shape"),
+    (_projective, [np.zeros((3, 3))], DimensionMismatchError, "shape"),
+    (_povm, [SKEW, np.eye(2) - SKEW], NotHermitianError, "Hermitian"),
+    (_unambiguous, [SKEW, np.eye(2) - SKEW], NotHermitianError, "Hermitian"),
+    (_projective, [np.array([[1.0, 1.0], [0.0, 0.0]])], InvalidOperatorSetError, "Hermitian"),
+], ids=["povm-psd", "ud-psd", "proj-psd", "povm-incomplete", "ud-incomplete",
+        "povm-shape", "ud-shape", "proj-shape", "povm-hermitian", "ud-hermitian",
+        "proj-hermitian"])
+def test_resolutions_of_identity_share_validation(construct, elements, error, match):
+    with pytest.raises(error, match=match):
+        construct(elements)
+
+
+def test_projective_retrodictor_is_completed_by_its_remainder():
+    retro = ProjectiveRetrodictor(2, [P0])
+    assert retro.d == 2 and retro.n_outcomes == 1 and retro.inconclusive_index == 0
+    assert np.allclose(retro.elements[0], np.diag([0.0, 1.0]), atol=1e-15)
+    assert np.array_equal(retro.conclusive_elements()[0], P0)
+
+
+def test_rotated_complete_projectors_leave_a_zero_remainder(rng):
+    # U P_k U^dag is Hermitian only up to rounding, as is the near-zero remainder
+    u = random_unitary(3, rng)
+    projectors = [u @ np.diag(np.eye(3)[k]) @ np.conj(u).T for k in range(3)]
+    retro = ProjectiveRetrodictor(3, projectors)
+    assert retro.n_outcomes == 3
+    assert np.linalg.norm(retro.elements[0]) < 1e-14
 
 
 def test_state_validation():

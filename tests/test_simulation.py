@@ -9,6 +9,7 @@ from retroq import (
     DimensionMismatchError,
     Measurement,
     QuantumState,
+    UnambiguousRetrodictor,
     always_inconclusive,
     build_retrodictor,
     maximally_entangled_state,
@@ -102,6 +103,21 @@ def test_projective_retrodictor_lifts_over_ancilla(rng):
     report = run_trials(m, retro, joint, 2000, seed=5)
     assert report.agreement_rate == 1.0
     assert report.mismatches == 0
+
+
+def test_projective_retrodictor_matches_its_unambiguous_form(rng):
+    # both kinds run the same (N+1)-element path, lifted over the ancilla alike
+    result = synthesize(random_povm(2, 3, rng), d_out=3)
+    m = result.measurement
+    retro = build_retrodictor(m)
+    as_ud = UnambiguousRetrodictor(retro.elements, 0)
+    chi = random_pure_state(6, rng)
+    for s in (QuantumState.pure(random_pure_state(2, rng)),
+              QuantumState.pure(chi, factor_dims=(2, 3))):
+        a = run_trials(m, retro, s, 5000, seed=17)
+        b = run_trials(m, as_ud, s, 5000, seed=17)
+        assert np.array_equal(a.confusion, b.confusion)
+        assert a.mismatches == 0 and a.inconclusive_rate == 0.0
 
 
 def test_dimension_mismatch_is_rejected(rng):
