@@ -49,6 +49,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="retroq",
@@ -79,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", parents=[common],
                        help="build a perfectly retrodictable measurement from a POVM")
     p.add_argument("file")
-    p.add_argument("--d-out", type=int, required=True, help="output space dimension")
+    p.add_argument("--d-out", type=_positive_int, required=True, help="output space dimension")
 
     p = sub.add_parser("classify", parents=[common],
                        help="linear / local-linear dependence verdicts for an operator set")
@@ -122,8 +129,12 @@ def _emit(args, obj: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _load(path: str, tol: Tolerance):
-    return jsonio.load_file(path, tol)
+def _load(path: str, tol: Tolerance, kind: type = object, expects: str = ""):
+    """Load a file; anything but a ``kind`` is an input error with message ``expects``."""
+    loaded = jsonio.load_file(path, tol)
+    if not isinstance(loaded, kind):
+        raise ValueError(expects)
+    return loaded
 
 
 def _cmd_validate(args, tol: Tolerance) -> int:
@@ -149,9 +160,7 @@ def _cmd_validate(args, tol: Tolerance) -> int:
 
 
 def _cmd_check_perfect(args, tol: Tolerance) -> int:
-    m = _load(args.file, tol)
-    if not isinstance(m, Measurement):
-        raise ValueError("check-perfect expects a measurement file")
+    m = _load(args.file, tol, Measurement, "check-perfect expects a measurement file")
     report = check_perfect(m, tol)
     lines = [
         f"retrodictable: {str(report.retrodictable).lower()}",
@@ -165,9 +174,7 @@ def _cmd_check_perfect(args, tol: Tolerance) -> int:
 
 
 def _cmd_build_retrodictor(args, tol: Tolerance) -> int:
-    m = _load(args.file, tol)
-    if not isinstance(m, Measurement):
-        raise ValueError("build-retrodictor expects a measurement file")
+    m = _load(args.file, tol, Measurement, "build-retrodictor expects a measurement file")
     retro = build_retrodictor(m, tol)
     obj = jsonio.projective_to_obj(retro)
     ranks = [int(round(float(np.trace(p).real))) for p in retro.projectors]
@@ -177,9 +184,7 @@ def _cmd_build_retrodictor(args, tol: Tolerance) -> int:
 
 
 def _cmd_synthesize(args, tol: Tolerance) -> int:
-    p = _load(args.file, tol)
-    if not isinstance(p, Povm):
-        raise ValueError("synthesize expects a POVM file")
+    p = _load(args.file, tol, Povm, "synthesize expects a POVM file")
     result = synthesize(p, args.d_out, tol=tol)
     obj = jsonio.measurement_to_obj(result.measurement)
     sizes = [len(g) for g in result.measurement.outcomes]
@@ -209,9 +214,7 @@ def _cmd_classify(args, tol: Tolerance) -> int:
 
 
 def _cmd_assess(args, tol: Tolerance) -> int:
-    m = _load(args.file, tol)
-    if not isinstance(m, Measurement):
-        raise ValueError("assess expects a measurement file")
+    m = _load(args.file, tol, Measurement, "assess expects a measurement file")
     assessment = assess_measurement(m, tol)
     lines = [f"feasible: {assessment.feasible}"]
     if assessment.p_inconclusive is not None:
@@ -221,15 +224,9 @@ def _cmd_assess(args, tol: Tolerance) -> int:
 
 
 def _cmd_simulate(args, tol: Tolerance) -> int:
-    m = _load(args.measurement, tol)
-    if not isinstance(m, Measurement):
-        raise ValueError("simulate expects a measurement file first")
-    retro = _load(args.retrodictor, tol)
-    if not isinstance(retro, Retrodictor):
-        raise ValueError("simulate expects a retrodictor file second")
-    state = _load(args.state, tol)
-    if not isinstance(state, QuantumState):
-        raise ValueError("simulate expects a state file third")
+    m = _load(args.measurement, tol, Measurement, "simulate expects a measurement file first")
+    retro = _load(args.retrodictor, tol, Retrodictor, "simulate expects a retrodictor file second")
+    state = _load(args.state, tol, QuantumState, "simulate expects a state file third")
     seed = args.seed if args.seed is not None else _default_seed()
     report = run_trials(m, retro, state, args.trials, seed, tol)
     lines = [

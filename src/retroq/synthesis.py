@@ -49,12 +49,12 @@ def _checked_basis(x_basis, n: int, dim: int, tol: Tolerance) -> list[np.ndarray
     basis = [as_vector(x) for x in x_basis]
     if len(basis) < n:
         raise BadBasisError(f"need {n} reference vectors, got {len(basis)}")
-    gram = np.array([[np.vdot(xi, xj) for xj in basis] for xi in basis])
-    if np.linalg.norm(gram - np.eye(len(basis))) > tol.eq_residual * len(basis):
-        raise BadBasisError("reference vectors are not orthonormal")
     for x in basis:
         if x.size != dim:
             raise BadBasisError(f"reference vector of dimension {x.size}; expected {dim}")
+    gram = np.array([[np.vdot(xi, xj) for xj in basis] for xi in basis])
+    if np.linalg.norm(gram - np.eye(len(basis))) > tol.eq_residual * len(basis):
+        raise BadBasisError("reference vectors are not orthonormal")
     return basis
 
 

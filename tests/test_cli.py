@@ -137,6 +137,14 @@ def test_synthesize_too_many_outcomes(files, capsys):
     assert "TooManyOutcomes" in err
 
 
+@pytest.mark.parametrize("d_out", ["0", "-3"])
+def test_synthesize_d_out_must_be_positive(files, capsys, d_out):
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", str(files["trine"]), "--d-out", d_out])
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- classify
 
 def test_classify_pauli_json(files, capsys):
@@ -286,3 +294,11 @@ def test_console_entry_runs_in_subprocess(files):
     )
     assert proc.returncode == 0
     assert "retrodictable: true" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import retroq.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

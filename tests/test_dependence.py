@@ -173,6 +173,48 @@ def test_more_operators_than_output_dimensions_are_never_lli(rng):
     assert np.linalg.norm(sum(ak * a for ak, a in zip(alpha, ops)) @ psi) <= 1e-10
 
 
+# Minima found by the Nelder-Mead search (scipy, 32 starts) that the LLI check used
+# before the alternating descent, on seeded random triples: seed, d_in, d_out, min_sigma.
+_PINNED_MINIMA = [
+    (0, 3, 7, 0.5002744693595318),
+    (2, 3, 7, 0.5211178481050298),
+    (3, 3, 7, 0.4086120286169181),
+    (0, 4, 6, 0.12397309154501168),
+    (4, 4, 6, 0.18837667567222985),
+    (5, 4, 6, 0.08808408961089202),
+]
+
+
+@pytest.mark.parametrize("seed,d_in,d_out,want", _PINNED_MINIMA)
+def test_lli_search_reaches_pinned_minimum(seed, d_in, d_out, want):
+    rng = np.random.default_rng(seed)
+    ops = [ginibre(d_out, d_in, rng) for _ in range(3)]
+    verdict, min_sigma, witness = check_lli(ops)
+    assert verdict == "yes_probabilistic" and witness is None
+    assert min_sigma == pytest.approx(want, rel=1e-8)
+
+
+def test_lli_search_is_exact_on_two_to_four():
+    _, min_sigma, _ = check_lli(two_to_four().measurement.all_kraus())
+    assert min_sigma == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
+
+
+def test_lli_search_is_exact_on_orthogonal_output_blocks(rng):
+    # A_k writes B_k into the k-th of three orthogonal 3-dimensional output
+    # blocks, so the image columns stay orthogonal and the minimum sigma is
+    # min_k sigma_min(B_k).
+    blocks = [ginibre(3, 2, rng) for _ in range(3)]
+    ops = []
+    for k, b in enumerate(blocks):
+        a = np.zeros((9, 2), dtype=complex)
+        a[3 * k:3 * k + 3] = b
+        ops.append(a)
+    want = min(np.linalg.svd(b, compute_uv=False)[-1] for b in blocks)
+    verdict, min_sigma, _ = check_lli(ops)
+    assert verdict == "yes_probabilistic"
+    assert min_sigma == pytest.approx(want, rel=1e-12)
+
+
 # --------------------------------------------------------- classify_operators
 
 def test_classify_pauli_set():

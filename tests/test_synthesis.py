@@ -68,6 +68,9 @@ def test_bad_basis_is_rejected():
         synthesize(povm, d_out=3, x_basis=skew)
     with pytest.raises(BadBasisError):
         synthesize(povm, d_out=3, x_basis=standard_basis(2, 3))
+    mixed = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0]), np.array([0.0, 0.0, 1.0])]
+    with pytest.raises(BadBasisError, match="dimension 2"):
+        synthesize(povm, d_out=3, x_basis=mixed)
 
 
 def test_synthesis_with_custom_basis(rng):
