@@ -42,18 +42,17 @@ def _default_seed() -> int:
     return int(os.environ.get("RETROQ_SEED", "0"))
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+def _positive(kind: type):
+    """Argparse type for a positive ``kind``; its errors name ``kind``, as argparse's own do."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,9 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
-    common.add_argument("--tol-eq", type=_positive_float, default=None,
+    common.add_argument("--tol-eq", type=_positive(float), default=None,
                         help="relative residual threshold for matrix equations")
-    common.add_argument("--tol-rank", type=_positive_float, default=None,
+    common.add_argument("--tol-rank", type=_positive(float), default=None,
                         help="relative singular-value threshold for ranks")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", parents=[common],
                        help="build a perfectly retrodictable measurement from a POVM")
     p.add_argument("file")
-    p.add_argument("--d-out", type=_positive_int, required=True, help="output space dimension")
+    p.add_argument("--d-out", type=_positive(int), required=True, help="output space dimension")
 
     p = sub.add_parser("classify", parents=[common],
                        help="linear / local-linear dependence verdicts for an operator set")

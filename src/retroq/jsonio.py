@@ -13,7 +13,7 @@ import numpy as np
 from .catalog import NamedExample
 from .dependence import DependenceVerdict
 from .measurement import Measurement, Povm, QuantumState
-from .perfect import PerfectCheckReport, ProjectiveEquivalence, ProjectiveRetrodictor
+from .perfect import PerfectCheckReport, ProjectiveRetrodictor
 from .simulation import TrialReport
 from .unambiguous import RetrodictionAssessment, UnambiguousRetrodictor
 
@@ -131,17 +131,6 @@ def perfect_report_to_obj(report: PerfectCheckReport) -> dict:
         "retrodictable": report.retrodictable,
         "max_residual": float(report.max_residual),
         "witness": list(report.witness) if report.witness is not None else None,
-    }
-
-
-def equivalence_to_obj(eq: ProjectiveEquivalence) -> dict:
-    return {
-        "equivalent": eq.equivalent,
-        "kind": eq.kind,
-        "transform": matrix_to_obj(eq.transform) if eq.transform is not None else None,
-        "povm": povm_to_obj(eq.povm) if eq.povm is not None else None,
-        "isometry_residual": float(eq.isometry_residual),
-        "projector_residual": float(eq.projector_residual),
     }
 
 

@@ -72,9 +72,6 @@ class Measurement:
     def fine_grained(self) -> bool:
         return all(len(group) == 1 for group in self.outcomes)
 
-    def kraus(self, k: int) -> list[np.ndarray]:
-        return self.outcomes[k]
-
     def all_kraus(self) -> list[np.ndarray]:
         """All Kraus operators, flattened in outcome order."""
         return [a for group in self.outcomes for a in group]

@@ -287,6 +287,19 @@ def test_tolerance_override_must_be_positive(files, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, option, value, message", [
+    ("validate", "--tol-eq", "abc", "argument --tol-eq: invalid float value: 'abc'"),
+    ("validate", "--tol-rank", "1e-3x", "argument --tol-rank: invalid float value: '1e-3x'"),
+    ("synthesize", "--d-out", "x", "argument --d-out: invalid int value: 'x'"),
+])
+def test_non_numeric_option_names_its_type(files, capsys, command, option, value, message):
+    path = files["pauli"] if command == "validate" else files["trine"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(path), option, value])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_console_entry_runs_in_subprocess(files):
     proc = subprocess.run(
         [sys.executable, "-m", "retroq.cli", "check-perfect", str(files["two_to_four"])],

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from retroq import (
+    InvalidOperatorSetError,
     Measurement,
     NotFineGrainedError,
     NotPerfectlyRetrodictableError,
+    ProjectiveRetrodictor,
     QuantumState,
     apply_outcome,
     build_retrodictor,
@@ -17,8 +19,13 @@ from retroq import (
     projective_equivalence,
     synthesize,
 )
-from retroq.catalog import PAULI, two_to_four
+from retroq.catalog import PAULI, get_example, two_to_four
+from retroq.cli import main
+from retroq.jsonio import dumps, measurement_to_obj
+from retroq.linalg import DEFAULT_TOL
 from retroq.rand import (
+    ginibre,
+    psd_inv_sqrt,
     random_fine_grained,
     random_povm,
     random_projective_povm,
@@ -68,6 +75,78 @@ def test_verdict_is_scale_invariant(rng):
     assert check_perfect(scaled).max_residual == pytest.approx(report.max_residual, rel=1e-9)
 
 
+def all_pairs_reference(m: Measurement, eq_residual: float = DEFAULT_TOL.eq_residual):
+    """The cross-product check written as one loop over operator pairs."""
+    tiny = float(np.finfo(float).tiny)
+    worst, witness = 0.0, None
+    for k in range(m.n_outcomes):
+        for kp in range(k + 1, m.n_outcomes):
+            for r, a in enumerate(m.outcomes[k]):
+                for rp, ap in enumerate(m.outcomes[kp]):
+                    residual = np.linalg.norm(dag(ap) @ a) / (
+                        np.linalg.norm(a) * np.linalg.norm(ap) + tiny)
+                    if residual > worst:
+                        worst, witness = residual, (k, kp, r, rp)
+    return worst <= eq_residual, worst, witness
+
+
+def regrouped(ops, rng, zero_member: bool = False) -> Measurement:
+    """``ops`` in three coarse groups, the first of at least two members."""
+    cuts = np.sort(rng.choice(np.arange(2, len(ops)), size=2, replace=False))
+    groups = [list(g) + [np.zeros_like(g[0])] * zero_member for g in np.split(np.array(ops), cuts)]
+    return Measurement(ops[0].shape[1], ops[0].shape[0], groups)
+
+
+KINDS = ("fine", "rotated", "zero", "tiny")
+
+
+def seeded_measurement(kind: str, seed: int) -> Measurement:
+    rng = np.random.default_rng([seed, KINDS.index(kind)])
+    d_in, n = int(rng.integers(2, 5)), int(rng.integers(4, 8))
+    d_out = d_in + int(rng.integers(0, 3))
+    if kind == "fine":
+        return random_fine_grained(d_in, d_out, n, rng)
+    if kind == "rotated":
+        d_out = max(d_out, n)
+        basis = list(random_unitary(d_out, rng).T)
+        return synthesize(random_povm(d_in, n, rng), d_out, x_basis=basis).measurement
+    if kind == "zero":
+        return regrouped(random_fine_grained(d_in, d_out, n, rng).all_kraus(), rng, zero_member=True)
+    # the first member is scaled by 1e-7 before the set is normalised to completeness
+    gs = [ginibre(d_out, d_in, rng) * (1e-7 if i == 0 else 1.0) for i in range(n)]
+    root = psd_inv_sqrt(sum(dag(g) @ g for g in gs))
+    return regrouped([g @ root for g in gs], rng)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_check_perfect_matches_all_pairs_reference(kind):
+    for seed in range(25):
+        m = seeded_measurement(kind, seed)
+        verdict, worst, witness = all_pairs_reference(m)
+        report = check_perfect(m)
+        assert report.retrodictable == verdict
+        assert report.witness == witness
+        assert report.max_residual == pytest.approx(worst, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("pauli_quarter", '{\n  "max_residual": 0.7071067811865475,\n  "retrodictable": false,\n'
+                      '  "witness": [\n    0,\n    1,\n    0,\n    0\n  ]\n}\n'),
+    ("counterexample_3d", '{\n  "max_residual": 0.7071067811865476,\n  "retrodictable": false,\n'
+                          '  "witness": [\n    0,\n    3,\n    0,\n    0\n  ]\n}\n'),
+    ("rank_one_pair", '{\n  "max_residual": 1.0,\n  "retrodictable": false,\n'
+                      '  "witness": [\n    0,\n    1,\n    0,\n    0\n  ]\n}\n'),
+    ("two_to_four", '{\n  "max_residual": 0.0,\n  "retrodictable": true,\n'
+                    '  "witness": null\n}\n'),
+])
+def test_check_perfect_json_of_catalog_is_pinned(name, text, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(dumps(measurement_to_obj(get_example(name).measurement)))
+    code = main(["check-perfect", str(path), "--format", "json"])
+    assert capsys.readouterr().out == text
+    assert code == (0 if name == "two_to_four" else 1)
+
+
 # -------------------------------------------------------- build_retrodictor
 
 def test_retrodictor_of_projective_measurement_is_itself():
@@ -92,6 +171,34 @@ def test_retrodictor_type_enforces_orthogonality():
         ProjectiveRetrodictor(2, [np.full((2, 2), 0.5 + 0.1j)])  # not a projector
     retro = ProjectiveRetrodictor(2, [p0, np.diag([0.0 + 0j, 1.0])])
     assert retro.n_outcomes == 2
+
+
+def tilted_projector_pair(rng):
+    """A projector and one tilted towards it by tiny angles, both slightly shrunk."""
+    d = int(rng.integers(2, 7))
+    r1 = int(rng.integers(1, d))
+    r2 = int(rng.integers(1, d - r1 + 1))
+    u = random_unitary(d, rng)
+    v = u[:, r1:r1 + r2].copy()
+    for j in range(min(r1, r2)):
+        # tilt column j of q towards column j of p; q's columns stay orthonormal
+        t = 10.0 ** rng.uniform(-10, -7)
+        v[:, j] = np.cos(t) * v[:, j] + np.sin(t) * u[:, j]
+    p = u[:, :r1] @ dag(u[:, :r1])
+    q = v @ dag(v)
+    return d, [(1.0 - rng.uniform(0.0, 1e-9)) * p, (1.0 - rng.uniform(0.0, 1e-9)) * q]
+
+
+def test_retrodictor_rejects_every_pair_over_the_overlap_rule():
+    rng = np.random.default_rng(20261018)
+    rejected = 0
+    for _ in range(600):
+        d, projectors = tilted_projector_pair(rng)
+        if np.linalg.norm(projectors[0] @ projectors[1]) > DEFAULT_TOL.eq_residual * d:
+            with pytest.raises(InvalidOperatorSetError):
+                ProjectiveRetrodictor(d, projectors)
+            rejected += 1
+    assert 0 < rejected < 600
 
 
 def test_retrodictor_projectors_are_orthogonal(rng):
