@@ -97,9 +97,10 @@ def povm_elements(elements, d: int, tol: Tolerance) -> list[np.ndarray]:
     """Check that ``elements`` are Hermitian, PSD ``d x d`` matrices summing to the identity.
 
     Every element of such a set is bounded by the identity, so positivity is
-    decided against ``tol.psd_floor`` at scale 1, with one batched eigenvalue
-    computation over the Hermitian parts.  Returns the elements as complex
-    matrices.
+    decided against ``tol.psd_floor`` at scale 1: each Hermitian part plus half
+    the floor must have a Cholesky factor, and only when one has none does one
+    batched eigenvalue computation decide and name the element.  Returns the
+    elements as complex matrices.
     """
     mats = square_matrices(elements, d, "element")
     herm = np.empty((len(mats), d, d), dtype=complex)
@@ -107,13 +108,18 @@ def povm_elements(elements, d: int, tol: Tolerance) -> list[np.ndarray]:
         if fro(e - dagger(e)) > tol.eq_residual * fro(e):
             raise NotHermitianError(f"element {k} is not Hermitian within tolerance")
         herm[k] = (e + dagger(e)) / 2.0
-    lowest = np.linalg.eigvalsh(herm)[:, 0]
-    bad = np.flatnonzero(lowest < -tol.psd_floor)
-    if bad.size:
-        raise InvalidOperatorSetError(
-            f"element {bad[0]} is not PSD: most negative eigenvalue {lowest[bad[0]]:.3e} "
-            f"below the admissible floor"
-        )
+    shift = tol.psd_floor / 2.0 * np.eye(d)  # a factor found by rounding still means > -psd_floor
+    try:
+        for h in herm:  # one at a time: a batched factorisation raises peak memory
+            np.linalg.cholesky(h + shift)
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(herm)[:, 0]
+        bad = np.flatnonzero(lowest < -tol.psd_floor)
+        if bad.size:
+            raise InvalidOperatorSetError(
+                f"element {bad[0]} is not PSD: most negative eigenvalue {lowest[bad[0]]:.3e} "
+                f"below the admissible floor"
+            ) from None
     _check_identity(sum(mats), tol, "elements do not sum to the identity")
     return mats
 

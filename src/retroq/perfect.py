@@ -133,7 +133,8 @@ def projective_equivalence(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Proj
     The candidate transform is the sum of the Kraus operators; for a
     perfectly retrodictable fine-grained measurement it is an isometry ``S``
     with ``A_k = S P_k`` for the mutually orthogonal projectors
-    ``P_k = A_k^dag A_k``.
+    ``P_k = A_k^dag A_k``.  Each ``P_k`` meets every ``P_k'`` in one product
+    with the stacked projectors, so temporaries stay ``K d_in^2`` entries.
     """
     if not m.fine_grained:
         raise NotFineGrainedError("projective equivalence is defined for fine-grained measurements")
@@ -141,16 +142,17 @@ def projective_equivalence(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Proj
     s = sum(ops)
     eye = np.eye(m.d_in)
     isometry_residual = fro(dagger(s) @ s - eye) / fro(eye)
-    elements = [dagger(a) @ a for a in ops]
+    stack = np.array([dagger(a) @ a for a in ops])  # P_k
+    wide = np.hstack(stack)  # P_0 | P_1 | ...
     projector_residual = 0.0
-    for k, pk in enumerate(elements):
-        for kp, pkp in enumerate(elements):
-            target = pk if k == kp else 0.0
-            projector_residual = max(projector_residual, fro(pkp @ pk - target))
+    for k, pk in enumerate(stack):
+        row = (pk @ wide).reshape(m.d_in, len(ops), m.d_in)  # P_k P_k' for every k'
+        row[:, k] -= pk
+        projector_residual = max(projector_residual, float(np.linalg.norm(row, axis=(0, 2)).max()))
     report = check_perfect(m, tol)
     if not report.retrodictable:
         return ProjectiveEquivalence(False, None, None, None,
                                      isometry_residual, projector_residual)
     kind = "unitary" if m.d_out == m.d_in else "isometry"
-    return ProjectiveEquivalence(True, s, kind, Povm(m.d_in, elements, tol),
+    return ProjectiveEquivalence(True, s, kind, Povm(m.d_in, list(stack), tol),
                                  isometry_residual, projector_residual)

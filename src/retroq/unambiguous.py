@@ -3,8 +3,9 @@
 Linearly independent pure states admit an error-free discriminating POVM
 built from their reciprocal (dual) family: the detection operator for state
 ``k`` is proportional to the projector onto the dual vector, which by
-construction responds to no other state.  One shared scale is pushed as
-high as positivity of the leftover inconclusive element allows.
+construction responds to no other state.  One shared scale, as high as
+positivity of the inconclusive remainder allows, and the failure
+probability come from the ``K x K`` Gram matrix of the states.
 
 For a fine-grained measurement on one half of an entangled input, the
 post-measurement states inherit linear independence from the Kraus
@@ -74,25 +75,33 @@ class RetrodictionAssessment:
     p_inconclusive: float | None = None
 
 
-def _dual_family(states: list[np.ndarray], tol: Tolerance) -> np.ndarray:
-    """Columns are dual vectors with <dual_k|state_j> = delta_kj on the span."""
+def _dual_family(states: list[np.ndarray], tol: Tolerance) -> tuple[np.ndarray, np.ndarray, float]:
+    """Duals ``S G^-1`` of unit vectors ``S`` (``G = S^dag S``), ``||dual_k||^2 = (G^-1)_kk``
+    and the scale ``min(min_k ||dual_k||^2, 1 / lambda_max(N^1/2 G^-1 N^1/2))``, where
+    ``N = diag(1 / ||dual_k||^2)``: the largest that keeps the inconclusive remainder PSD."""
     s = np.column_stack(states)
     if numeric_rank(s, tol) < len(states):
         raise LinearlyDependentStatesError(
             "states are linearly dependent and cannot be told apart without error"
         )
-    gram = dagger(s) @ s
-    return s @ np.linalg.inv(gram)
+    inv = np.linalg.inv(dagger(s) @ s)
+    norms2 = inv.diagonal().real
+    lam_max = float(np.linalg.eigvalsh(inv / np.sqrt(np.outer(norms2, norms2)))[-1])
+    return s @ inv, norms2, min(float(np.min(norms2)), 1.0 / lam_max)
+
+
+def _retrodictor(duals, norms2, c: float, tol: Tolerance) -> UnambiguousRetrodictor:
+    conclusive = [(c / n2) * np.outer(v, np.conj(v)) for v, n2 in zip(duals.T, norms2)]
+    return UnambiguousRetrodictor([np.eye(duals.shape[0]) - sum(conclusive)] + conclusive, 0, tol)
 
 
 def build_ud_povm(states, tol: Tolerance = DEFAULT_TOL) -> UnambiguousRetrodictor:
     """Error-free discriminating POVM for linearly independent unit vectors.
 
-    Element ``k >= 1`` is ``c |dual_k><dual_k| / ||dual_k||^2``.  The shared
-    scale is the largest that keeps the inconclusive remainder
-    ``I - c T`` positive, ``c = 1 / lambda_max(T)`` with ``T`` the sum of the
-    rank-one terms, capped at ``min_k ||dual_k||^2``.  Components outside the
-    span of the states are absorbed into the inconclusive element.
+    Element ``k >= 1`` is ``c |dual_k><dual_k| / ||dual_k||^2``; the duals'
+    norms and the largest scale ``c`` that keeps the inconclusive remainder
+    positive come from the ``K x K`` Gram matrix of the states.  Components
+    outside their span are absorbed into the inconclusive element.
     """
     vecs = []
     for k, v in enumerate(states):
@@ -101,21 +110,35 @@ def build_ud_povm(states, tol: Tolerance = DEFAULT_TOL) -> UnambiguousRetrodicto
         if abs(nrm - 1.0) > tol.eq_residual:
             raise ValueError(f"state {k} must be a unit vector, got norm {nrm!r}")
         vecs.append(v)
-    duals = _dual_family(vecs, tol)
-    norms2 = np.linalg.norm(duals, axis=0) ** 2
-    rank_one = [np.outer(duals[:, k], np.conj(duals[:, k])) / norms2[k]
-                for k in range(len(vecs))]
-    total = sum(rank_one)
-    c = min(float(np.min(norms2)), 1.0 / float(np.linalg.eigvalsh(total)[-1]))
-    conclusive = [c * r for r in rank_one]
-    inconclusive = np.eye(duals.shape[0]) - sum(conclusive)
-    return UnambiguousRetrodictor([inconclusive] + conclusive, 0, tol)
+    return _retrodictor(*_dual_family(vecs, tol), tol)
 
 
 def maximally_entangled_state(d: int) -> QuantumState:
     """Equal-weight two-party state with full Schmidt rank on a d x d space."""
     vec = np.eye(d, dtype=complex).ravel() / np.sqrt(d)
     return QuantumState.pure(vec, factor_dims=(d, d))
+
+
+def _final_family(m: Measurement, s: QuantumState, tol: Tolerance) -> tuple:
+    """``_dual_family`` of the normalised final states of ``m`` on the pure ``s``, and
+    ``p_inconclusive = sum_k p_k (1 - c / ||dual_k||^2)``."""
+    if s.kind != "pure":
+        raise ValueError("retrodiction input must be a pure state")
+    d_anc = s.factor_dims[1] if s.factor_dims is not None else 1
+    p = outcome_probabilities(m, s, tol)
+    finals = []
+    for k, group in enumerate(m.outcomes):
+        if p[k] <= tol.rank_rel:
+            raise ZeroProbabilityOutcomeError(
+                f"outcome {k} has zero probability for the supplied state"
+            )
+        phi = _apply_left(group[0], s.data, d_anc)
+        finals.append(phi / np.linalg.norm(phi))
+    try:
+        duals, norms2, c = _dual_family(finals, tol)
+    except LinearlyDependentStatesError as exc:
+        raise DependentFinalStatesError(str(exc)) from exc
+    return duals, norms2, c, float(np.clip(p @ (1.0 - c / norms2), 0.0, 1.0))
 
 
 def assess_measurement(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> RetrodictionAssessment:
@@ -125,6 +148,8 @@ def assess_measurement(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Retrodic
     maximally entangled input achieving it; for non-singular operators it
     is also necessary.  Dependent families with singular members are left
     undecided, because particular known inputs can still force an outcome.
+    ``p_inconclusive`` and the scale behind it come from the ``K x K`` Gram
+    matrix of the final states on that input; no POVM is built.
     """
     if not m.fine_grained:
         raise NotFineGrainedError("assessment is defined for fine-grained measurements")
@@ -132,8 +157,7 @@ def assess_measurement(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Retrodic
     independent, _ = check_linear_independence(ops, tol)
     if independent:
         state = maximally_entangled_state(m.d_in)
-        _, p_inc = retrodict_unambiguously(m, state, tol)
-        return RetrodictionAssessment("yes", state, p_inc)
+        return RetrodictionAssessment("yes", state, _final_family(m, state, tol)[3])
     if all(numeric_rank(a, tol) == m.d_in for a in ops):
         return RetrodictionAssessment("no")
     return RetrodictionAssessment("undecided")
@@ -150,26 +174,8 @@ def retrodict_unambiguously(m: Measurement, s: QuantumState,
     """
     if not m.fine_grained:
         raise NotFineGrainedError("retrodiction POVM is built for fine-grained measurements")
-    if s.kind != "pure":
-        raise ValueError("retrodiction input must be a pure state")
-    d_anc = s.factor_dims[1] if s.factor_dims is not None else 1
-    p = outcome_probabilities(m, s, tol)
-    finals = []
-    for k, group in enumerate(m.outcomes):
-        if p[k] <= tol.rank_rel:
-            raise ZeroProbabilityOutcomeError(
-                f"outcome {k} has zero probability for the supplied state"
-            )
-        phi = _apply_left(group[0], s.data, d_anc)
-        finals.append(phi / np.linalg.norm(phi))
-    try:
-        retro = build_ud_povm(finals, tol)
-    except LinearlyDependentStatesError as exc:
-        raise DependentFinalStatesError(str(exc)) from exc
-    xi0 = retro.elements[retro.inconclusive_index]
-    p_inc = sum(float(p[k]) * float(np.vdot(phi, xi0 @ phi).real)
-                for k, phi in enumerate(finals))
-    return retro, float(np.clip(p_inc, 0.0, 1.0))
+    duals, norms2, c, p_inc = _final_family(m, s, tol)
+    return _retrodictor(duals, norms2, c, tol), p_inc
 
 
 def discriminate_unitaries(unitaries, priors, s: QuantumState,
@@ -186,7 +192,7 @@ def discriminate_unitaries(unitaries, priors, s: QuantumState,
     priors = np.asarray(priors, dtype=float)
     if len(mats) != priors.size:
         raise ValueError("need one prior per unitary")
-    if np.any(priors <= 0.0) or abs(float(priors.sum()) - 1.0) > 1e-9:
+    if np.any(priors <= 0.0) or abs(float(priors.sum()) - 1.0) > tol.eq_residual:
         raise ValueError("priors must be positive and sum to one")
     d = mats[0].shape[0]
     eye = np.eye(d)

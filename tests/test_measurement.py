@@ -20,6 +20,7 @@ from retroq import (
     povm_of,
 )
 from retroq.catalog import PAULI, counterexample_3d, two_to_four
+from retroq.linalg import DEFAULT_TOL
 from retroq.rand import random_fine_grained, random_pure_state, random_unitary
 
 E2 = np.eye(2, dtype=complex)
@@ -100,6 +101,25 @@ def _projective(projectors):
 def test_resolutions_of_identity_share_validation(construct, elements, error, match):
     with pytest.raises(error, match=match):
         construct(elements)
+
+
+def test_positivity_verdict_matches_batched_eigenvalues_at_the_floor():
+    # lowest eigenvalue within a few 1e-15 of -psd_floor, where only rounding decides;
+    # the reference is the batched eigvalsh verdict on the same Hermitian parts
+    rng = np.random.default_rng(7)
+    floor = DEFAULT_TOL.psd_floor
+    for _ in range(2000):
+        d = int(rng.integers(2, 7))
+        u = random_unitary(d, rng)
+        w = rng.uniform(0.0, 1.0, d)
+        w[0] = -floor * (1.0 + rng.uniform(-3e-6, 3e-6))
+        e0 = u @ np.diag(w) @ np.conj(u).T
+        herm = np.array([(e + np.conj(e).T) / 2.0 for e in (e0, np.eye(d) - e0)])
+        if np.linalg.eigvalsh(herm)[:, 0].min() >= -floor:
+            Povm(d, [e0, np.eye(d) - e0])
+        else:
+            with pytest.raises(InvalidOperatorSetError, match="element 0 is not PSD"):
+                Povm(d, [e0, np.eye(d) - e0])
 
 
 def test_projective_retrodictor_is_completed_by_its_remainder():

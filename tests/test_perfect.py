@@ -38,6 +38,10 @@ def dag(m):
     return np.conj(m).T
 
 
+def random_isometry(d_out: int, d_in: int, rng) -> np.ndarray:
+    return random_unitary(d_out, rng)[:, :d_in]
+
+
 def pauli_measurement() -> Measurement:
     return Measurement(2, 2, [[PAULI[s] / 2.0] for s in ("I", "X", "Y", "Z")])
 
@@ -297,6 +301,42 @@ def test_pauli_set_is_not_equivalent():
     eq = projective_equivalence(pauli_measurement())
     assert not eq.equivalent
     assert eq.transform is None and eq.povm is None
+
+
+def _projective_equivalence_loop(m):
+    """Reference: (equivalent, kind, isometry and projector residuals) with the
+    projector residual taken pair by pair."""
+    ops = [group[0] for group in m.outcomes]
+    s = sum(ops)
+    eye = np.eye(m.d_in)
+    isometry_residual = np.linalg.norm(dag(s) @ s - eye) / np.linalg.norm(eye)
+    elements = [dag(a) @ a for a in ops]
+    projector_residual = 0.0
+    for k, pk in enumerate(elements):
+        for kp, pkp in enumerate(elements):
+            target = pk if k == kp else 0.0
+            projector_residual = max(projector_residual, float(np.linalg.norm(pkp @ pk - target)))
+    equivalent = check_perfect(m).retrodictable
+    kind = ("unitary" if m.d_out == m.d_in else "isometry") if equivalent else None
+    return equivalent, kind, isometry_residual, projector_residual
+
+
+def test_equivalence_matches_pairwise_loop():
+    measurements = [projective_z(), pauli_measurement(), two_to_four().measurement]
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 6))
+        u0 = random_isometry(d + int(rng.integers(0, 3)), d, rng)
+        povm = random_projective_povm(d, int(rng.integers(1, d + 1)), rng)
+        measurements.append(Measurement(d, u0.shape[0], [[u0 @ e] for e in povm.elements]))
+        measurements.append(random_fine_grained(d, d + int(rng.integers(0, 3)),
+                                                int(rng.integers(2, 2 * d + 1)), rng))
+    for m in measurements:
+        eq = projective_equivalence(m)
+        equivalent, kind, isometry_residual, projector_residual = _projective_equivalence_loop(m)
+        assert (eq.equivalent, eq.kind) == (equivalent, kind)
+        assert eq.isometry_residual == isometry_residual
+        assert eq.projector_residual == pytest.approx(projector_residual, abs=1e-15)
 
 
 def test_equivalence_requires_fine_grained():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import retroq.unambiguous as unambiguous
 from retroq import (
     DependentFinalStatesError,
     LinearlyDependentStatesError,
@@ -12,10 +13,12 @@ from retroq import (
     NonUnitaryInputError,
     NotFineGrainedError,
     QuantumState,
+    Tolerance,
     assess_measurement,
     build_ud_povm,
     discriminate_unitaries,
     maximally_entangled_state,
+    outcome_probabilities,
     retrodict_unambiguously,
 )
 from retroq.catalog import PAULI, counterexample_3d
@@ -129,6 +132,25 @@ def test_two_state_failure_with_complex_overlap(rng):
     assert failure == pytest.approx(_two_state_failure_oracle(psi1, psi2), abs=1e-6)
 
 
+def test_shared_scale_keeps_the_remainder_psd_and_is_maximal(rng):
+    # orthonormal sets also sit on the cap min_k ||dual_k||^2 = 1; others reach the singular bound
+    e = np.eye(4, dtype=complex)
+    cases = [[e[:, 0], e[:, 2]], list(e.T)]
+    for _ in range(20):
+        dim = int(rng.integers(2, 7))
+        cases.append([random_pure_state(dim, rng) for _ in range(int(rng.integers(1, dim + 1)))])
+    for states in cases:
+        ud = build_ud_povm(states)
+        lowest = np.linalg.eigvalsh(ud.elements[0])[0]
+        assert lowest >= -1e-12
+        s_mat = np.column_stack(states)
+        duals = s_mat @ np.linalg.inv(dag(s_mat) @ s_mat)
+        cap = float(np.min(np.linalg.norm(duals, axis=0) ** 2))
+        scale = float(np.trace(ud.elements[1]).real)
+        assert scale <= cap * (1.0 + 1e-12)
+        assert lowest <= 1e-12 or scale == pytest.approx(cap, rel=1e-12)
+
+
 # ---------------------------------------------------------- assess_measurement
 
 def test_pauli_measurement_needs_and_gets_entanglement():
@@ -161,6 +183,37 @@ def test_assess_requires_fine_grained():
     half = np.eye(2) / np.sqrt(2)
     with pytest.raises(NotFineGrainedError):
         assess_measurement(Measurement(2, 2, [[half, half]]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_assess_failure_probability_matches_the_retrodictor(d, rng):
+    state = maximally_entangled_state(d)
+    for n in sorted({d, (d + d * d) // 2, d * d}):
+        m = random_nonsingular_independent(d, n, rng)
+        ud, _ = retrodict_unambiguously(m, state)
+        p = outcome_probabilities(m, state)
+        finals = [np.kron(g[0], np.eye(d)) @ state.data for g in m.outcomes]
+        finals = [f / np.linalg.norm(f) for f in finals]
+        xi0 = ud.elements[ud.inconclusive_index]
+        direct = sum(pk * float(np.vdot(f, xi0 @ f).real) for pk, f in zip(p, finals))
+        assert assess_measurement(m).p_inconclusive == pytest.approx(direct, abs=1e-12)
+
+
+def test_assess_builds_no_retrodictor(rng, monkeypatch):
+    built = []
+    post_init = unambiguous.UnambiguousRetrodictor.__post_init__
+
+    def counting(self, tol):
+        built.append(self)
+        post_init(self, tol)
+
+    monkeypatch.setattr(unambiguous.UnambiguousRetrodictor, "__post_init__", counting)
+    m = random_nonsingular_independent(3, 5, rng)
+    assert assess_measurement(m).feasible == "yes"
+    assert assess_measurement(pauli_measurement()).feasible == "yes"
+    assert not built
+    retrodict_unambiguously(m, maximally_entangled_state(3))
+    assert len(built) == 1
 
 
 # ----------------------------------------------------- retrodict_unambiguously
@@ -247,3 +300,12 @@ def test_priors_are_validated():
     with pytest.raises(ValueError):
         discriminate_unitaries([PAULI["I"], PAULI["X"]], [0.9, 0.2],
                                maximally_entangled_state(2))
+
+
+def test_priors_are_checked_at_the_callers_tolerance():
+    us, priors = [PAULI["I"], PAULI["X"]], [0.5, 0.5 + 1e-7]
+    _, success = discriminate_unitaries(us, priors, maximally_entangled_state(2),
+                                        Tolerance(eq_residual=1e-6))
+    assert success == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(ValueError, match="sum to one"):
+        discriminate_unitaries(us, priors, maximally_entangled_state(2))
