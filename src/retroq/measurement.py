@@ -254,11 +254,19 @@ def _split_dims(m: Measurement, s: QuantumState) -> int:
     return 1
 
 
-def _apply_left(a: np.ndarray, psi: np.ndarray, d_anc: int) -> np.ndarray:
-    """Apply ``a`` to the first tensor factor of the vector ``psi``."""
-    if d_anc == 1:
-        return a @ psi
-    return (a @ psi.reshape(a.shape[1], d_anc)).reshape(-1)
+def images(group, s: QuantumState) -> np.ndarray:
+    """Images ``(A_r x I) F`` of a factor ``F`` of ``s`` (``rho = F F^dag``: the pure vector,
+    else ``V sqrt(max(w, 0))`` from one ``eigh``), stacked as ``(R, d_out, d_anc * cols)``.
+
+    Reshaped to ``(R, d_out * d_anc, cols)`` they factor the joint terms
+    ``(A_r x I) rho (A_r x I)^dag``; as they are, the terms' partial traces over the ancilla.
+    """
+    f = s.data
+    if s.kind == "mixed":
+        w, v = np.linalg.eigh(f)
+        f = v * np.sqrt(np.maximum(w, 0.0))
+    f = f.reshape(group[0].shape[1], -1)
+    return np.stack([a @ f for a in group])
 
 
 def _probabilities(groups: list[list[np.ndarray]], s: QuantumState, d_in: int, d_anc: int,
@@ -268,8 +276,7 @@ def _probabilities(groups: list[list[np.ndarray]], s: QuantumState, d_in: int, d
     p = np.empty(len(groups))
     if s.kind == "pure":
         for i, group in enumerate(groups):
-            images = [_apply_left(a, s.data, d_anc) for a in group]
-            p[i] = sum(float(np.vdot(phi, phi).real) for phi in images)
+            p[i] = sum(float(np.vdot(phi, phi).real) for phi in images(group, s))
     else:
         rho_sys = s.data if d_anc == 1 else partial_trace(s.data, (d_in, d_anc), keep=0)
         for i, group in enumerate(groups):
@@ -305,14 +312,9 @@ def apply_outcome(m: Measurement, s: QuantumState, k: int,
         raise ZeroProbabilityOutcomeError(f"outcome {k} has probability {p!r}")
     out_dims = (m.d_out, d_anc) if s.factor_dims is not None else None
     group = m.outcomes[k]
+    g = images(group, s).reshape(len(group), m.d_out * d_anc, -1)
     if s.kind == "pure" and len(group) == 1:
-        phi = _apply_left(group[0], s.data, d_anc)
-        return QuantumState.pure(phi / np.linalg.norm(phi), out_dims, tol)
-    rho = s.density()
-    dim_out = m.d_out * d_anc
-    out = np.zeros((dim_out, dim_out), dtype=complex)
-    for a in group:
-        lifted = a if d_anc == 1 else np.kron(a, np.eye(d_anc))
-        out += lifted @ rho @ dagger(lifted)
+        return QuantumState.pure(g.ravel() / np.linalg.norm(g), out_dims, tol)
+    out = np.einsum("rik,rjk->ij", g, g.conj())
     out /= float(np.trace(out).real)
     return QuantumState.mixed(out, out_dims, tol)

@@ -3,10 +3,11 @@
 Outcome and retrodiction distributions are fixed once the inputs are fixed,
 so each trial reduces to two inverse-CDF draws: one picks the actual
 outcome, the other picks what the retrodictor reports on the corresponding
-post-measurement state.  Trials are partitioned into fixed-size blocks with
-independently spawned PCG64 substreams; block results merge by summation,
-making the report independent of execution order and reproducible from the
-seed alone.
+post-measurement state, whose statistics are read from the Kraus images of
+the input without forming the state.  Trials are partitioned into fixed-size
+blocks with independently spawned PCG64 substreams; block results merge by
+summation, making the report independent of execution order and reproducible
+from the seed alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOL, Tolerance
-from .measurement import Measurement, QuantumState, Retrodictor, apply_outcome, outcome_probabilities
+from .measurement import Measurement, QuantumState, Retrodictor, images, outcome_probabilities
 from .unambiguous import UnambiguousRetrodictor
 
 _BLOCK = 8192
@@ -61,34 +62,30 @@ def _clean_probs(p: np.ndarray, floor: float) -> np.ndarray:
     return q / total
 
 
-def _expectation(op: np.ndarray, state: QuantumState) -> float:
-    if state.kind == "pure":
-        return float(np.vdot(state.data, op @ state.data).real)
-    return float(np.trace(op @ state.data).real)
+def _retrodictor_rows(r: Retrodictor, m: Measurement, s: QuantumState, live: list[int],
+                      tol: Tolerance) -> list[np.ndarray]:
+    """Probability vectors over rows 0..N-1 (retrodicted) plus row N (inconclusive),
+    one per outcome in ``live``.
 
-
-def _retrodictor_rows(r: Retrodictor, post: QuantumState, n_outcomes: int,
-                      tol: Tolerance) -> np.ndarray:
-    """Probability vector over rows 0..N-1 (retrodicted) plus row N (inconclusive).
-
-    The rows are the expectations of the retrodictor's conclusive elements
-    and of its inconclusive one; for a projective retrodictor the latter is
-    the remainder ``I - sum_k P_k``.  A retrodictor acting on the first
-    factor of a bipartite state is lifted as ``kron(E, I_anc)``.
+    Entry ``j`` of outcome ``k`` is ``sum_r tr(S_r^dag E_j S_r)`` over the Kraus images
+    ``S_r = (A_kr x I) F`` of ``s``, divided by the row total.  Reshaped to ``r.d``
+    rows, the images serve a retrodictor on the joint output space and one on the
+    first factor alike, with no ``kron(E, I_anc)`` lift.  A projective retrodictor's
+    inconclusive element is the remainder ``I - sum_k P_k``.
     """
-    if r.n_outcomes != n_outcomes:
+    if r.n_outcomes != m.n_outcomes:
         raise DimensionMismatchError("retrodictor outcome count differs from measurement")
-    elements = r.elements
-    if r.d != post.dim:
-        if post.factor_dims is None or r.d != post.factor_dims[0]:
-            raise DimensionMismatchError(
-                f"retrodictor acts on dimension {r.d}, state has {post.dim}"
-            )
-        eye = np.eye(post.factor_dims[1])
-        elements = [np.kron(e, eye) for e in elements]
-    rows = [_expectation(e, post) for e in elements]
-    rows.append(rows.pop(r.inconclusive_index))
-    return _clean_probs(np.array(rows), tol.rank_rel)
+    dim = m.d_out * (s.dim // m.d_in)
+    if r.d != dim and (s.factor_dims is None or r.d != m.d_out):
+        raise DimensionMismatchError(f"retrodictor acts on dimension {r.d}, state has {dim}")
+    ops = [a for k in live for a in m.outcomes[k]]
+    stack = images(ops, s).reshape(len(ops), r.d, -1)
+    conj = stack.conj()
+    elements = r.conclusive_elements() + [r.elements[r.inconclusive_index]]
+    per_image = np.array([np.einsum("mia,mia->m", conj, e @ stack).real for e in elements])
+    starts = np.cumsum([0] + [len(m.outcomes[k]) for k in live[:-1]])
+    rows = np.add.reduceat(per_image, starts, axis=1).T
+    return [_clean_probs(row / row.sum(), tol.rank_rel) for row in rows]
 
 
 def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, seed: int,
@@ -96,9 +93,9 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
     """Simulate ``n_trials`` measurement + retrodiction rounds.
 
     Each trial samples the actual outcome from the measurement statistics,
-    forms the post-measurement state, and samples the retrodictor's answer
-    from its statistics on that state.  Identical inputs and seed give an
-    identical report.
+    then the retrodictor's answer from its statistics on the post-measurement
+    state, which are computed once per outcome from the Kraus images of
+    ``s``.  Identical inputs and seed give an identical report.
     """
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
@@ -108,9 +105,7 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
     live = [k for k in range(n) if p[k] > 0.0]
 
     row_cdfs: dict[int, np.ndarray] = {}
-    for k in live:
-        post = apply_outcome(m, s, k, tol)
-        rows = _retrodictor_rows(r, post, n, tol)
+    for k, rows in zip(live, _retrodictor_rows(r, m, s, live, tol)):
         cdf = np.cumsum(rows)
         cdf[-1] = 1.0
         row_cdfs[k] = cdf

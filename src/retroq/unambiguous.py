@@ -35,8 +35,8 @@ from .measurement import (
     Measurement,
     QuantumState,
     Retrodictor,
-    _apply_left,
-    outcome_probabilities,
+    _split_dims,
+    images,
     povm_elements,
 )
 
@@ -124,16 +124,14 @@ def _final_family(m: Measurement, s: QuantumState, tol: Tolerance) -> tuple:
     ``p_inconclusive = sum_k p_k (1 - c / ||dual_k||^2)``."""
     if s.kind != "pure":
         raise ValueError("retrodiction input must be a pure state")
-    d_anc = s.factor_dims[1] if s.factor_dims is not None else 1
-    p = outcome_probabilities(m, s, tol)
-    finals = []
-    for k, group in enumerate(m.outcomes):
-        if p[k] <= tol.rank_rel:
-            raise ZeroProbabilityOutcomeError(
-                f"outcome {k} has zero probability for the supplied state"
-            )
-        phi = _apply_left(group[0], s.data, d_anc)
-        finals.append(phi / np.linalg.norm(phi))
+    _split_dims(m, s)  # raises on a dimension mismatch
+    phis = images([group[0] for group in m.outcomes], s).reshape(m.n_outcomes, -1)
+    p = np.clip([np.vdot(phi, phi).real for phi in phis], 0.0, 1.0)
+    zero = np.flatnonzero(p <= tol.rank_rel)
+    if zero.size:
+        raise ZeroProbabilityOutcomeError(
+            f"outcome {zero[0]} has zero probability for the supplied state")
+    finals = [phi / np.linalg.norm(phi) for phi in phis]
     try:
         duals, norms2, c = _dual_family(finals, tol)
     except LinearlyDependentStatesError as exc:

@@ -20,8 +20,9 @@ from retroq import (
     povm_of,
 )
 from retroq.catalog import PAULI, counterexample_3d, two_to_four
-from retroq.linalg import DEFAULT_TOL
-from retroq.rand import random_fine_grained, random_pure_state, random_unitary
+from retroq.linalg import DEFAULT_TOL, partial_trace
+from retroq.measurement import images
+from retroq.rand import random_fine_grained, random_psd, random_pure_state, random_unitary
 
 E2 = np.eye(2, dtype=complex)
 PROJ_Z = Measurement(2, 2, [[np.diag([1.0, 0.0 + 0j])], [np.diag([0.0 + 0j, 1.0])]])
@@ -295,6 +296,26 @@ def test_apply_outcome_bipartite_acts_on_first_factor(rng):
     assert out.factor_dims == (2, 3)
     want = np.kron(E2[:, 0], chi)
     assert abs(np.vdot(want, out.data)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_apply_outcome_density_matches_the_kron_lift(rng):
+    ops = random_fine_grained(2, 3, 6, rng).all_kraus()
+    coarse = Measurement(2, 3, [ops[:1], ops[1:3], ops[3:]])
+    for d_anc in (1, 2, 3):
+        g = random_psd(2 * d_anc, rng)
+        rho = g / np.trace(g).real
+        s = QuantumState.mixed(rho, factor_dims=(2, d_anc))
+        for k, group in enumerate(coarse.outcomes):
+            lifted = [np.kron(a, np.eye(d_anc)) for a in group]
+            want = sum(a @ rho @ a.conj().T for a in lifted)
+            got = apply_outcome(coarse, s, k)
+            assert got.kind == "mixed" and got.factor_dims == (3, d_anc)
+            assert np.abs(got.data - want / np.trace(want).real).max() <= 1e-12
+            # left unreshaped, the images factor the partial trace over the ancilla
+            f = images(group, s)
+            assert f.shape == (len(group), 3, d_anc * 2 * d_anc)
+            reduced = np.einsum("rik,rjk->ij", f, f.conj())
+            assert np.abs(reduced - partial_trace(want, (3, d_anc), keep=0)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- JSON I/O

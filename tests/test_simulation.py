@@ -20,7 +20,7 @@ from retroq import (
 )
 from retroq.catalog import PAULI, counterexample_3d
 from retroq.jsonio import trial_report_to_obj, dumps
-from retroq.rand import random_povm, random_pure_state
+from retroq.rand import random_fine_grained, random_povm, random_psd, random_pure_state
 
 
 def pauli_measurement() -> Measurement:
@@ -133,3 +133,117 @@ def test_always_inconclusive_report_is_vacuous(rng):
     report = run_trials(m, always_inconclusive(2, 4), s, 500, seed=1)
     assert report.inconclusive_rate == 1.0
     assert report.agreement_rate == 1.0  # vacuous: no conclusive trials
+
+
+# ------------------------------------------- Kraus images against the old path
+
+def _old_post_state(m, s, k):
+    """Normalised post-measurement vector or density, formed as the state-building path did:
+    a pure fine-grained image, else the ``kron(A, I)``-lifted density."""
+    d_anc = s.factor_dims[1] if s.factor_dims is not None else 1
+    group = m.outcomes[k]
+    if s.kind == "pure" and len(group) == 1:
+        a = group[0]
+        phi = a @ s.data if d_anc == 1 else (a @ s.data.reshape(m.d_in, d_anc)).reshape(-1)
+        return phi / np.linalg.norm(phi)
+    rho = s.density()
+    dim = m.d_out * d_anc
+    out = np.zeros((dim, dim), dtype=complex)
+    for a in group:
+        lifted = a if d_anc == 1 else np.kron(a, np.eye(d_anc))
+        out += lifted @ rho @ lifted.conj().T
+    return out / float(np.trace(out).real)
+
+
+def _old_clean(p, floor):
+    q = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    q[q < floor] = 0.0
+    return q / q.sum()
+
+
+def _old_confusion(m, r, s, n_trials, seed, floor=1e-10):
+    """Confusion matrix of the state-building path: one post-measurement state per live
+    outcome, one expectation per element, ``kron(E, I)`` for a first-factor retrodictor."""
+    n = m.n_outcomes
+    p = _old_clean(outcome_probabilities(m, s), floor)
+    row_cdfs = {}
+    for k in np.flatnonzero(p > 0.0):
+        post = _old_post_state(m, s, int(k))
+        elements = r.elements
+        if r.d != post.shape[0]:
+            elements = [np.kron(e, np.eye(post.shape[0] // r.d)) for e in elements]
+        if post.ndim == 1:
+            rows = [float(np.vdot(post, e @ post).real) for e in elements]
+        else:
+            rows = [float(np.trace(e @ post).real) for e in elements]
+        rows.append(rows.pop(r.inconclusive_index))
+        cdf = np.cumsum(_old_clean(rows, floor))
+        cdf[-1] = 1.0
+        row_cdfs[int(k)] = cdf
+    outcome_cdf = np.cumsum(p)
+    outcome_cdf[-1] = 1.0
+    confusion = np.zeros((n + 1, n), dtype=np.int64)
+    children = np.random.SeedSequence(seed).spawn(-(-n_trials // 8192))
+    done = 0
+    for child in children:
+        size = min(8192, n_trials - done)
+        done += size
+        rng = np.random.Generator(np.random.PCG64(child))
+        u_outcome, u_retro = rng.random(size), rng.random(size)
+        ks = np.clip(np.searchsorted(outcome_cdf, u_outcome, side="right"), 0, n - 1)
+        for k in np.unique(ks):
+            rows = np.clip(np.searchsorted(row_cdfs[int(k)], u_retro[ks == k], side="right"), 0, n)
+            confusion[:, int(k)] += np.bincount(rows, minlength=n + 1)
+    return confusion
+
+
+def _mixed(d, rng):
+    rho = random_psd(d, rng)
+    return rho / np.trace(rho).real
+
+
+def test_run_trials_matches_the_state_building_path(rng):
+    d_in, d_out, n, d_anc = 2, 3, 3, 2
+    fine = random_fine_grained(d_in, d_out, n, rng)
+    ops = random_fine_grained(d_in, d_out, 2 * n, rng).all_kraus()
+    coarse = Measurement(d_in, d_out, [[ops[2 * k], ops[2 * k + 1]] for k in range(n)])
+    synthesised = synthesize(random_povm(d_in, n, rng), d_out=d_out).measurement
+    assert not synthesised.fine_grained
+    # a projective retrodictor made for another measurement answers every outcome with odds
+    proj = build_retrodictor(synthesize(random_povm(d_in, n, rng), d_out=d_out).measurement)
+    states = [
+        QuantumState.pure(random_pure_state(d_in, rng)),
+        QuantumState.pure(random_pure_state(d_in * d_anc, rng), factor_dims=(d_in, d_anc)),
+        QuantumState.mixed(_mixed(d_in, rng)),
+        QuantumState.mixed(_mixed(d_in * d_anc, rng), factor_dims=(d_in, d_anc)),
+    ]
+    for m in (fine, coarse, synthesised):
+        for s in states:
+            d_s = s.dim // d_in
+            lifted = UnambiguousRetrodictor([np.kron(e, np.eye(d_s)) for e in proj.elements],
+                                            proj.inconclusive_index)
+            # a generic POVM on the joint space is no kron(E, I): it sees how the images are laid out
+            joint = UnambiguousRetrodictor(random_povm(d_out * d_s, n + 1, rng).elements)
+            for r in (proj, lifted, joint, always_inconclusive(d_out, n)):
+                for seed in (3, 2024):
+                    got = run_trials(m, r, s, 3000, seed=seed).confusion
+                    assert got.tobytes() == _old_confusion(m, r, s, 3000, seed).tobytes()
+
+
+def test_run_trials_builds_no_state(rng, monkeypatch):
+    result = synthesize(random_povm(2, 3, rng), d_out=3)
+    retro = build_retrodictor(result.measurement)
+    states = [QuantumState.pure(random_pure_state(2, rng)),
+              QuantumState.mixed(_mixed(4, rng), factor_dims=(2, 2))]
+    built = []
+    init = QuantumState.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs.get("kind"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuantumState, "__init__", counting)
+    for s in states:
+        report = run_trials(result.measurement, retro, s, 1000, seed=4)
+        assert report.mismatches == 0
+    assert built == []
