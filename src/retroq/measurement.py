@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -26,13 +26,15 @@ class Measurement:
     has exactly one member.  Validation happens at construction, so invalid
     operator families are unrepresentable: the summed products over all
     groups must resolve the identity on the input space and no group may be
-    numerically zero.
+    numerically zero.  The operators are read-only views of the caller's
+    arrays, which are borrowed and must not be changed afterwards.
     """
 
     d_in: int
     d_out: int
     outcomes: list[list[np.ndarray]]
     tol: InitVar[Tolerance | None] = None
+    _cross_residual: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, tol: Tolerance | None) -> None:
         tol = tol or DEFAULT_TOL
@@ -46,7 +48,8 @@ class Measurement:
                 raise InvalidOperatorSetError(f"outcome {k} has no Kraus operators")
             ops = []
             for a in group:
-                a = as_matrix(a)
+                a = as_matrix(a).view()
+                a.setflags(write=False)
                 if a.shape != (self.d_out, self.d_in):
                     raise DimensionMismatchError(
                         f"operator of shape {a.shape} in outcome {k}; "

@@ -91,8 +91,15 @@ def check_perfect(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> PerfectCheckR
     normalised by the product of the operator norms so the verdict is
     scale-invariant, one operator ``A_kr`` at a time.  Temporaries are about
     three times the operator list; of equal maxima the witness is the first
-    in the order ``(k, r, k', r')``.
+    in the order ``(k, r, k', r')``.  The residual and witness are computed
+    once per measurement; only the verdict depends on ``tol``.
     """
+    if m._cross_residual is None:
+        m._cross_residual = _cross_products(m)
+    return PerfectCheckReport(bool(m._cross_residual[0] <= tol.eq_residual), *m._cross_residual)
+
+
+def _cross_products(m: Measurement) -> tuple[float, tuple[int, int, int, int] | None]:
     ops = m.all_kraus()
     labels = [(k, r) for k, group in enumerate(m.outcomes) for r in range(len(group))]
     norms = np.array([fro(a) for a in ops])
@@ -105,7 +112,7 @@ def check_perfect(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> PerfectCheckR
         if residuals.size and residuals.max() > worst:
             j = later + int(np.argmax(residuals))
             worst, witness = float(residuals[j - later]), (k, labels[j][0], r, labels[j][1])
-    return PerfectCheckReport(bool(worst <= tol.eq_residual), worst, witness)
+    return worst, witness
 
 
 def build_retrodictor(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> ProjectiveRetrodictor:
@@ -120,10 +127,7 @@ def build_retrodictor(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Projectiv
         raise NotPerfectlyRetrodictableError(
             f"cross-product residual {report.max_residual:.3e} at witness {report.witness}"
         )
-    projectors = []
-    for group in m.outcomes:
-        g = sum(a @ dagger(a) for a in group)
-        projectors.append(support_projector(g, tol))
+    projectors = [support_projector(sum(a @ dagger(a) for a in group), tol) for group in m.outcomes]
     return ProjectiveRetrodictor(m.d_out, projectors, tol)
 
 
@@ -149,8 +153,7 @@ def projective_equivalence(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Proj
         row = (pk @ wide).reshape(m.d_in, len(ops), m.d_in)  # P_k P_k' for every k'
         row[:, k] -= pk
         projector_residual = max(projector_residual, float(np.linalg.norm(row, axis=(0, 2)).max()))
-    report = check_perfect(m, tol)
-    if not report.retrodictable:
+    if not check_perfect(m, tol).retrodictable:
         return ProjectiveEquivalence(False, None, None, None,
                                      isometry_residual, projector_residual)
     kind = "unitary" if m.d_out == m.d_in else "isometry"

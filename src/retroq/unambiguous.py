@@ -21,7 +21,6 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .dependence import check_linear_independence
 from .errors import (
     DependentFinalStatesError,
     InvalidOperatorSetError,
@@ -146,19 +145,17 @@ def assess_measurement(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Retrodic
     maximally entangled input achieving it; for non-singular operators it
     is also necessary.  Dependent families with singular members are left
     undecided, because particular known inputs can still force an outcome.
-    ``p_inconclusive`` and the scale behind it come from the ``K x K`` Gram
-    matrix of the final states on that input; no POVM is built.
+    Independence (their rank), ``p_inconclusive`` and the scale come from the
+    final states on that input and their ``K x K`` Gram matrix; no POVM is built.
     """
     if not m.fine_grained:
         raise NotFineGrainedError("assessment is defined for fine-grained measurements")
-    ops = [group[0] for group in m.outcomes]
-    independent, _ = check_linear_independence(ops, tol)
-    if independent:
-        state = maximally_entangled_state(m.d_in)
+    state = maximally_entangled_state(m.d_in)
+    try:
         return RetrodictionAssessment("yes", state, _final_family(m, state, tol)[3])
-    if all(numeric_rank(a, tol) == m.d_in for a in ops):
-        return RetrodictionAssessment("no")
-    return RetrodictionAssessment("undecided")
+    except DependentFinalStatesError:
+        singular = any(numeric_rank(group[0], tol) < m.d_in for group in m.outcomes)
+        return RetrodictionAssessment("undecided" if singular else "no")
 
 
 def retrodict_unambiguously(m: Measurement, s: QuantumState,

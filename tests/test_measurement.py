@@ -50,6 +50,22 @@ def test_measurement_rejects_shape_mismatch():
         Measurement(2, 2, [[np.eye(3)]])
 
 
+def test_kraus_operators_are_read_only_views_of_the_callers_arrays():
+    a0, a1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    m = Measurement(2, 2, [[a0], [a1]])
+    for k in range(2):
+        assert np.shares_memory(m.outcomes[k][0], (a0, a1)[k])
+        with pytest.raises(ValueError):
+            m.outcomes[k][0][0, 0] = 0.5
+        with pytest.raises(ValueError):
+            m.outcomes[k][0] *= 2.0
+    a0[1, 1] = 0.0  # the caller's own array stays writable
+    assert a0.flags.writeable and a1.flags.writeable
+    real = np.eye(2) / np.sqrt(2)  # converted to complex: a private buffer, also read-only
+    coarse = Measurement(2, 2, [[real, real]])
+    assert not coarse.outcomes[0][1].flags.writeable and real.flags.writeable
+
+
 def test_fine_grained_flag():
     assert PROJ_Z.fine_grained
     half = np.eye(2) / np.sqrt(2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import retroq.perfect as perfect
 from retroq import (
     InvalidOperatorSetError,
     Measurement,
@@ -12,6 +13,7 @@ from retroq import (
     NotPerfectlyRetrodictableError,
     ProjectiveRetrodictor,
     QuantumState,
+    Tolerance,
     apply_outcome,
     build_retrodictor,
     check_perfect,
@@ -149,6 +151,41 @@ def test_check_perfect_json_of_catalog_is_pinned(name, text, tmp_path, capsys):
     code = main(["check-perfect", str(path), "--format", "json"])
     assert capsys.readouterr().out == text
     assert code == (0 if name == "two_to_four" else 1)
+
+
+def test_cross_product_pass_runs_once_per_measurement(rng, monkeypatch):
+    passes = []
+    cross_products = perfect._cross_products
+    monkeypatch.setattr(perfect, "_cross_products", lambda m: passes.append(m) or cross_products(m))
+    u0 = random_unitary(4, rng)
+    m = Measurement(4, 4, [[u0 @ e] for e in random_projective_povm(4, 3, rng).elements])
+    assert check_perfect(m).retrodictable
+    build_retrodictor(m)
+    assert projective_equivalence(m).equivalent
+    assert check_perfect(m, Tolerance(eq_residual=1e-3)).retrodictable
+    assert passes == [m]
+    other = Measurement(4, 4, [[a.copy()] for a in m.all_kraus()])
+    check_perfect(other)
+    assert len(passes) == 2 and passes[1] is other
+
+
+def test_one_measurement_gets_both_verdicts_at_tolerances_around_its_residual(rng):
+    # a projective measurement tilted by 1e-6, renormalised to completeness
+    gs = [np.diag([1.0, 0.0]) + 1e-6 * ginibre(2, 2, rng), np.diag([0.0, 1.0]) + 0j]
+    root = psd_inv_sqrt(sum(dag(g) @ g for g in gs))
+    m = Measurement(2, 2, [[g @ root] for g in gs])
+    _, worst, witness = all_pairs_reference(m)
+    assert 1e-7 < worst < 1e-5
+    strict_tol = Tolerance(eq_residual=worst / 10)
+    loose_tol = Tolerance(eq_residual=worst * 10, psd_floor=worst * 10)  # projectors overlap by ~worst
+    strict, loose = check_perfect(m, strict_tol), check_perfect(m, loose_tol)
+    assert (strict.retrodictable, loose.retrodictable) == (False, True)
+    assert strict.max_residual == loose.max_residual == pytest.approx(worst, rel=1e-12)
+    assert strict.witness == loose.witness == witness == (0, 1, 0, 0)
+    assert check_perfect(m, strict_tol) == strict
+    with pytest.raises(NotPerfectlyRetrodictableError):
+        build_retrodictor(m, strict_tol)
+    assert build_retrodictor(m, loose_tol).n_outcomes == 2
 
 
 # -------------------------------------------------------- build_retrodictor

@@ -8,6 +8,7 @@ import pytest
 import retroq.unambiguous as unambiguous
 from retroq import (
     DependentFinalStatesError,
+    InvalidOperatorSetError,
     LinearlyDependentStatesError,
     Measurement,
     NonUnitaryInputError,
@@ -23,6 +24,8 @@ from retroq import (
 )
 from retroq.catalog import PAULI, counterexample_3d
 from retroq.rand import (
+    ginibre,
+    psd_inv_sqrt,
     random_nonsingular_dependent,
     random_nonsingular_independent,
     random_pure_state,
@@ -214,6 +217,46 @@ def test_assess_builds_no_retrodictor(rng, monkeypatch):
     assert not built
     retrodict_unambiguously(m, maximally_entangled_state(3))
     assert len(built) == 1
+
+
+def nearly_dependent(seed: int, eps: float) -> Measurement:
+    """Fine-grained family on C^d whose last member is a combination of the others plus
+    ``eps`` of a Ginibre matrix; the members' norms spread over three decades."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    n = int(rng.integers(3, d * d + 1))
+    gs = [ginibre(d, d, rng) * 10.0 ** rng.uniform(-1.5, 1.5) for _ in range(n - 1)]
+    last = sum(c * g for c, g in zip(ginibre(n - 1, 1, rng).ravel(), gs))
+    gs.append(last + eps * np.linalg.norm(last) * ginibre(d, d, rng))
+    root = psd_inv_sqrt(sum(dag(g) @ g for g in gs))
+    return Measurement(d, d, [[g @ root] for g in gs])
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-11, 3e-11, 1e-10, 3e-10, 1e-9, 1e-6, 1e-3])
+def test_assess_yes_coincides_with_retrodiction_on_the_recommended_state(eps):
+    # Past the rank check the K x K Gram matrix squares the condition number, so this
+    # close to rank_rel its inverse can be too coarse for a valid POVM (or even finite
+    # dual norms).  Those failures still mean that the check found the states independent.
+    past_the_check = (InvalidOperatorSetError, np.linalg.LinAlgError)
+    for seed in range(30):
+        m = nearly_dependent(seed, eps)
+        state = maximally_entangled_state(m.d_in)
+        independent, p_inc, feasible = True, None, "yes"
+        with np.errstate(invalid="ignore", divide="ignore"):
+            try:
+                p_inc = retrodict_unambiguously(m, state)[1]
+            except DependentFinalStatesError:
+                independent = False
+            except past_the_check:
+                pass
+            try:
+                assessment = assess_measurement(m)
+                feasible = assessment.feasible
+            except past_the_check:
+                assessment = None
+        assert (feasible == "yes") == independent
+        if p_inc is not None:
+            assert assessment.p_inconclusive == p_inc
 
 
 # ----------------------------------------------------- retrodict_unambiguously
