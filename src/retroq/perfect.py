@@ -5,8 +5,9 @@ state exactly when Kraus operators belonging to different outcomes have
 vanishing cross products.  When that holds, the supports of the group sums
 ``G_k = sum_r A_kr A_kr^dag`` on the output space are mutually orthogonal,
 and projecting onto them identifies the outcome regardless of the input.
-The check takes one matrix product per Kraus operator: the stacked adjoints
-of every operator of a later outcome times that operator.
+The check forms, for each Kraus operator, one matrix product with the
+stacked adjoints of the later-outcome operators that share an output row
+with it; operators writing into disjoint rows have an exactly zero product.
 """
 
 from __future__ import annotations
@@ -87,12 +88,16 @@ class ProjectiveEquivalence:
 def check_perfect(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> PerfectCheckReport:
     """Decide perfect retrodictability of ``m`` for arbitrary input states.
 
-    Evaluates every cross product ``A_{k'r'}^dag A_{kr}`` with ``k != k'``,
-    normalised by the product of the operator norms so the verdict is
-    scale-invariant, one operator ``A_kr`` at a time.  Temporaries are about
-    three times the operator list; of equal maxima the witness is the first
-    in the order ``(k, r, k', r')``.  The residual and witness are computed
-    once per measurement; only the verdict depends on ``tol``.
+    Takes the norm of every cross product ``A_{k'r'}^dag A_{kr}`` with
+    ``k != k'``, normalised by the product of the operator norms so the
+    verdict is scale-invariant, one operator ``A_kr`` at a time.  Only the
+    span of later operators from the first to the last that share a nonzero
+    output row with ``A_kr`` is multiplied; every other product is exactly
+    zero.  For dense operators the span is the whole later stack, and
+    temporaries are about three times the operator list.  Of equal maxima
+    the witness is the first in the order ``(k, r, k', r')``.  The residual
+    and witness are computed once per measurement; only the verdict depends
+    on ``tol``.
     """
     if m._cross_residual is None:
         m._cross_residual = _cross_products(m)
@@ -104,14 +109,20 @@ def _cross_products(m: Measurement) -> tuple[float, tuple[int, int, int, int] | 
     labels = [(k, r) for k, group in enumerate(m.outcomes) for r in range(len(group))]
     norms = np.array([fro(a) for a in ops])
     adjoints = dagger(np.hstack(ops))  # row block j is ops[j]^dag
+    # entries are finite, so operators with disjoint output rows have an exactly zero product
+    touched = (adjoints != 0).reshape(len(ops), m.d_in, m.d_out).any(axis=1)
     worst, witness = 0.0, None
     for i, (k, r) in enumerate(labels):
         later = i - r + len(m.outcomes[k])  # first operator of outcome k + 1
-        products = (adjoints[later * m.d_in:] @ ops[i]).reshape(-1, m.d_in * m.d_in)
-        residuals = np.linalg.norm(products, axis=1) / (norms[i] * norms[later:] + np.finfo(float).tiny)
-        if residuals.size and residuals.max() > worst:
-            j = later + int(np.argmax(residuals))
-            worst, witness = float(residuals[j - later]), (k, labels[j][0], r, labels[j][1])
+        hits = np.flatnonzero(touched[later:] @ touched[i])
+        if not hits.size:
+            continue
+        first, stop = later + int(hits[0]), later + int(hits[-1]) + 1
+        products = (adjoints[first * m.d_in:stop * m.d_in] @ ops[i]).reshape(-1, m.d_in * m.d_in)
+        residuals = np.linalg.norm(products, axis=1) / (norms[i] * norms[first:stop] + np.finfo(float).tiny)
+        if residuals.max() > worst:
+            j = first + int(np.argmax(residuals))
+            worst, witness = float(residuals[j - first]), (k, labels[j][0], r, labels[j][1])
     return worst, witness
 
 

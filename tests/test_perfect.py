@@ -103,7 +103,7 @@ def regrouped(ops, rng, zero_member: bool = False) -> Measurement:
     return Measurement(ops[0].shape[1], ops[0].shape[0], groups)
 
 
-KINDS = ("fine", "rotated", "zero", "tiny")
+KINDS = ("fine", "rotated", "zero", "tiny", "standard", "blocks")
 
 
 def seeded_measurement(kind: str, seed: int) -> Measurement:
@@ -116,8 +116,18 @@ def seeded_measurement(kind: str, seed: int) -> Measurement:
         d_out = max(d_out, n)
         basis = list(random_unitary(d_out, rng).T)
         return synthesize(random_povm(d_in, n, rng), d_out, x_basis=basis).measurement
+    if kind == "standard":
+        return synthesize(random_povm(d_in, n, rng), max(d_out, n)).measurement
     if kind == "zero":
         return regrouped(random_fine_grained(d_in, d_out, n, rng).all_kraus(), rng, zero_member=True)
+    if kind == "blocks":
+        # every operator keeps a random nonempty set of output rows; the rest are exactly zero
+        d_out = d_in + 3
+        rows = rng.random((n, d_out)) < 0.3
+        rows[np.arange(n), rng.integers(0, d_out, n)] = True
+        gs = [ginibre(d_out, d_in, rng) * keep[:, None] for keep in rows]
+        root = psd_inv_sqrt(sum(dag(g) @ g for g in gs))
+        return regrouped([g @ root for g in gs], rng)
     # the first member is scaled by 1e-7 before the set is normalised to completeness
     gs = [ginibre(d_out, d_in, rng) * (1e-7 if i == 0 else 1.0) for i in range(n)]
     root = psd_inv_sqrt(sum(dag(g) @ g for g in gs))
@@ -133,6 +143,55 @@ def test_check_perfect_matches_all_pairs_reference(kind):
         assert report.retrodictable == verdict
         assert report.witness == witness
         assert report.max_residual == pytest.approx(worst, rel=1e-12, abs=0.0)
+
+
+def test_standard_synthesis_has_exactly_vanishing_cross_products():
+    for seed in range(25):
+        report = check_perfect(seeded_measurement("standard", seed))
+        assert (report.retrodictable, report.max_residual, report.witness) == (True, 0.0, None)
+
+
+def span_cases(m: Measurement) -> set[str]:
+    """How the later operators meeting each operator in an output row lie:
+    none at all, the first beyond the next outcome, or a gap inside the span."""
+    touched = [np.any(a != 0, axis=1) for a in m.all_kraus()]
+    starts = np.cumsum([0] + [len(group) for group in m.outcomes])
+    cases = set()
+    for k in range(m.n_outcomes - 1):
+        for i in range(starts[k], starts[k + 1]):
+            hits = [j for j in range(starts[k + 1], starts[-1]) if touched[i] @ touched[j]]
+            if not hits:
+                cases.add("meets nothing")
+            elif hits[0] >= starts[k + 2]:
+                cases.add("starts after the next outcome")
+            if hits and len(hits) < hits[-1] - hits[0] + 1:
+                cases.add("gap")
+    return cases
+
+
+def test_blocks_exercise_every_kind_of_span():
+    cases = set().union(*(span_cases(seeded_measurement("blocks", seed)) for seed in range(25)))
+    assert cases == {"meets nothing", "starts after the next outcome", "gap"}
+
+
+@pytest.mark.parametrize("kind", ["standard", "blocks"])
+def test_output_unitary_and_relabelling_leave_the_check_unchanged(kind):
+    # U A_k has no zero output row, so every later operator meets it
+    for seed in range(25):
+        m = seeded_measurement(kind, seed)
+        rng = np.random.default_rng([seed, 99])
+        u = random_unitary(m.d_out, rng)
+        order = rng.permutation(m.n_outcomes)
+        moved = Measurement(m.d_in, m.d_out, [[u @ a for a in m.outcomes[k]] for k in order])
+        report, other = check_perfect(m), check_perfect(moved)
+        assert report.retrodictable == other.retrodictable
+        if max(report.max_residual, other.max_residual) <= 1e-15:
+            continue
+        assert other.max_residual == pytest.approx(report.max_residual, rel=1e-12, abs=0.0)
+        k, kp, r, rp = report.witness
+        place = np.argsort(order)  # position of each outcome of m in moved
+        ok, okp, orr, orp = other.witness
+        assert {(ok, orr), (okp, orp)} == {(place[k], r), (place[kp], rp)}
 
 
 @pytest.mark.parametrize("name, text", [
