@@ -38,14 +38,24 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
+def as_2d(a) -> np.ndarray:
+    """Coerce to a 2-D complex128 array without checking its entries (see ``finite``)."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ShapeMismatchError(f"expected a matrix, got array of dimension {m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
     return m
+
+
+def finite(x: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """``x`` itself; raises ``ValueError`` if an entry is NaN or Inf."""
+    if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
+        raise ValueError(f"{what} entries must be finite")
+    return x
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
+    return finite(as_2d(a))
 
 
 def as_vector(a) -> np.ndarray:
@@ -53,9 +63,7 @@ def as_vector(a) -> np.ndarray:
     v = np.asarray(a, dtype=complex)
     if v.ndim != 1:
         raise ShapeMismatchError(f"expected a vector, got array of dimension {v.ndim}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValueError("vector entries must be finite")
-    return v
+    return finite(v, "vector")
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

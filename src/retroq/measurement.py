@@ -13,7 +13,8 @@ from .errors import (
     NotPsdError,
     ZeroProbabilityOutcomeError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, fro, partial_trace, psd_eig
+from .linalg import (DEFAULT_TOL, Tolerance, as_2d, as_matrix, as_vector, dagger, finite, fro,
+                     partial_trace, psd_eig)
 
 
 @dataclass
@@ -48,7 +49,7 @@ class Measurement:
                 raise InvalidOperatorSetError(f"outcome {k} has no Kraus operators")
             ops = []
             for a in group:
-                a = as_matrix(a).view()
+                a = as_2d(a).view()
                 a.setflags(write=False)
                 if a.shape != (self.d_out, self.d_in):
                     raise DimensionMismatchError(
@@ -59,13 +60,13 @@ class Measurement:
             groups.append(ops)
         self.outcomes = groups
 
-        total = np.zeros((self.d_in, self.d_in), dtype=complex)
-        for k, group in enumerate(groups):
-            element = sum(dagger(a) @ a for a in group)
-            if fro(element) <= tol.eq_residual:
-                raise InvalidOperatorSetError(f"outcome {k} has a vanishing POVM element")
-            total += element
-        _check_identity(total, tol, "Kraus operators do not resolve the identity")
+        stack = finite(np.stack(self.all_kraus()))  # a temporary: the caller's arrays stay shared
+        starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
+        elements = np.add.reduceat(np.conj(stack).transpose(0, 2, 1) @ stack, starts)
+        vanishing = np.flatnonzero(np.linalg.norm(elements, axis=(1, 2)) <= tol.eq_residual)
+        if vanishing.size:
+            raise InvalidOperatorSetError(f"outcome {vanishing[0]} has a vanishing POVM element")
+        _check_identity(elements.sum(axis=0), tol, "Kraus operators do not resolve the identity")
 
     @property
     def n_outcomes(self) -> int:
@@ -268,18 +269,21 @@ def images(group, s: QuantumState) -> np.ndarray:
     if s.kind == "mixed":
         w, v = np.linalg.eigh(f)
         f = v * np.sqrt(np.maximum(w, 0.0))
-    f = f.reshape(group[0].shape[1], -1)
-    return np.stack([a @ f for a in group])
+    return np.stack(group) @ f.reshape(group[0].shape[1], -1)
 
 
 def _probabilities(groups: list[list[np.ndarray]], s: QuantumState, d_in: int, d_anc: int,
-                   tol: Tolerance) -> np.ndarray:
+                   tol: Tolerance, stack: np.ndarray | None = None) -> np.ndarray:
     """Probabilities of the outcomes with Kraus operators ``groups``, zeroed below
-    ``tol.rank_rel`` and clamped to [0, 1]."""
+    ``tol.rank_rel`` and clamped to [0, 1].  For a pure ``s`` they are read from
+    ``stack``, the images of all of the groups' operators in order, formed here if not given."""
     p = np.empty(len(groups))
     if s.kind == "pure":
-        for i, group in enumerate(groups):
-            p[i] = sum(float(np.vdot(phi, phi).real) for phi in images(group, s))
+        if stack is None:
+            stack = images([a for group in groups for a in group], s)
+        bounds = np.cumsum([len(group) for group in groups[:-1]])
+        for i, part in enumerate(np.split(stack, bounds)):
+            p[i] = sum(float(np.vdot(phi, phi).real) for phi in part)
     else:
         rho_sys = s.data if d_anc == 1 else partial_trace(s.data, (d_in, d_anc), keep=0)
         for i, group in enumerate(groups):
@@ -310,12 +314,13 @@ def apply_outcome(m: Measurement, s: QuantumState, k: int,
     if not 0 <= k < m.n_outcomes:
         raise IndexError(f"outcome index {k} out of range")
     d_anc = _split_dims(m, s)
-    p = _probabilities([m.outcomes[k]], s, m.d_in, d_anc, tol)[0]
+    group = m.outcomes[k]
+    g = images(group, s)
+    p = _probabilities([group], s, m.d_in, d_anc, tol, g)[0]
     if p <= tol.rank_rel:
         raise ZeroProbabilityOutcomeError(f"outcome {k} has probability {p!r}")
     out_dims = (m.d_out, d_anc) if s.factor_dims is not None else None
-    group = m.outcomes[k]
-    g = images(group, s).reshape(len(group), m.d_out * d_anc, -1)
+    g = g.reshape(len(group), m.d_out * d_anc, -1)
     if s.kind == "pure" and len(group) == 1:
         return QuantumState.pure(g.ravel() / np.linalg.norm(g), out_dims, tol)
     out = np.einsum("rik,rjk->ij", g, g.conj())

@@ -5,9 +5,11 @@ state exactly when Kraus operators belonging to different outcomes have
 vanishing cross products.  When that holds, the supports of the group sums
 ``G_k = sum_r A_kr A_kr^dag`` on the output space are mutually orthogonal,
 and projecting onto them identifies the outcome regardless of the input.
-The check forms, for each Kraus operator, one matrix product with the
-stacked adjoints of the later-outcome operators that share an output row
-with it; operators writing into disjoint rows have an exactly zero product.
+The check skips, before any per-operator work, the Kraus operators that
+share no output row with a later outcome, and forms, for each other
+operator, one matrix product with the stacked adjoints of the later-outcome
+operators that share an output row with it; operators writing into disjoint
+rows have an exactly zero product.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from .measurement import Measurement, Povm, Retrodictor, povm_elements, square_m
 
 @dataclass
 class PerfectCheckReport:
-    """Verdict of the all-pairs cross-product test.
+    """Verdict of the cross-product test between operators of different outcomes.
 
-    ``max_residual`` is the largest scale-normalised Frobenius norm of a
-    cross product between operators of different outcomes, and ``witness``
-    identifies the pair ``(k, k_other, r, r_other)`` attaining it.
+    ``max_residual`` is the largest scale-normalised Frobenius norm of such a
+    cross product (exactly 0.0 when every pair writes into disjoint output
+    rows), and ``witness`` identifies the pair ``(k, k_other, r, r_other)``
+    attaining it, or is ``None`` when no residual exceeds 0.0.
     """
 
     retrodictable: bool
@@ -90,14 +93,15 @@ def check_perfect(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> PerfectCheckR
 
     Takes the norm of every cross product ``A_{k'r'}^dag A_{kr}`` with
     ``k != k'``, normalised by the product of the operator norms so the
-    verdict is scale-invariant, one operator ``A_kr`` at a time.  Only the
-    span of later operators from the first to the last that share a nonzero
-    output row with ``A_kr`` is multiplied; every other product is exactly
-    zero.  For dense operators the span is the whole later stack, and
-    temporaries are about three times the operator list.  Of equal maxima
-    the witness is the first in the order ``(k, r, k', r')``.  The residual
-    and witness are computed once per measurement; only the verdict depends
-    on ``tol``.
+    verdict is scale-invariant, one operator ``A_kr`` at a time.  Operators
+    that share no nonzero output row with a later outcome are skipped before
+    any per-operator work, norms included; for the others only the span of
+    later operators from the first to the last that share a row with
+    ``A_kr`` is multiplied.  Every product left out is exactly zero.  For
+    dense operators the span is the whole later stack, and temporaries are
+    about three times the operator list.  Of equal maxima the witness is the
+    first in the order ``(k, r, k', r')``.  The residual and witness are
+    computed once per measurement; only the verdict depends on ``tol``.
     """
     if m._cross_residual is None:
         m._cross_residual = _cross_products(m)
@@ -106,23 +110,26 @@ def check_perfect(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> PerfectCheckR
 
 def _cross_products(m: Measurement) -> tuple[float, tuple[int, int, int, int] | None]:
     ops = m.all_kraus()
-    labels = [(k, r) for k, group in enumerate(m.outcomes) for r in range(len(group))]
-    norms = np.array([fro(a) for a in ops])
+    starts = np.cumsum([0] + [len(group) for group in m.outcomes])
+    owner = np.repeat(np.arange(m.n_outcomes), np.diff(starts))  # outcome of each operator
     adjoints = dagger(np.hstack(ops))  # row block j is ops[j]^dag
     # entries are finite, so operators with disjoint output rows have an exactly zero product
     touched = (adjoints != 0).reshape(len(ops), m.d_in, m.d_out).any(axis=1)
+    last = np.where(touched, owner[:, None], -1).max(axis=0)  # last outcome writing each row
+    meeting = np.flatnonzero((touched & (last > owner[:, None])).any(axis=1))
     worst, witness = 0.0, None
-    for i, (k, r) in enumerate(labels):
-        later = i - r + len(m.outcomes[k])  # first operator of outcome k + 1
+    norms = np.array([fro(a) for a in ops]) if meeting.size else None
+    for i in meeting:
+        k = owner[i]
+        later = starts[k + 1]  # first operator of outcome k + 1
         hits = np.flatnonzero(touched[later:] @ touched[i])
-        if not hits.size:
-            continue
         first, stop = later + int(hits[0]), later + int(hits[-1]) + 1
         products = (adjoints[first * m.d_in:stop * m.d_in] @ ops[i]).reshape(-1, m.d_in * m.d_in)
         residuals = np.linalg.norm(products, axis=1) / (norms[i] * norms[first:stop] + np.finfo(float).tiny)
         if residuals.max() > worst:
             j = first + int(np.argmax(residuals))
-            worst, witness = float(residuals[j - first]), (k, labels[j][0], r, labels[j][1])
+            worst = float(residuals[j - first])
+            witness = (int(k), int(owner[j]), int(i - starts[k]), int(j - starts[owner[j]]))
     return worst, witness
 
 
@@ -138,7 +145,8 @@ def build_retrodictor(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Projectiv
         raise NotPerfectlyRetrodictableError(
             f"cross-product residual {report.max_residual:.3e} at witness {report.witness}"
         )
-    projectors = [support_projector(sum(a @ dagger(a) for a in group), tol) for group in m.outcomes]
+    blocks = [np.hstack(group) for group in m.outcomes]  # G_k = X_k X_k^dag, X_k = [A_k0 | A_k1 ...]
+    projectors = [support_projector(x @ dagger(x), tol) for x in blocks]
     return ProjectiveRetrodictor(m.d_out, projectors, tol)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOL, Tolerance
-from .measurement import Measurement, QuantumState, Retrodictor, images, outcome_probabilities
+from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, _split_dims, images
 from .unambiguous import UnambiguousRetrodictor
 
 _BLOCK = 8192
@@ -62,24 +62,24 @@ def _clean_probs(p: np.ndarray, floor: float) -> np.ndarray:
     return q / total
 
 
-def _retrodictor_rows(r: Retrodictor, m: Measurement, s: QuantumState, live: list[int],
-                      tol: Tolerance) -> list[np.ndarray]:
+def _retrodictor_rows(r: Retrodictor, m: Measurement, s: QuantumState, stack: np.ndarray,
+                      live: list[int], tol: Tolerance) -> list[np.ndarray]:
     """Probability vectors over rows 0..N-1 (retrodicted) plus row N (inconclusive),
     one per outcome in ``live``.
 
     Entry ``j`` of outcome ``k`` is ``sum_r tr(S_r^dag E_j S_r)`` over the Kraus images
-    ``S_r = (A_kr x I) F`` of ``s``, divided by the row total.  Reshaped to ``r.d``
-    rows, the images serve a retrodictor on the joint output space and one on the
-    first factor alike, with no ``kron(E, I_anc)`` lift.  A projective retrodictor's
-    inconclusive element is the remainder ``I - sum_k P_k``.
+    ``S_r = (A_kr x I) F`` of ``s``, divided by the row total; ``stack`` holds the images
+    of the live outcomes' operators, in order.  Reshaped to ``r.d`` rows, the images
+    serve a retrodictor on the joint output space and one on the first factor alike,
+    with no ``kron(E, I_anc)`` lift.  A projective retrodictor's inconclusive element
+    is the remainder ``I - sum_k P_k``.
     """
     if r.n_outcomes != m.n_outcomes:
         raise DimensionMismatchError("retrodictor outcome count differs from measurement")
     dim = m.d_out * (s.dim // m.d_in)
     if r.d != dim and (s.factor_dims is None or r.d != m.d_out):
         raise DimensionMismatchError(f"retrodictor acts on dimension {r.d}, state has {dim}")
-    ops = [a for k in live for a in m.outcomes[k]]
-    stack = images(ops, s).reshape(len(ops), r.d, -1)
+    stack = stack.reshape(len(stack), r.d, -1)
     conj = stack.conj()
     elements = r.conclusive_elements() + [r.elements[r.inconclusive_index]]
     per_image = np.array([np.einsum("mia,mia->m", conj, e @ stack).real for e in elements])
@@ -94,25 +94,29 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
 
     Each trial samples the actual outcome from the measurement statistics,
     then the retrodictor's answer from its statistics on the post-measurement
-    state, which are computed once per outcome from the Kraus images of
-    ``s``.  Identical inputs and seed give an identical report.
+    state.  Both are read from one stack of Kraus images of ``s``, each
+    operator applied once (a mixed state takes its outcome probabilities from
+    the reduced density instead).  Identical inputs and seed give an
+    identical report.
     """
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
     n = m.n_outcomes
-    p_raw = outcome_probabilities(m, s, tol)
-    p = _clean_probs(p_raw, tol.rank_rel)
+    d_anc = _split_dims(m, s)
+    stack = images(m.all_kraus(), s)  # each operator is applied once
+    p = _clean_probs(_probabilities(m.outcomes, s, m.d_in, d_anc, tol, stack), tol.rank_rel)
     live = [k for k in range(n) if p[k] > 0.0]
+    stack = stack[np.repeat(p > 0.0, [len(group) for group in m.outcomes])]
 
-    row_cdfs: dict[int, np.ndarray] = {}
-    for k, rows in zip(live, _retrodictor_rows(r, m, s, live, tol)):
-        cdf = np.cumsum(rows)
-        cdf[-1] = 1.0
-        row_cdfs[k] = cdf
+    # row k is the CDF over the answers to outcome k; rows of outcomes never drawn stay at 1.
+    # A CDF reaches 1 at its last positive entry, which may have summed to an ulp less.
+    row_cdfs = np.ones((n, n + 1))
+    row_cdfs[live] = np.cumsum(_retrodictor_rows(r, m, s, stack, live, tol), axis=1)
+    row_cdfs[row_cdfs >= row_cdfs[:, -1:]] = 1.0
     outcome_cdf = np.cumsum(p)
-    outcome_cdf[-1] = 1.0
+    outcome_cdf[outcome_cdf >= outcome_cdf[-1]] = 1.0
 
-    confusion = np.zeros((n + 1, n), dtype=np.int64)
+    confusion = np.zeros((n + 1) * n, dtype=np.int64)
     n_blocks = -(-n_trials // _BLOCK) if n_trials else 0
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     done = 0
@@ -124,11 +128,10 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
         u_retro = rng.random(size)
         ks = np.searchsorted(outcome_cdf, u_outcome, side="right")
         np.clip(ks, 0, n - 1, out=ks)
-        for k in np.unique(ks):
-            mask = ks == k
-            rows = np.searchsorted(row_cdfs[int(k)], u_retro[mask], side="right")
-            np.clip(rows, 0, n, out=rows)
-            confusion[:, int(k)] += np.bincount(rows, minlength=n + 1)
+        # the count of CDF entries <= u is searchsorted(side="right"): every CDF ends at 1 > u
+        rows = (row_cdfs[ks] <= u_retro[:, None]).sum(axis=1)
+        confusion += np.bincount(rows * n + ks, minlength=(n + 1) * n)
+    confusion = confusion.reshape(n + 1, n)
 
     conclusive = int(confusion[:-1, :].sum())
     agreed = int(np.trace(confusion[:-1, :]))

@@ -78,16 +78,11 @@ def synthesize(p: Povm, d_out: int, x_basis=None,
         lam_max = float(w[0]) if w.size else 0.0
         if lam_max <= 0.0:
             raise InvalidOperatorSetError(f"POVM element {k} is numerically zero")
-        group, pairs = [], []
-        for r in range(w.size):
-            weight = float(w[r])
-            if weight <= tol.rank_rel * lam_max:
-                continue
-            vec = v[:, r]
-            group.append(np.sqrt(weight) * np.outer(basis[k], np.conj(vec)))
-            pairs.append((weight, vec))
-        outcomes.append(group)
-        spectral.append(pairs)
+        keep = np.flatnonzero(w > tol.rank_rel * lam_max)
+        # sqrt(w_r) |x_k><v_r| for every kept eigen-term at once
+        group = np.sqrt(w[keep])[:, None, None] * (basis[k][:, None] * np.conj(v[:, keep]).T[:, None, :])
+        outcomes.append(list(group))
+        spectral.append([(float(w[r]), v[:, r]) for r in keep])
     measurement = Measurement(p.d, d_out, outcomes, tol)
     return SynthesisResult(measurement, basis, spectral)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from retroq import (
     Povm,
     ProjectiveRetrodictor,
     QuantumState,
+    ShapeMismatchError,
     UnambiguousRetrodictor,
     ZeroProbabilityOutcomeError,
     apply_outcome,
@@ -64,6 +67,47 @@ def test_kraus_operators_are_read_only_views_of_the_callers_arrays():
     real = np.eye(2) / np.sqrt(2)  # converted to complex: a private buffer, also read-only
     coarse = Measurement(2, 2, [[real, real]])
     assert not coarse.outcomes[0][1].flags.writeable and real.flags.writeable
+
+
+HALF = np.eye(2) / np.sqrt(2)  # two of these, or HALF and HALF_2, resolve the identity
+HALF_2 = np.diag([1.0, 1.0j]) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("outcomes, error, message", [
+    ([[HALF], [HALF_2[0]]], ShapeMismatchError, "expected a matrix, got array of dimension 1"),
+    ([[HALF, np.zeros((1, 2, 2))], [HALF_2]], ShapeMismatchError,
+     "expected a matrix, got array of dimension 3"),
+    ([[HALF], [np.where(E2 == 1, np.nan, 0) + HALF_2]], ValueError, "matrix entries must be finite"),
+    ([[HALF], [HALF_2 * 1j, np.full((2, 2), np.inf * 1j)]], ValueError, "matrix entries must be finite"),
+    ([[HALF], [np.eye(3)]], DimensionMismatchError,
+     "operator of shape (3, 3) in outcome 1; expected (2, 2)"),
+    ([[HALF, 0.0 * E2], [HALF_2], [np.ones((2, 3))]], DimensionMismatchError,
+     "operator of shape (2, 3) in outcome 2; expected (2, 2)"),
+    ([[HALF], [0.0 * E2, 1e-12 * E2], [HALF_2]], InvalidOperatorSetError,
+     "outcome 1 has a vanishing POVM element"),
+    ([[HALF, 0.0 * E2], [HALF_2], [1e-11 * E2], [0.0 * E2] * 3], InvalidOperatorSetError,
+     "outcome 2 has a vanishing POVM element"),
+    ([[HALF, HALF_2], [0.1 * E2]], InvalidOperatorSetError, "Kraus operators do not resolve the identity"),
+])
+def test_construction_errors_keep_their_type_and_message(outcomes, error, message):
+    with pytest.raises(error, match=re.escape(message)) as info:
+        Measurement(2, 2, outcomes)
+    assert type(info.value) is error
+
+
+def test_ragged_groups_resolve_the_identity_group_by_group(rng):
+    ops = random_fine_grained(3, 4, 6, rng).all_kraus()
+    sizes = [3, 1, 2]
+    groups = np.split(np.array(ops), np.cumsum(sizes)[:-1])
+    m = Measurement(3, 4, [list(g) for g in groups])
+    assert [len(g) for g in m.outcomes] == sizes
+    for element, group in zip(povm_of(m).elements, groups):
+        assert np.allclose(element, sum(np.conj(a).T @ a for a in group), atol=1e-14)
+    # a zero member beside live ones is kept; a group of zero members is named by its outcome
+    padded = Measurement(3, 4, [list(groups[0]), [ops[3], 0.0 * ops[3]], list(groups[2])])
+    assert [len(g) for g in padded.outcomes] == [3, 2, 2]
+    with pytest.raises(InvalidOperatorSetError, match="^outcome 2 has a vanishing POVM element$"):
+        Measurement(3, 4, [list(groups[0]) + [ops[3]], list(groups[2]), [0.0 * ops[3]] * 2])
 
 
 def test_fine_grained_flag():

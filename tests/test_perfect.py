@@ -151,6 +151,56 @@ def test_standard_synthesis_has_exactly_vanishing_cross_products():
         assert (report.retrodictable, report.max_residual, report.witness) == (True, 0.0, None)
 
 
+def per_operator_reference(m: Measurement):
+    """The row-restricted pass with one span search per operator, including the
+    operators that meet no later outcome."""
+    ops = m.all_kraus()
+    labels = [(k, r) for k, group in enumerate(m.outcomes) for r in range(len(group))]
+    norms = np.array([np.linalg.norm(a) for a in ops])
+    adjoints = dag(np.hstack(ops))
+    touched = (adjoints != 0).reshape(len(ops), m.d_in, m.d_out).any(axis=1)
+    worst, witness = 0.0, None
+    for i, (k, r) in enumerate(labels):
+        later = i - r + len(m.outcomes[k])
+        hits = np.flatnonzero(touched[later:] @ touched[i])
+        if not hits.size:
+            continue
+        first, stop = later + int(hits[0]), later + int(hits[-1]) + 1
+        products = (adjoints[first * m.d_in:stop * m.d_in] @ ops[i]).reshape(-1, m.d_in * m.d_in)
+        residuals = np.linalg.norm(products, axis=1) / (norms[i] * norms[first:stop] + np.finfo(float).tiny)
+        if residuals.max() > worst:
+            j = first + int(np.argmax(residuals))
+            worst, witness = float(residuals[j - first]), (k, labels[j][0], r, labels[j][1])
+    return worst, witness
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cross_products_are_bit_identical_to_the_per_operator_search(kind):
+    for seed in range(25):
+        m = seeded_measurement(kind, seed)
+        worst, witness = perfect._cross_products(m)
+        assert (worst, witness) == per_operator_reference(m)
+        assert type(worst) is float and all(type(i) is int for i in witness or ())
+
+
+def test_standard_synthesis_forms_no_product_and_no_norm(monkeypatch):
+    calls = {"product": 0, "norm": 0}
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            calls["product"] += 1
+            return np.asarray(self) @ other
+
+    fro = perfect.fro
+    monkeypatch.setattr(perfect, "dagger", lambda a: dag(a).view(Counting))
+    monkeypatch.setattr(perfect, "fro", lambda a: calls.__setitem__("norm", calls["norm"] + 1) or fro(a))
+    for seed in range(25):
+        assert perfect._cross_products(seeded_measurement("standard", seed)) == (0.0, None)
+    assert calls == {"product": 0, "norm": 0}
+    perfect._cross_products(seeded_measurement("fine", 0))  # the counters do count
+    assert calls["product"] > 0 and calls["norm"] > 0
+
+
 def span_cases(m: Measurement) -> set[str]:
     """How the later operators meeting each operator in an output row lie:
     none at all, the first beyond the next outcome, or a gap inside the span."""

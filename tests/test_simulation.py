@@ -8,6 +8,7 @@ import pytest
 from retroq import (
     DimensionMismatchError,
     Measurement,
+    Povm,
     QuantumState,
     UnambiguousRetrodictor,
     always_inconclusive,
@@ -20,6 +21,9 @@ from retroq import (
 )
 from retroq.catalog import PAULI, counterexample_3d
 from retroq.jsonio import trial_report_to_obj, dumps
+from retroq.linalg import DEFAULT_TOL
+from retroq.measurement import images
+from retroq.simulation import _retrodictor_rows
 from retroq.rand import random_fine_grained, random_povm, random_psd, random_pure_state
 
 
@@ -247,3 +251,61 @@ def test_run_trials_builds_no_state(rng, monkeypatch):
         report = run_trials(result.measurement, retro, s, 1000, seed=4)
         assert report.mismatches == 0
     assert built == []
+
+
+@pytest.mark.parametrize("n_trials", [0, 1, 8191, 8192, 8193, 20000])
+def test_sampling_matches_the_per_outcome_loop(n_trials, rng):
+    # one table lookup for all outcomes against one searchsorted per drawn outcome
+    m = synthesize(Povm(3, [np.diag(e).astype(complex) for e in np.eye(3)]), d_out=4).measurement
+    proj = build_retrodictor(m)
+    generic = UnambiguousRetrodictor(random_povm(4, 4, rng).elements)
+    e0, e2 = np.eye(3, dtype=complex)[[0, 2]]
+    never = [QuantumState.pure(e0), QuantumState.pure((e0 + e2) / np.sqrt(2)),
+             QuantumState.mixed(np.diag([0.5, 0.0, 0.5]).astype(complex))]
+    assert all((outcome_probabilities(m, s) == 0.0).any() for s in never)
+    cases = [(m, r, s) for s in never + [QuantumState.pure(random_pure_state(3, rng))]
+             for r in (proj, generic, UnambiguousRetrodictor(proj.elements, 0))]
+    pauli, entangled = pauli_measurement(), maximally_entangled_state(2)
+    cases.append((pauli, retrodict_unambiguously(pauli, entangled)[0], entangled))
+    for m, r, s in cases:
+        for seed in (0, 11):
+            got = run_trials(m, r, s, n_trials, seed=seed).confusion
+            assert got.tobytes() == _old_confusion(m, r, s, n_trials, seed).tobytes()
+            assert got.sum() == n_trials
+
+
+def test_the_largest_draw_never_lands_on_a_zero_probability_entry(monkeypatch):
+    # a normalised CDF can stop an ulp short of 1 at its last positive entry; the largest
+    # draw must land there, not on a zero-probability outcome or answer after it
+    top = np.nextafter(1.0, 0.0)
+    m = Measurement(4, 4, [[np.diag(e).astype(complex)] for e in np.eye(4)])
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        psi = np.r_[rng.random(3), 0.0]  # outcome 3 never occurs
+        s = QuantumState.pure(psi / np.linalg.norm(psi))
+        p = outcome_probabilities(m, s)
+        if np.cumsum(p / p.sum())[2] < top:
+            break
+    else:
+        pytest.fail("no state whose outcome CDF stops short of 1")
+    for _ in range(2000):
+        # a zero inconclusive element never answers
+        retro = UnambiguousRetrodictor([np.zeros((4, 4), dtype=complex)] + random_povm(4, 4, rng).elements)
+        row = _retrodictor_rows(retro, m, s, images(m.outcomes[2], s), [2], DEFAULT_TOL)[0]
+        if np.cumsum(row)[3] < top:
+            break
+    else:
+        pytest.fail("no retrodictor whose answer CDF stops short of 1")
+
+    class Top:
+        """Draws nothing but the largest double below 1."""
+
+        def __init__(self, bit_generator):
+            pass
+
+        def random(self, size):
+            return np.full(size, top)
+
+    monkeypatch.setattr(np.random, "Generator", Top)
+    report = run_trials(m, retro, s, 10, seed=0)
+    assert report.confusion[3, 2] == report.confusion.sum() == 10

@@ -18,6 +18,7 @@ from retroq import (
     synthesize,
 )
 from retroq.catalog import trine_povm
+from retroq.linalg import DEFAULT_TOL, psd_eig
 from retroq.rand import random_povm, random_projective_povm, random_unitary
 
 
@@ -80,6 +81,40 @@ def test_synthesis_with_custom_basis(rng):
     result = synthesize(povm, d_out=4, x_basis=basis)
     assert check_perfect(result.measurement).retrodictable
     assert _povm_distance(povm_of(result.measurement), povm) < 1e-10
+
+
+def _outer_groups(povm: Povm, basis, tol=DEFAULT_TOL):
+    """The synthesised groups and spectral data built one eigen-term at a time,
+    as ``sqrt(w) |x_k><v|``."""
+    groups, spectral = [], []
+    for k, element in enumerate(povm.elements):
+        w, v = psd_eig(element, tol, scale=1.0)
+        kept = [r for r in range(w.size) if float(w[r]) > tol.rank_rel * float(w[0])]
+        groups.append([np.sqrt(float(w[r])) * np.outer(basis[k], np.conj(v[:, r])) for r in kept])
+        spectral.append([(float(w[r]), v[:, r]) for r in kept])
+    return groups, spectral
+
+
+def test_synthesised_groups_equal_the_per_eigenvector_outer_products(rng):
+    cases = []
+    for _ in range(10):
+        d = int(rng.integers(2, 5))
+        n = int(rng.integers(2, d + 1))
+        cases.append((random_povm(d, n, rng), d + 1, None))
+        # projectors are rank-deficient: their rounding-level eigen-terms are dropped
+        cases.append((random_projective_povm(d, n, rng), d, list(random_unitary(d, rng).T)))
+    for povm, d_out, basis in cases:
+        result = synthesize(povm, d_out, x_basis=basis)
+        groups, spectral = _outer_groups(povm, result.x_basis)
+        assert [len(g) for g in result.measurement.outcomes] == [len(g) for g in groups]
+        for got, expected in zip(result.measurement.outcomes, groups):
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        for got, expected in zip(result.spectral_data, spectral):
+            assert [w for w, _ in got] == [w for w, _ in expected]
+            assert all(np.array_equal(v, u) for (_, v), (_, u) in zip(got, expected))
+    # each projective POVM keeps d of its n * d eigen-terms, n >= 2
+    projective = [povm for povm, _, _ in cases[1::2]]
+    assert all(sum(map(len, synthesize(p, p.d).measurement.outcomes)) == p.d for p in projective)
 
 
 def test_round_trip_and_support_markers(rng):
