@@ -37,7 +37,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     herm_eig,
-    kron,
     numeric_rank,
     partial_trace,
     schmidt,
@@ -116,7 +115,6 @@ __all__ = [
     "fock_shift_example",
     "get_example",
     "herm_eig",
-    "kron",
     "maximally_entangled_state",
     "numeric_rank",
     "outcome_probabilities",

@@ -1,7 +1,9 @@
 """JSON (de)serialisation of operators, states, retrodictors and reports.
 
-Complex scalars are two-element ``[re, im]`` arrays, matrices are arrays of
-rows, and every writer sorts keys so output is byte-stable for fixed inputs.
+Every complex scalar, vector or matrix goes through one codec: nested
+``[re, im]`` pairs, a matrix being an array of rows.  Non-numeric, ragged,
+empty or non-pair entries are input errors (``ValueError``, CLI exit 2), and
+every writer sorts keys so output is byte-stable for fixed inputs.
 """
 
 from __future__ import annotations
@@ -18,66 +20,50 @@ from .simulation import TrialReport
 from .unambiguous import RetrodictionAssessment, UnambiguousRetrodictor
 
 
-def complex_to_obj(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def array_to_obj(a) -> list:
+    """Nested ``[re, im]`` pairs of a complex scalar, vector or matrix."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _scalar_from_obj(obj) -> complex:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(x, (int, float)) for x in obj)):
-        raise ValueError(f"complex scalar must be a [re, im] pair, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
-
-
-def matrix_to_obj(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_obj(z) for z in row] for row in m]
-
-
-def matrix_from_obj(obj) -> np.ndarray:
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise ValueError("matrix must be a nonempty array of rows")
-    width = len(obj[0])
-    if width == 0 or any(len(r) != width for r in obj):
-        raise ValueError("matrix rows must be nonempty and of equal length")
-    return np.array([[_scalar_from_obj(z) for z in row] for row in obj], dtype=complex)
-
-
-def vector_to_obj(v: np.ndarray) -> list:
-    return [complex_to_obj(z) for z in np.asarray(v, dtype=complex)]
-
-
-def vector_from_obj(obj) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ValueError("vector must be a nonempty array of [re, im] pairs")
-    return np.array([_scalar_from_obj(z) for z in obj], dtype=complex)
+def array_from_obj(obj, ndim: int) -> np.ndarray:
+    """Complex array of rank ``ndim`` (1 for a vector, 2 for a matrix) from nested
+    ``[re, im]`` pairs, read bit for bit.  Ragged, empty or non-numeric nesting and
+    innermost entries that are not pairs raise ``ValueError``."""
+    try:
+        a = np.asarray(obj)
+        if a.dtype.kind == "O" and all(isinstance(x, (int, float)) for x in a.flat):
+            a = a.astype(float)  # JSON integers beyond int64
+    except (ValueError, OverflowError):  # ragged rows, integers beyond float range
+        a = None
+    if a is None or a.dtype.kind not in "biuf" or a.ndim != ndim + 1 or a.shape[-1] != 2:
+        raise ValueError(f"expected a nonempty rank-{ndim} array of [re, im] pairs")
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
 def measurement_to_obj(m: Measurement) -> dict:
     return {
         "d_in": m.d_in,
         "d_out": m.d_out,
-        "outcomes": [[matrix_to_obj(a) for a in group] for group in m.outcomes],
+        "outcomes": [[array_to_obj(a) for a in group] for group in m.outcomes],
     }
 
 
 def measurement_from_obj(obj, tol=None) -> Measurement:
-    outcomes = [[matrix_from_obj(a) for a in group] for group in obj["outcomes"]]
+    outcomes = [[array_from_obj(a, 2) for a in group] for group in obj["outcomes"]]
     return Measurement(int(obj["d_in"]), int(obj["d_out"]), outcomes, tol)
 
 
 def povm_to_obj(p: Povm) -> dict:
-    return {"d": p.d, "elements": [matrix_to_obj(e) for e in p.elements]}
+    return {"d": p.d, "elements": [array_to_obj(e) for e in p.elements]}
 
 
 def povm_from_obj(obj, tol=None) -> Povm:
-    return Povm(int(obj["d"]), [matrix_from_obj(e) for e in obj["elements"]], tol)
+    return Povm(int(obj["d"]), [array_from_obj(e, 2) for e in obj["elements"]], tol)
 
 
 def state_to_obj(s: QuantumState) -> dict:
-    out: dict = {"kind": s.kind}
-    out["data"] = vector_to_obj(s.data) if s.kind == "pure" else matrix_to_obj(s.data)
+    out: dict = {"kind": s.kind, "data": array_to_obj(s.data)}
     if s.factor_dims is not None:
         out["factor_dims"] = list(s.factor_dims)
     return out
@@ -85,45 +71,42 @@ def state_to_obj(s: QuantumState) -> dict:
 
 def state_from_obj(obj, tol=None) -> QuantumState:
     kind = obj["kind"]
-    if kind == "pure":
-        data = vector_from_obj(obj["data"])
-    elif kind == "mixed":
-        data = matrix_from_obj(obj["data"])
-    else:
+    if kind not in ("pure", "mixed"):
         raise ValueError(f"state kind must be 'pure' or 'mixed', got {kind!r}")
+    data = array_from_obj(obj["data"], 1 if kind == "pure" else 2)
     dims = obj.get("factor_dims")
     factor_dims = (int(dims[0]), int(dims[1])) if dims is not None else None
     return QuantumState(kind, data, factor_dims, tol)
 
 
 def projective_to_obj(r: ProjectiveRetrodictor) -> dict:
-    return {"d_out": r.d_out, "projectors": [matrix_to_obj(p) for p in r.projectors]}
+    return {"d_out": r.d_out, "projectors": [array_to_obj(p) for p in r.projectors]}
 
 
 def projective_from_obj(obj, tol=None) -> ProjectiveRetrodictor:
-    projectors = [matrix_from_obj(p) for p in obj["projectors"]]
+    projectors = [array_from_obj(p, 2) for p in obj["projectors"]]
     return ProjectiveRetrodictor(int(obj["d_out"]), projectors, tol)
 
 
 def ud_to_obj(r: UnambiguousRetrodictor) -> dict:
     return {
         "d": r.d,
-        "elements": [matrix_to_obj(e) for e in r.elements],
+        "elements": [array_to_obj(e) for e in r.elements],
         "inconclusive_index": r.inconclusive_index,
     }
 
 
 def ud_from_obj(obj, tol=None) -> UnambiguousRetrodictor:
-    elements = [matrix_from_obj(e) for e in obj["elements"]]
+    elements = [array_from_obj(e, 2) for e in obj["elements"]]
     return UnambiguousRetrodictor(elements, int(obj.get("inconclusive_index", 0)), tol)
 
 
 def operators_to_obj(ops) -> dict:
-    return {"operators": [matrix_to_obj(a) for a in ops]}
+    return {"operators": [array_to_obj(a) for a in ops]}
 
 
 def operators_from_obj(obj) -> list[np.ndarray]:
-    return [matrix_from_obj(a) for a in obj["operators"]]
+    return [array_from_obj(a, 2) for a in obj["operators"]]
 
 
 def perfect_report_to_obj(report: PerfectCheckReport) -> dict:
@@ -136,8 +119,8 @@ def perfect_report_to_obj(report: PerfectCheckReport) -> dict:
 
 def verdict_to_obj(v: DependenceVerdict) -> dict:
     certificates: dict = {
-        "dependence": vector_to_obj(v.dependence) if v.dependence is not None else None,
-        "not_lld_witness": (vector_to_obj(v.not_lld_witness)
+        "dependence": array_to_obj(v.dependence) if v.dependence is not None else None,
+        "not_lld_witness": (array_to_obj(v.not_lld_witness)
                             if v.not_lld_witness is not None else None),
         "not_lli_witness": None,
         "lld_reason": v.lld_reason,
@@ -145,8 +128,8 @@ def verdict_to_obj(v: DependenceVerdict) -> dict:
     if v.not_lli_witness is not None:
         psi, alpha = v.not_lli_witness
         certificates["not_lli_witness"] = {
-            "psi": vector_to_obj(psi),
-            "alpha": vector_to_obj(alpha),
+            "psi": array_to_obj(psi),
+            "alpha": array_to_obj(alpha),
         }
     return {
         "linearly_independent": v.linearly_independent,
@@ -170,7 +153,7 @@ def assessment_to_obj(a: RetrodictionAssessment) -> dict:
 def trial_report_to_obj(t: TrialReport) -> dict:
     return {
         "n_trials": t.n_trials,
-        "confusion": [[int(c) for c in row] for row in t.confusion],
+        "confusion": t.confusion.tolist(),
         "agreement_rate": float(t.agreement_rate),
         "inconclusive_rate": float(t.inconclusive_rate),
         "seed": t.seed,
@@ -186,7 +169,7 @@ def example_to_obj(ex: NamedExample) -> dict:
         elif isinstance(value, (np.integer, int)) and not isinstance(value, bool):
             expected[key] = int(value)
         elif isinstance(value, complex):
-            expected[key] = complex_to_obj(value)
+            expected[key] = array_to_obj(value)
         else:
             expected[key] = value
     out["expected"] = expected

@@ -139,11 +139,6 @@ def numeric_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def schmidt(
     v, d_left: int, d_right: int, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,7 +147,7 @@ def schmidt(
     Returns ``(coeffs, left, right)`` with nonnegative coefficients in
     descending order and orthonormal columns, so that
 
-        v = sum_j coeffs[j] * kron(left[:, j], right[:, j]).
+        v = sum_j coeffs[j] * np.kron(left[:, j], right[:, j]).
 
     The coefficients are the singular values of the ``d_left x d_right``
     reshaping of ``v``; their squares sum to one.

@@ -5,7 +5,7 @@ built from their reciprocal (dual) family: the detection operator for state
 ``k`` is proportional to the projector onto the dual vector, which by
 construction responds to no other state.  One shared scale, as high as
 positivity of the inconclusive remainder allows, and the failure
-probability come from the ``K x K`` Gram matrix of the states.
+probability come from one thin SVD of the states.
 
 For a fine-grained measurement on one half of an entangled input, the
 post-measurement states inherit linear independence from the Kraus
@@ -75,18 +75,22 @@ class RetrodictionAssessment:
 
 
 def _dual_family(states: list[np.ndarray], tol: Tolerance) -> tuple[np.ndarray, np.ndarray, float]:
-    """Duals ``S G^-1`` of unit vectors ``S`` (``G = S^dag S``), ``||dual_k||^2 = (G^-1)_kk``
-    and the scale ``min(min_k ||dual_k||^2, 1 / lambda_max(N^1/2 G^-1 N^1/2))``, where
-    ``N = diag(1 / ||dual_k||^2)``: the largest that keeps the inconclusive remainder PSD."""
+    """Duals ``S G^-1 = U Sigma^-1 V^dag`` of unit vectors ``S = U Sigma V^dag`` (thin SVD,
+    ``G = S^dag S``), ``||dual_k||^2 = sum_j |V_kj|^2 / sigma_j^2`` and the scale
+    ``min(min_k ||dual_k||^2, 1 / ||N^1/2 V Sigma^-1||_2^2)``, where ``N = diag(1 / ||dual_k||^2)``:
+    the largest that keeps the inconclusive remainder PSD.  G, whose condition number is
+    the square of S's, is never formed."""
     s = np.column_stack(states)
-    if numeric_rank(s, tol) < len(states):
+    u, sv, vh = np.linalg.svd(s, full_matrices=False)
+    if sv.size < len(states) or not sv[-1] > tol.rank_rel * sv[0]:
         raise LinearlyDependentStatesError(
             "states are linearly dependent and cannot be told apart without error"
         )
-    inv = np.linalg.inv(dagger(s) @ s)
-    norms2 = inv.diagonal().real
-    lam_max = float(np.linalg.eigvalsh(inv / np.sqrt(np.outer(norms2, norms2)))[-1])
-    return s @ inv, norms2, min(float(np.min(norms2)), 1.0 / lam_max)
+    w = dagger(vh) / sv  # V Sigma^-1, so that G^-1 = w w^dag
+    norms2 = np.sum(np.abs(w) ** 2, axis=1)
+    w /= np.sqrt(norms2)[:, None]
+    lam_max = float(np.linalg.eigvalsh(w @ dagger(w))[-1])  # ||N^1/2 V Sigma^-1||_2^2
+    return (u / sv) @ vh, norms2, min(float(np.min(norms2)), 1.0 / lam_max)
 
 
 def _retrodictor(duals, norms2, c: float, tol: Tolerance) -> UnambiguousRetrodictor:
@@ -99,7 +103,7 @@ def build_ud_povm(states, tol: Tolerance = DEFAULT_TOL) -> UnambiguousRetrodicto
 
     Element ``k >= 1`` is ``c |dual_k><dual_k| / ||dual_k||^2``; the duals'
     norms and the largest scale ``c`` that keeps the inconclusive remainder
-    positive come from the ``K x K`` Gram matrix of the states.  Components
+    positive come from one thin SVD of the states.  Components
     outside their span are absorbed into the inconclusive element.
     """
     vecs = []
@@ -146,7 +150,7 @@ def assess_measurement(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Retrodic
     is also necessary.  Dependent families with singular members are left
     undecided, because particular known inputs can still force an outcome.
     Independence (their rank), ``p_inconclusive`` and the scale come from the
-    final states on that input and their ``K x K`` Gram matrix; no POVM is built.
+    final states on that input and their thin SVD; no POVM is built.
     """
     if not m.fine_grained:
         raise NotFineGrainedError("assessment is defined for fine-grained measurements")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,8 +14,9 @@ from retroq import Measurement, QuantumState, build_retrodictor, get_example, sy
 from retroq.cli import main
 from retroq.catalog import PAULI
 from retroq.jsonio import (
+    array_from_obj,
+    array_to_obj,
     dumps,
-    matrix_from_obj,
     measurement_to_obj,
     povm_to_obj,
     projective_to_obj,
@@ -87,6 +89,42 @@ def test_malformed_json_gives_line_diagnostic(files, capsys):
     code, _, err = run_cli(["validate", files["bad_json"]], capsys)
     assert code == 2
     assert "line 2" in err
+
+
+_ZERO, _ONE = [0.0, 0.0], [1.0, 0.0]
+_UPPER = [[_ONE, _ZERO], [_ZERO, _ZERO]]  # |0><0| as rows of [re, im] pairs
+_LOWER = [[_ZERO, _ZERO], [_ZERO, _ONE]]
+
+
+def _povm_with_first_element(element) -> dict:
+    return {"d": 2, "elements": [element, _LOWER]}
+
+
+@pytest.mark.parametrize("payload", [
+    _povm_with_first_element([[_ONE, _ZERO], [_ZERO]]),  # ragged rows
+    _povm_with_first_element([[[1.0, 0.0, 0.0], [0.0] * 3], [[0.0] * 3, [0.0] * 3]]),  # triples
+    _povm_with_first_element([[["1", "0"], _ZERO], [_ZERO, _ZERO]]),  # string numbers
+    _povm_with_first_element([[[1.0, None], _ZERO], [_ZERO, _ZERO]]),
+    _povm_with_first_element([]),  # empty matrix
+    _povm_with_first_element([[], []]),  # empty rows
+    _povm_with_first_element([[1.0, 0.0], [0.0, 0.0]]),  # bare numbers for pairs
+    {"kind": "pure", "data": _UPPER},  # a matrix for a state vector
+], ids=["ragged", "triples", "strings", "null", "empty_matrix", "empty_row", "bare_number",
+        "matrix_for_vector"])
+def test_validate_rejects_malformed_complex_payloads(payload, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_validate_accepts_the_well_formed_payload_and_integers_beyond_int64(tmp_path):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(_povm_with_first_element(_UPPER)))
+    assert main(["validate", str(path)]) == 0
+    path.write_text('{"operators": [[[[100000000000000000000000, 0]]]]}')
+    assert main(["validate", str(path)]) == 0
+    assert array_from_obj([[10**23, 0]], 1)[0] == 1e23
 
 
 # -------------------------------------------------------------- check-perfect
@@ -227,7 +265,21 @@ def test_examples_listing_and_dump(capsys):
     ex = get_example("two_to_four")
     for group_obj, group in zip(payload["measurement"]["outcomes"], ex.measurement.outcomes):
         for mat_obj, mat in zip(group_obj, group):
-            assert np.array_equal(matrix_from_obj(mat_obj), mat)  # entrywise exact
+            assert np.array_equal(array_from_obj(mat_obj, 2), mat)  # entrywise exact
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("pauli_quarter", "ee2cf1001e236108d7f6fe8de630cf504e0a3efc2d1297539bba8da2c6d81d41"),
+    ("counterexample_3d", "264783154abd48a1d3e79241d44708e210579cb149f63f465dc403d7feec6d77"),
+    ("rank_one_pair", "4c23dbfda2802edc0d0e02418a7637b303509f027c46aa6b4209d31b7728b425"),
+    ("two_to_four", "abe99ad74a14c2c09021d886a28c309acdccba3c4ed20a13a192e5fc7583f19b"),
+    ("fock_shift", "015706c36cfc9799be04f802b7b665ce7f1e6c5d198be7468f3cb6c88f295f54"),
+    ("trine_povm", "86a58cfcf93ea7f08bdbef9fb328e5bd7136ef8e311f1a0d275641cdae6a8190"),
+])
+def test_example_json_of_catalog_is_pinned(name, digest, capsys):
+    code, out, _ = run_cli(["examples", name, "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_examples_unknown_name(capsys):
@@ -255,6 +307,15 @@ def test_every_catalog_export_reimports_exactly(capsys, tmp_path):
         else:
             for a1, a2 in zip(loaded, ex.operators):
                 assert np.array_equal(a1, a2), ex.name
+
+
+def test_codec_round_trips_bit_for_bit(rng):
+    a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    a[0, :2] = [complex(-0.0, 1.0), complex(-0.0, -0.0)]  # signed zeros survive
+    for x in (a, a.T, a[1]):
+        got = array_from_obj(json.loads(json.dumps(array_to_obj(x))), x.ndim)
+        assert got.tobytes() == np.ascontiguousarray(x).tobytes()
+    assert array_to_obj(1.5 - 2j) == [1.5, -2.0]
 
 
 def test_classify_seed_flag_is_accepted(files, capsys):

@@ -13,7 +13,6 @@ from retroq import (
     NotSquareError,
     Tolerance,
     herm_eig,
-    kron,
     numeric_rank,
     partial_trace,
     schmidt,
@@ -148,22 +147,6 @@ def test_rank_invariant_under_unitaries(rng):
         w = random_unitary(3, rng)
         assert numeric_rank(u @ a) == r
         assert numeric_rank(a @ w) == r
-
-
-# ---------------------------------------------------------------- kron
-
-def test_kron_identities():
-    assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.allclose(kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-                       np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_kron_mixed_product_property(rng):
-    # oracle: direct matrix multiplication on both sides
-    a, b, c, d = (ginibre(2, 2, rng) for _ in range(4))
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
-    assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
 # ---------------------------------------------------------------- schmidt

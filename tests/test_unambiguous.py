@@ -8,7 +8,6 @@ import pytest
 import retroq.unambiguous as unambiguous
 from retroq import (
     DependentFinalStatesError,
-    InvalidOperatorSetError,
     LinearlyDependentStatesError,
     Measurement,
     NonUnitaryInputError,
@@ -234,28 +233,19 @@ def nearly_dependent(seed: int, eps: float) -> Measurement:
 
 @pytest.mark.parametrize("eps", [0.0, 1e-11, 3e-11, 1e-10, 3e-10, 1e-9, 1e-6, 1e-3])
 def test_assess_yes_coincides_with_retrodiction_on_the_recommended_state(eps):
-    # Past the rank check the K x K Gram matrix squares the condition number, so this
-    # close to rank_rel its inverse can be too coarse for a valid POVM (or even finite
-    # dual norms).  Those failures still mean that the check found the states independent.
-    past_the_check = (InvalidOperatorSetError, np.linalg.LinAlgError)
+    # Every family that passes the rank check, however close to rank_rel, gets a
+    # retrodictor that passes its own validation and a finite p_inconclusive.
     for seed in range(30):
         m = nearly_dependent(seed, eps)
         state = maximally_entangled_state(m.d_in)
-        independent, p_inc, feasible = True, None, "yes"
-        with np.errstate(invalid="ignore", divide="ignore"):
-            try:
-                p_inc = retrodict_unambiguously(m, state)[1]
-            except DependentFinalStatesError:
-                independent = False
-            except past_the_check:
-                pass
-            try:
-                assessment = assess_measurement(m)
-                feasible = assessment.feasible
-            except past_the_check:
-                assessment = None
-        assert (feasible == "yes") == independent
+        try:
+            p_inc = retrodict_unambiguously(m, state)[1]
+        except DependentFinalStatesError:
+            p_inc = None
+        assessment = assess_measurement(m)
+        assert (assessment.feasible == "yes") == (p_inc is not None)
         if p_inc is not None:
+            assert np.isfinite(p_inc)
             assert assessment.p_inconclusive == p_inc
 
 
