@@ -32,8 +32,9 @@ from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, numeric_rank, suppor
 # are indistinguishable from optimisation noise at double precision.
 LLI_SIGMA_FLOOR = 1e-6
 
-DEFAULT_N_SAMPLES = 64
-DEFAULT_N_STARTS = 32
+# Points sampled by the LLD probe and random starts of the LLI descent.
+_N_SAMPLES = 64
+_N_STARTS = 32
 
 # A descent start ends when a sweep lowers sigma by less than _SWEEP_RTOL, relative.
 _SWEEP_RTOL = 1e-12
@@ -102,15 +103,13 @@ def check_linear_independence(ops, tol: Tolerance = DEFAULT_TOL
     return False, np.conj(vh[-1, :])
 
 
-def check_lld(ops, tol: Tolerance = DEFAULT_TOL,
-              n_samples: int = DEFAULT_N_SAMPLES, seed: int = 0
-              ) -> tuple[str, np.ndarray | None]:
+def check_lld(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> tuple[str, np.ndarray | None]:
     """Local linear dependence by pigeonhole plus randomised rank probing.
 
     Returns ``("yes", None)`` exactly when there are more operators than
     output dimensions; ``("no", psi)`` with a witness whose images have full
-    rank; otherwise ``("yes_probabilistic", None)`` after every sampled
-    point came out rank-deficient.
+    rank; otherwise ``("yes_probabilistic", None)`` after all ``_N_SAMPLES``
+    sampled points came out rank-deficient.
     """
     mats = _checked_ops(ops)
     n = len(mats)
@@ -118,7 +117,7 @@ def check_lld(ops, tol: Tolerance = DEFAULT_TOL,
     if n > d_out:
         return "yes", None
     rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
+    for _ in range(_N_SAMPLES):
         psi = _random_unit(rng, d_in)
         if numeric_rank(_image_matrix(mats, psi), tol) == n:
             return "no", psi
@@ -172,14 +171,13 @@ def _eigen_witness(mats: list[np.ndarray]
     return best
 
 
-def _minimise_sigma(mats: list[np.ndarray], n_starts: int, seed: int
-                    ) -> tuple[float, np.ndarray]:
+def _minimise_sigma(mats: list[np.ndarray], seed: int) -> tuple[float, np.ndarray]:
     """Multi-start alternating descent for the smallest image singular value on the sphere."""
     d_in = mats[0].shape[1]
     stack = np.stack(mats)
     rng = np.random.default_rng(seed)
     best_val, best_psi = np.inf, None
-    for _ in range(n_starts):
+    for _ in range(_N_STARTS):
         psi = _random_unit(rng, d_in)
         sigma = np.inf
         for _ in range(_MAX_SWEEPS):
@@ -195,8 +193,7 @@ def _minimise_sigma(mats: list[np.ndarray], n_starts: int, seed: int
     return float(s[-1]), best_psi
 
 
-def check_lli(ops, tol: Tolerance = DEFAULT_TOL,
-              n_starts: int = DEFAULT_N_STARTS, seed: int = 0
+def check_lli(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0
               ) -> tuple[str, float, tuple[np.ndarray, np.ndarray] | None]:
     """Local linear independence with exact impossibility shortcuts.
 
@@ -206,7 +203,7 @@ def check_lli(ops, tol: Tolerance = DEFAULT_TOL,
     ``(-lam A_1 + A_2) psi = 0``.  More operators than output dimensions
     leave every image matrix with a kernel (pigeonhole); the witness pairs
     the first basis vector with a kernel vector of its image matrix.
-    Otherwise alternating descent from ``n_starts`` random starts minimises
+    Otherwise alternating descent from ``_N_STARTS`` random starts minimises
     the smallest image singular value on the unit sphere: ``alpha`` becomes
     the smallest right singular vector of the image matrix, then ``psi`` that
     of ``sum_k alpha_k A_k``, so no sweep raises it.  A minimum above
@@ -233,17 +230,14 @@ def check_lli(ops, tol: Tolerance = DEFAULT_TOL,
         psi = np.zeros(d_in, dtype=complex)
         psi[0] = 1.0
         return "no", 0.0, (psi, _kernel_vector(_image_matrix(mats, psi)))
-    min_sigma, psi = _minimise_sigma(mats, n_starts, seed)
+    min_sigma, psi = _minimise_sigma(mats, seed)
     if min_sigma > LLI_SIGMA_FLOOR:
         return "yes_probabilistic", min_sigma, None
     alpha = _kernel_vector(_image_matrix(mats, psi))
     return "no", min_sigma, (psi, alpha)
 
 
-def classify_operators(ops, tol: Tolerance = DEFAULT_TOL,
-                       n_samples: int = DEFAULT_N_SAMPLES,
-                       n_starts: int = DEFAULT_N_STARTS,
-                       seed: int = 0) -> DependenceVerdict:
+def classify_operators(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> DependenceVerdict:
     """Full dependence classification with exact criteria overriding sampling."""
     mats = _checked_ops(ops)
     n = len(mats)
@@ -260,12 +254,12 @@ def classify_operators(ops, tol: Tolerance = DEFAULT_TOL,
         lld = "yes" if is_lld else "no"
         if not is_lld:
             lld_reason = "two_operator_criterion"
-            _, not_lld_witness = check_lld(mats, tol, n_samples, seed)
+            _, not_lld_witness = check_lld(mats, tol, seed)
     else:
-        lld, not_lld_witness = check_lld(mats, tol, n_samples, seed)
+        lld, not_lld_witness = check_lld(mats, tol, seed)
         lld_reason = "sampling"
 
-    lli, min_sigma, lli_witness = check_lli(mats, tol, n_starts, seed)
+    lli, min_sigma, lli_witness = check_lli(mats, tol, seed)
     return DependenceVerdict(
         linearly_independent=independent,
         lld=lld,

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .catalog import NamedExample
-from .dependence import DependenceVerdict
+from .dependence import DependenceVerdict, _checked_ops
 from .measurement import Measurement, Povm, QuantumState
 from .perfect import PerfectCheckReport, ProjectiveRetrodictor
 from .simulation import TrialReport
@@ -106,7 +106,8 @@ def operators_to_obj(ops) -> dict:
 
 
 def operators_from_obj(obj) -> list[np.ndarray]:
-    return [array_from_obj(a, 2) for a in obj["operators"]]
+    """At least one operator, all of one shape and with finite entries."""
+    return _checked_ops([array_from_obj(a, 2) for a in obj["operators"]])
 
 
 def perfect_report_to_obj(report: PerfectCheckReport) -> dict:

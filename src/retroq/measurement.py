@@ -13,8 +13,7 @@ from .errors import (
     NotPsdError,
     ZeroProbabilityOutcomeError,
 )
-from .linalg import (DEFAULT_TOL, Tolerance, as_2d, as_matrix, as_vector, dagger, finite, fro,
-                     partial_trace, psd_eig)
+from .linalg import DEFAULT_TOL, Tolerance, as_2d, as_matrix, as_vector, dagger, finite, fro, psd_eig
 
 
 @dataclass
@@ -29,12 +28,19 @@ class Measurement:
     groups must resolve the identity on the input space and no group may be
     numerically zero.  The operators are read-only views of the caller's
     arrays, which are borrowed and must not be changed afterwards.
+
+    Construction also stores, read-only: ``starts``, the ``n + 1`` offsets of
+    the groups in ``all_kraus()`` order, and ``elements``, the group elements
+    ``E_k = sum_r A_kr^dag A_kr`` as one ``(n, d_in, d_in)`` stack, which
+    retains ``n d_in^2`` complex entries.
     """
 
     d_in: int
     d_out: int
     outcomes: list[list[np.ndarray]]
     tol: InitVar[Tolerance | None] = None
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    elements: np.ndarray = field(init=False, repr=False, compare=False)
     _cross_residual: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, tol: Tolerance | None) -> None:
@@ -61,12 +67,14 @@ class Measurement:
         self.outcomes = groups
 
         stack = finite(np.stack(self.all_kraus()))  # a temporary: the caller's arrays stay shared
-        starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
-        elements = np.add.reduceat(np.conj(stack).transpose(0, 2, 1) @ stack, starts)
-        vanishing = np.flatnonzero(np.linalg.norm(elements, axis=(1, 2)) <= tol.eq_residual)
+        self.starts = np.cumsum([0] + [len(group) for group in groups])
+        self.elements = np.add.reduceat(np.conj(stack).transpose(0, 2, 1) @ stack, self.starts[:-1])
+        self.starts.setflags(write=False)
+        self.elements.setflags(write=False)
+        vanishing = np.flatnonzero(np.linalg.norm(self.elements, axis=(1, 2)) <= tol.eq_residual)
         if vanishing.size:
             raise InvalidOperatorSetError(f"outcome {vanishing[0]} has a vanishing POVM element")
-        _check_identity(elements.sum(axis=0), tol, "Kraus operators do not resolve the identity")
+        _check_identity(self.elements.sum(axis=0), tol, "Kraus operators do not resolve the identity")
 
     @property
     def n_outcomes(self) -> int:
@@ -238,8 +246,7 @@ class QuantumState:
 
 def povm_of(m: Measurement) -> Povm:
     """The POVM of a measurement: element ``k`` is the group sum of adjoint products."""
-    elements = [sum(dagger(a) @ a for a in group) for group in m.outcomes]
-    return Povm(m.d_in, elements)
+    return Povm(m.d_in, list(m.elements))
 
 
 def _split_dims(m: Measurement, s: QuantumState) -> int:
@@ -272,23 +279,12 @@ def images(group, s: QuantumState) -> np.ndarray:
     return np.stack(group) @ f.reshape(group[0].shape[1], -1)
 
 
-def _probabilities(groups: list[list[np.ndarray]], s: QuantumState, d_in: int, d_anc: int,
-                   tol: Tolerance, stack: np.ndarray | None = None) -> np.ndarray:
-    """Probabilities of the outcomes with Kraus operators ``groups``, zeroed below
-    ``tol.rank_rel`` and clamped to [0, 1].  For a pure ``s`` they are read from
-    ``stack``, the images of all of the groups' operators in order, formed here if not given."""
-    p = np.empty(len(groups))
-    if s.kind == "pure":
-        if stack is None:
-            stack = images([a for group in groups for a in group], s)
-        bounds = np.cumsum([len(group) for group in groups[:-1]])
-        for i, part in enumerate(np.split(stack, bounds)):
-            p[i] = sum(float(np.vdot(phi, phi).real) for phi in part)
-    else:
-        rho_sys = s.data if d_anc == 1 else partial_trace(s.data, (d_in, d_anc), keep=0)
-        for i, group in enumerate(groups):
-            element = sum(dagger(a) @ a for a in group)
-            p[i] = float(np.trace(element @ rho_sys).real)
+def _probabilities(stack: np.ndarray, starts, tol: Tolerance) -> np.ndarray:
+    """Outcome probabilities ``p_k = sum_r ||S_r||^2`` over the images ``S_r`` of ``images``,
+    outcome ``k`` owning ``stack[starts[k]:starts[k + 1]]``; pure and mixed inputs alike.
+    Entries below ``tol.rank_rel`` are zeroed and the vector is clamped to [0, 1]."""
+    p = np.array([sum(float(np.vdot(phi, phi).real) for phi in stack[a:b])
+                  for a, b in zip(starts[:-1], starts[1:])])
     p[p < tol.rank_rel] = 0.0
     return np.clip(p, 0.0, 1.0)
 
@@ -300,7 +296,8 @@ def outcome_probabilities(m: Measurement, s: QuantumState,
     Probabilities below ``tol.rank_rel`` are reported as exactly zero; the
     vector is clamped to [0, 1] but not renormalised.
     """
-    return _probabilities(m.outcomes, s, m.d_in, _split_dims(m, s), tol)
+    _split_dims(m, s)  # raises on a dimension mismatch
+    return _probabilities(images(m.all_kraus(), s), m.starts, tol)
 
 
 def apply_outcome(m: Measurement, s: QuantumState, k: int,
@@ -316,7 +313,7 @@ def apply_outcome(m: Measurement, s: QuantumState, k: int,
     d_anc = _split_dims(m, s)
     group = m.outcomes[k]
     g = images(group, s)
-    p = _probabilities([group], s, m.d_in, d_anc, tol, g)[0]
+    p = _probabilities(g, [0, len(group)], tol)[0]
     if p <= tol.rank_rel:
         raise ZeroProbabilityOutcomeError(f"outcome {k} has probability {p!r}")
     out_dims = (m.d_out, d_anc) if s.factor_dims is not None else None

@@ -110,8 +110,7 @@ def check_perfect(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> PerfectCheckR
 
 def _cross_products(m: Measurement) -> tuple[float, tuple[int, int, int, int] | None]:
     ops = m.all_kraus()
-    starts = np.cumsum([0] + [len(group) for group in m.outcomes])
-    owner = np.repeat(np.arange(m.n_outcomes), np.diff(starts))  # outcome of each operator
+    owner = np.repeat(np.arange(m.n_outcomes), np.diff(m.starts))  # outcome of each operator
     adjoints = dagger(np.hstack(ops))  # row block j is ops[j]^dag
     # entries are finite, so operators with disjoint output rows have an exactly zero product
     touched = (adjoints != 0).reshape(len(ops), m.d_in, m.d_out).any(axis=1)
@@ -121,7 +120,7 @@ def _cross_products(m: Measurement) -> tuple[float, tuple[int, int, int, int] | 
     norms = np.array([fro(a) for a in ops]) if meeting.size else None
     for i in meeting:
         k = owner[i]
-        later = starts[k + 1]  # first operator of outcome k + 1
+        later = m.starts[k + 1]  # first operator of outcome k + 1
         hits = np.flatnonzero(touched[later:] @ touched[i])
         first, stop = later + int(hits[0]), later + int(hits[-1]) + 1
         products = (adjoints[first * m.d_in:stop * m.d_in] @ ops[i]).reshape(-1, m.d_in * m.d_in)
@@ -129,7 +128,7 @@ def _cross_products(m: Measurement) -> tuple[float, tuple[int, int, int, int] | 
         if residuals.max() > worst:
             j = first + int(np.argmax(residuals))
             worst = float(residuals[j - first])
-            witness = (int(k), int(owner[j]), int(i - starts[k]), int(j - starts[owner[j]]))
+            witness = (int(k), int(owner[j]), int(i - m.starts[k]), int(j - m.starts[owner[j]]))
     return worst, witness
 
 
@@ -165,10 +164,9 @@ def projective_equivalence(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Proj
     s = sum(ops)
     eye = np.eye(m.d_in)
     isometry_residual = fro(dagger(s) @ s - eye) / fro(eye)
-    stack = np.array([dagger(a) @ a for a in ops])  # P_k
-    wide = np.hstack(stack)  # P_0 | P_1 | ...
+    wide = np.hstack(m.elements)  # P_0 | P_1 | ...
     projector_residual = 0.0
-    for k, pk in enumerate(stack):
+    for k, pk in enumerate(m.elements):
         row = (pk @ wide).reshape(m.d_in, len(ops), m.d_in)  # P_k P_k' for every k'
         row[:, k] -= pk
         projector_residual = max(projector_residual, float(np.linalg.norm(row, axis=(0, 2)).max()))
@@ -176,5 +174,5 @@ def projective_equivalence(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Proj
         return ProjectiveEquivalence(False, None, None, None,
                                      isometry_residual, projector_residual)
     kind = "unitary" if m.d_out == m.d_in else "isometry"
-    return ProjectiveEquivalence(True, s, kind, Povm(m.d_in, list(stack), tol),
+    return ProjectiveEquivalence(True, s, kind, Povm(m.d_in, list(m.elements), tol),
                                  isometry_residual, projector_residual)

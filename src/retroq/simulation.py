@@ -95,18 +95,17 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
     Each trial samples the actual outcome from the measurement statistics,
     then the retrodictor's answer from its statistics on the post-measurement
     state.  Both are read from one stack of Kraus images of ``s``, each
-    operator applied once (a mixed state takes its outcome probabilities from
-    the reduced density instead).  Identical inputs and seed give an
-    identical report.
+    operator applied once, for pure and mixed inputs alike.  Identical inputs
+    and seed give an identical report.
     """
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
     n = m.n_outcomes
-    d_anc = _split_dims(m, s)
+    _split_dims(m, s)  # raises on a dimension mismatch
     stack = images(m.all_kraus(), s)  # each operator is applied once
-    p = _clean_probs(_probabilities(m.outcomes, s, m.d_in, d_anc, tol, stack), tol.rank_rel)
+    p = _clean_probs(_probabilities(stack, m.starts, tol), tol.rank_rel)
     live = [k for k in range(n) if p[k] > 0.0]
-    stack = stack[np.repeat(p > 0.0, [len(group) for group in m.outcomes])]
+    stack = stack[np.repeat(p > 0.0, np.diff(m.starts))]
 
     # row k is the CDF over the answers to outcome k; rows of outcomes never drawn stay at 1.
     # A CDF reaches 1 at its last positive entry, which may have summed to an ulp less.

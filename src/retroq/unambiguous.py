@@ -34,6 +34,7 @@ from .measurement import (
     Measurement,
     QuantumState,
     Retrodictor,
+    _probabilities,
     _split_dims,
     images,
     povm_elements,
@@ -128,8 +129,8 @@ def _final_family(m: Measurement, s: QuantumState, tol: Tolerance) -> tuple:
     if s.kind != "pure":
         raise ValueError("retrodiction input must be a pure state")
     _split_dims(m, s)  # raises on a dimension mismatch
-    phis = images([group[0] for group in m.outcomes], s).reshape(m.n_outcomes, -1)
-    p = np.clip([np.vdot(phi, phi).real for phi in phis], 0.0, 1.0)
+    phis = images(m.all_kraus(), s).reshape(m.n_outcomes, -1)
+    p = _probabilities(phis, m.starts, tol)
     zero = np.flatnonzero(p <= tol.rank_rel)
     if zero.size:
         raise ZeroProbabilityOutcomeError(

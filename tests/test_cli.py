@@ -118,6 +118,19 @@ def test_validate_rejects_malformed_complex_payloads(payload, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('{"operators": [[[[NaN, 0]]]]}', "finite"),
+    ('{"operators": [[[[1e400, 0]]]]}', "finite"),  # read as Inf
+    ('{"operators": [[[[1, 0]]], [[[1, 0], [0, 0]]]]}', "mixed operator shapes"),
+    ('{"operators": []}', "at least one operator"),
+], ids=["nan", "inf", "mixed_shapes", "empty_list"])
+def test_validate_rejects_broken_operator_payloads(text, reason, tmp_path, capsys):
+    path = tmp_path / "ops.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_validate_accepts_the_well_formed_payload_and_integers_beyond_int64(tmp_path):
     path = tmp_path / "good.json"
     path.write_text(json.dumps(_povm_with_first_element(_UPPER)))

@@ -110,6 +110,20 @@ def test_ragged_groups_resolve_the_identity_group_by_group(rng):
         Measurement(3, 4, [list(groups[0]) + [ops[3]], list(groups[2]), [0.0 * ops[3]] * 2])
 
 
+def test_group_offsets_and_elements_are_stored_read_only(rng):
+    ops = random_fine_grained(3, 4, 6, rng).all_kraus()
+    groups = [ops[:3], ops[3:4], ops[4:]]
+    m = Measurement(3, 4, groups)
+    assert m.starts.tolist() == [0, 3, 4, 6]
+    want = [sum(np.conj(a).T @ a for a in group) for group in groups]
+    assert m.elements.shape == (3, 3, 3)
+    assert np.abs(m.elements - np.array(want)).max() <= 1e-14
+    assert np.abs(np.array(povm_of(m).elements) - np.array(want)).max() <= 1e-14
+    for stored in (m.starts, m.elements):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0
+
+
 def test_fine_grained_flag():
     assert PROJ_Z.fine_grained
     half = np.eye(2) / np.sqrt(2)
@@ -279,6 +293,24 @@ def test_probabilities_dimension_mismatch(rng):
     m = pauli_measurement()
     with pytest.raises(DimensionMismatchError):
         outcome_probabilities(m, QuantumState.pure(random_pure_state(3, rng)))
+
+
+def test_mixed_probabilities_read_the_clipped_factor_of_the_kraus_images(rng):
+    # an admissible negative eigenvalue (-5e-10 > -psd_floor) is clipped out of the factor
+    # F = V sqrt(max(w, 0)) that the images and the retrodiction rows of run_trials use;
+    # the outcome probabilities must come from the same F
+    ops = random_fine_grained(2, 3, 6, rng).all_kraus()
+    m = Measurement(2, 3, [ops[:1], ops[1:3], ops[3:]])
+    u = random_unitary(4, rng)
+    rho = u @ np.diag([0.5, 0.3, 0.2 + 5e-10, -5e-10]) @ u.conj().T
+    s = QuantumState.mixed((rho + rho.conj().T) / 2, factor_dims=(2, 2))
+    w, v = np.linalg.eigh(s.data)
+    assert w[0] == pytest.approx(-5e-10, rel=1e-6)
+    f = v * np.sqrt(np.maximum(w, 0.0))
+    lifted = [np.kron(a, np.eye(2)) @ f for a in ops]
+    assert np.abs(images(ops, s).reshape(6, 6, 4) - np.array(lifted)).max() <= 1e-15
+    want = [sum(np.linalg.norm(x) ** 2 for x in lifted[lo:hi]) for lo, hi in ((0, 1), (1, 3), (3, 6))]
+    assert np.abs(outcome_probabilities(m, s) - want).max() <= 1e-15
 
 
 # ------------------------------------------------------------ apply_outcome
