@@ -2,8 +2,9 @@
 
 Every complex scalar, vector or matrix goes through one codec: nested
 ``[re, im]`` pairs, a matrix being an array of rows.  Non-numeric, ragged,
-empty or non-pair entries are input errors (``ValueError``, CLI exit 2), and
-every writer sorts keys so output is byte-stable for fixed inputs.
+empty or non-pair entries and fields of the wrong JSON type are input errors
+(``ValueError``, CLI exit 2); every writer sorts keys so output is byte-stable
+for fixed inputs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,14 @@ def array_from_obj(obj, ndim: int) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a JSON ``kind``, ``int`` (never a bool) or ``list``; else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        name = "an integer" if kind is int else "an array"
+        raise ValueError(f"{what} must be {name}, got {json.dumps(value, default=repr):.40}")
+    return value
+
+
 def measurement_to_obj(m: Measurement) -> dict:
     return {
         "d_in": m.d_in,
@@ -50,8 +59,10 @@ def measurement_to_obj(m: Measurement) -> dict:
 
 
 def measurement_from_obj(obj, tol=None) -> Measurement:
-    outcomes = [[array_from_obj(a, 2) for a in group] for group in obj["outcomes"]]
-    return Measurement(int(obj["d_in"]), int(obj["d_out"]), outcomes, tol)
+    outcomes = [[array_from_obj(a, 2) for a in _typed(group, list, "outcome group")]
+                for group in _typed(obj["outcomes"], list, "outcomes")]
+    d_in, d_out = _typed(obj["d_in"], int, "d_in"), _typed(obj["d_out"], int, "d_out")
+    return Measurement(d_in, d_out, outcomes, tol)
 
 
 def povm_to_obj(p: Povm) -> dict:
@@ -59,7 +70,8 @@ def povm_to_obj(p: Povm) -> dict:
 
 
 def povm_from_obj(obj, tol=None) -> Povm:
-    return Povm(int(obj["d"]), [array_from_obj(e, 2) for e in obj["elements"]], tol)
+    elements = [array_from_obj(e, 2) for e in _typed(obj["elements"], list, "elements")]
+    return Povm(_typed(obj["d"], int, "d"), elements, tol)
 
 
 def state_to_obj(s: QuantumState) -> dict:
@@ -75,8 +87,11 @@ def state_from_obj(obj, tol=None) -> QuantumState:
         raise ValueError(f"state kind must be 'pure' or 'mixed', got {kind!r}")
     data = array_from_obj(obj["data"], 1 if kind == "pure" else 2)
     dims = obj.get("factor_dims")
-    factor_dims = (int(dims[0]), int(dims[1])) if dims is not None else None
-    return QuantumState(kind, data, factor_dims, tol)
+    if dims is not None:
+        if len(_typed(dims, list, "factor_dims")) != 2:
+            raise ValueError(f"factor_dims must be a pair of integers, got {len(dims)} entries")
+        dims = tuple(_typed(x, int, "factor_dims entry") for x in dims)
+    return QuantumState(kind, data, dims, tol)
 
 
 def projective_to_obj(r: ProjectiveRetrodictor) -> dict:
@@ -84,8 +99,8 @@ def projective_to_obj(r: ProjectiveRetrodictor) -> dict:
 
 
 def projective_from_obj(obj, tol=None) -> ProjectiveRetrodictor:
-    projectors = [array_from_obj(p, 2) for p in obj["projectors"]]
-    return ProjectiveRetrodictor(int(obj["d_out"]), projectors, tol)
+    projectors = [array_from_obj(p, 2) for p in _typed(obj["projectors"], list, "projectors")]
+    return ProjectiveRetrodictor(_typed(obj["d_out"], int, "d_out"), projectors, tol)
 
 
 def ud_to_obj(r: UnambiguousRetrodictor) -> dict:
@@ -97,8 +112,9 @@ def ud_to_obj(r: UnambiguousRetrodictor) -> dict:
 
 
 def ud_from_obj(obj, tol=None) -> UnambiguousRetrodictor:
-    elements = [array_from_obj(e, 2) for e in obj["elements"]]
-    return UnambiguousRetrodictor(elements, int(obj.get("inconclusive_index", 0)), tol)
+    elements = [array_from_obj(e, 2) for e in _typed(obj["elements"], list, "elements")]
+    index = _typed(obj.get("inconclusive_index", 0), int, "inconclusive_index")
+    return UnambiguousRetrodictor(elements, index, tol)
 
 
 def operators_to_obj(ops) -> dict:
@@ -107,7 +123,7 @@ def operators_to_obj(ops) -> dict:
 
 def operators_from_obj(obj) -> list[np.ndarray]:
     """At least one operator, all of one shape and with finite entries."""
-    return _checked_ops([array_from_obj(a, 2) for a in obj["operators"]])
+    return _checked_ops([array_from_obj(a, 2) for a in _typed(obj["operators"], list, "operators")])
 
 
 def perfect_report_to_obj(report: PerfectCheckReport) -> dict:

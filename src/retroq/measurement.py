@@ -26,19 +26,19 @@ class Measurement:
     has exactly one member.  Validation happens at construction, so invalid
     operator families are unrepresentable: the summed products over all
     groups must resolve the identity on the input space and no group may be
-    numerically zero.  The operators are read-only views of the caller's
-    arrays, which are borrowed and must not be changed afterwards.
-
-    Construction also stores, read-only: ``starts``, the ``n + 1`` offsets of
-    the groups in ``all_kraus()`` order, and ``elements``, the group elements
-    ``E_k = sum_r A_kr^dag A_kr`` as one ``(n, d_in, d_in)`` stack, which
-    retains ``n d_in^2`` complex entries.
+    numerically zero.  The measurement owns a read-only copy of its operators,
+    the stack ``kraus`` of shape ``(N, d_out, d_in)`` in ``all_kraus()`` order,
+    and ``outcomes[k]`` holds views of its rows.  It also stores, read-only:
+    ``starts``, the ``n + 1`` offsets of the groups in that order, and
+    ``elements``, the group elements ``E_k = sum_r A_kr^dag A_kr`` as one
+    ``(n, d_in, d_in)`` stack, which retains ``n d_in^2`` complex entries.
     """
 
     d_in: int
     d_out: int
     outcomes: list[list[np.ndarray]]
     tol: InitVar[Tolerance | None] = None
+    kraus: np.ndarray = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
     elements: np.ndarray = field(init=False, repr=False, compare=False)
     _cross_residual: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -49,25 +49,21 @@ class Measurement:
             raise InvalidOperatorSetError("dimensions must be positive")
         if not self.outcomes:
             raise InvalidOperatorSetError("a measurement needs at least one outcome")
-        groups: list[list[np.ndarray]] = []
+        ops = []
         for k, group in enumerate(self.outcomes):
             if not len(group):
                 raise InvalidOperatorSetError(f"outcome {k} has no Kraus operators")
-            ops = []
             for a in group:
-                a = as_2d(a).view()
-                a.setflags(write=False)
-                if a.shape != (self.d_out, self.d_in):
+                ops.append(as_2d(a))
+                if ops[-1].shape != (self.d_out, self.d_in):
                     raise DimensionMismatchError(
-                        f"operator of shape {a.shape} in outcome {k}; "
+                        f"operator of shape {ops[-1].shape} in outcome {k}; "
                         f"expected ({self.d_out}, {self.d_in})"
                     )
-                ops.append(a)
-            groups.append(ops)
-        self.outcomes = groups
-
-        stack = finite(np.stack(self.all_kraus()))  # a temporary: the caller's arrays stay shared
-        self.starts = np.cumsum([0] + [len(group) for group in groups])
+        self.starts = np.cumsum([0] + [len(group) for group in self.outcomes])
+        stack = self.kraus = finite(np.stack(ops))  # a copy: no caller array is kept
+        stack.setflags(write=False)  # before slicing, so that every view is read-only too
+        self.outcomes = [list(stack[a:b]) for a, b in zip(self.starts[:-1], self.starts[1:])]
         self.elements = np.add.reduceat(np.conj(stack).transpose(0, 2, 1) @ stack, self.starts[:-1])
         self.starts.setflags(write=False)
         self.elements.setflags(write=False)
@@ -86,7 +82,7 @@ class Measurement:
 
     def all_kraus(self) -> list[np.ndarray]:
         """All Kraus operators, flattened in outcome order."""
-        return [a for group in self.outcomes for a in group]
+        return list(self.kraus)
 
 
 def _check_identity(total: np.ndarray, tol: Tolerance, message: str) -> None:
@@ -214,6 +210,8 @@ class QuantumState:
             raise ValueError(f"kind must be 'pure' or 'mixed', got {self.kind!r}")
         if self.factor_dims is not None:
             d_sys, d_anc = self.factor_dims
+            if min(d_sys, d_anc) < 1:
+                raise DimensionMismatchError(f"factor dims {self.factor_dims} must be positive")
             if d_sys * d_anc != self.dim:
                 raise DimensionMismatchError(
                     f"factor dims {self.factor_dims} do not multiply to {self.dim}"
@@ -265,9 +263,10 @@ def _split_dims(m: Measurement, s: QuantumState) -> int:
     return 1
 
 
-def images(group, s: QuantumState) -> np.ndarray:
+def images(stack, s: QuantumState) -> np.ndarray:
     """Images ``(A_r x I) F`` of a factor ``F`` of ``s`` (``rho = F F^dag``: the pure vector,
     else ``V sqrt(max(w, 0))`` from one ``eigh``), stacked as ``(R, d_out, d_anc * cols)``.
+    ``stack`` holds the operators ``A_r`` and is taken as is: an array is not copied.
 
     Reshaped to ``(R, d_out * d_anc, cols)`` they factor the joint terms
     ``(A_r x I) rho (A_r x I)^dag``; as they are, the terms' partial traces over the ancilla.
@@ -276,7 +275,8 @@ def images(group, s: QuantumState) -> np.ndarray:
     if s.kind == "mixed":
         w, v = np.linalg.eigh(f)
         f = v * np.sqrt(np.maximum(w, 0.0))
-    return np.stack(group) @ f.reshape(group[0].shape[1], -1)
+    stack = np.asarray(stack)
+    return stack @ f.reshape(stack.shape[-1], -1)
 
 
 def _probabilities(stack: np.ndarray, starts, tol: Tolerance) -> np.ndarray:
@@ -297,7 +297,7 @@ def outcome_probabilities(m: Measurement, s: QuantumState,
     vector is clamped to [0, 1] but not renormalised.
     """
     _split_dims(m, s)  # raises on a dimension mismatch
-    return _probabilities(images(m.all_kraus(), s), m.starts, tol)
+    return _probabilities(images(m.kraus, s), m.starts, tol)
 
 
 def apply_outcome(m: Measurement, s: QuantumState, k: int,
@@ -311,7 +311,7 @@ def apply_outcome(m: Measurement, s: QuantumState, k: int,
     if not 0 <= k < m.n_outcomes:
         raise IndexError(f"outcome index {k} out of range")
     d_anc = _split_dims(m, s)
-    group = m.outcomes[k]
+    group = m.kraus[m.starts[k]:m.starts[k + 1]]
     g = images(group, s)
     p = _probabilities(g, [0, len(group)], tol)[0]
     if p <= tol.rank_rel:

@@ -109,7 +109,7 @@ def check_perfect(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> PerfectCheckR
 
 
 def _cross_products(m: Measurement) -> tuple[float, tuple[int, int, int, int] | None]:
-    ops = m.all_kraus()
+    ops = m.kraus
     owner = np.repeat(np.arange(m.n_outcomes), np.diff(m.starts))  # outcome of each operator
     adjoints = dagger(np.hstack(ops))  # row block j is ops[j]^dag
     # entries are finite, so operators with disjoint output rows have an exactly zero product

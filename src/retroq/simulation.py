@@ -83,8 +83,8 @@ def _retrodictor_rows(r: Retrodictor, m: Measurement, s: QuantumState, stack: np
     conj = stack.conj()
     elements = r.conclusive_elements() + [r.elements[r.inconclusive_index]]
     per_image = np.array([np.einsum("mia,mia->m", conj, e @ stack).real for e in elements])
-    starts = np.cumsum([0] + [len(m.outcomes[k]) for k in live[:-1]])
-    rows = np.add.reduceat(per_image, starts, axis=1).T
+    sizes = np.diff(m.starts)[live]
+    rows = np.add.reduceat(per_image, np.cumsum(sizes) - sizes, axis=1).T
     return [_clean_probs(row / row.sum(), tol.rank_rel) for row in rows]
 
 
@@ -102,7 +102,7 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
         raise ValueError("n_trials must be nonnegative")
     n = m.n_outcomes
     _split_dims(m, s)  # raises on a dimension mismatch
-    stack = images(m.all_kraus(), s)  # each operator is applied once
+    stack = images(m.kraus, s)  # each operator is applied once
     p = _clean_probs(_probabilities(stack, m.starts, tol), tol.rank_rel)
     live = [k for k in range(n) if p[k] > 0.0]
     stack = stack[np.repeat(p > 0.0, np.diff(m.starts))]

@@ -129,7 +129,7 @@ def _final_family(m: Measurement, s: QuantumState, tol: Tolerance) -> tuple:
     if s.kind != "pure":
         raise ValueError("retrodiction input must be a pure state")
     _split_dims(m, s)  # raises on a dimension mismatch
-    phis = images(m.all_kraus(), s).reshape(m.n_outcomes, -1)
+    phis = images(m.kraus, s).reshape(m.n_outcomes, -1)
     p = _probabilities(phis, m.starts, tol)
     zero = np.flatnonzero(p <= tol.rank_rel)
     if zero.size:

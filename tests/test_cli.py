@@ -131,6 +131,31 @@ def test_validate_rejects_broken_operator_payloads(text, reason, tmp_path, capsy
     assert reason in capsys.readouterr().err
 
 
+_EYE = '[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]'  # the 2 x 2 identity as rows of [re, im] pairs
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "pure", "data": [[1, 0]], "factor_dims": [1]}',
+    '{"kind": "pure", "data": [[1, 0]], "factor_dims": 5}',
+    '{"kind": "pure", "data": [[1, 0]], "factor_dims": [1, 1.0]}',
+    '{"d_in": null, "d_out": 2, "outcomes": [[%s]]}' % _EYE,
+    '{"d_in": 2.7, "d_out": 2, "outcomes": [[%s]]}' % _EYE,
+    '{"d_in": true, "d_out": 2, "outcomes": [[%s]]}' % _EYE,
+    '{"d_in": 2, "d_out": 2, "outcomes": 5}',
+    '{"d_in": 2, "d_out": 2, "outcomes": [5]}',
+    '{"operators": 5}',
+    '{"d": 2, "elements": [%s], "inconclusive_index": null}' % _EYE,
+], ids=["short_factor_dims", "scalar_factor_dims", "float_factor_dim", "null_d_in",
+        "fractional_d_in", "bool_d_in", "scalar_outcomes", "scalar_group", "scalar_operators",
+        "null_inconclusive_index"])
+def test_validate_rejects_wrong_typed_fields(text, tmp_path, capsys):
+    path = tmp_path / "typed.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_validate_accepts_the_well_formed_payload_and_integers_beyond_int64(tmp_path):
     path = tmp_path / "good.json"
     path.write_text(json.dumps(_povm_with_first_element(_UPPER)))

@@ -19,6 +19,7 @@ from retroq import (
     UnambiguousRetrodictor,
     ZeroProbabilityOutcomeError,
     apply_outcome,
+    check_perfect,
     outcome_probabilities,
     povm_of,
 )
@@ -53,17 +54,26 @@ def test_measurement_rejects_shape_mismatch():
         Measurement(2, 2, [[np.eye(3)]])
 
 
-def test_kraus_operators_are_read_only_views_of_the_callers_arrays():
+def test_kraus_operators_are_read_only_and_owned_by_the_measurement():
     a0, a1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    reference = Measurement(2, 2, [[a0.copy()], [a1.copy()]])
     m = Measurement(2, 2, [[a0], [a1]])
     for k in range(2):
-        assert np.shares_memory(m.outcomes[k][0], (a0, a1)[k])
+        assert np.shares_memory(m.outcomes[k][0], m.kraus)
         with pytest.raises(ValueError):
             m.outcomes[k][0][0, 0] = 0.5
         with pytest.raises(ValueError):
             m.outcomes[k][0] *= 2.0
-    a0[1, 1] = 0.0  # the caller's own array stays writable
+    with pytest.raises(ValueError, match="read-only"):
+        m.kraus[0, 0, 0] = 0.5
+    a0[:] = a1  # the caller's own arrays stay writable and are the caller's to change
+    a1[0, 1] = 1.0
     assert a0.flags.writeable and a1.flags.writeable
+    assert np.array_equal(np.array(m.outcomes), np.array(reference.outcomes))
+    assert np.array_equal(m.kraus, reference.kraus) and np.array_equal(m.elements, reference.elements)
+    assert check_perfect(m) == check_perfect(reference) and check_perfect(m).retrodictable
+    zero = QuantumState.pure(np.array([1.0, 0.0]))
+    assert outcome_probabilities(m, zero).tolist() == [1.0, 0.0]
     real = np.eye(2) / np.sqrt(2)  # converted to complex: a private buffer, also read-only
     coarse = Measurement(2, 2, [[real, real]])
     assert not coarse.outcomes[0][1].flags.writeable and real.flags.writeable
@@ -222,6 +232,17 @@ def test_state_validation():
         QuantumState.pure(np.array([1.0, 0.0]), factor_dims=(2, 2))
     s = QuantumState.pure(np.array([1.0, 0.0, 0.0, 0.0]), factor_dims=(2, 2))
     assert s.is_bipartite and s.dim == 4
+
+
+@pytest.mark.parametrize("kind, data, factor_dims", [
+    ("pure", np.array([1.0, 0.0]), (-1, -2)),
+    ("pure", np.array([1.0, 0.0]), (-2, -1)),
+    ("pure", np.array([1.0, 0.0]), (0, 2)),
+    ("mixed", np.diag([1.0, 0.0, 0.0, 0.0]), (-2, -2)),
+])
+def test_state_factor_dims_must_be_positive(kind, data, factor_dims):
+    with pytest.raises(DimensionMismatchError, match=r"factor dims .* must be positive"):
+        QuantumState(kind, data, factor_dims)
 
 
 # ----------------------------------------------------------------- povm_of
