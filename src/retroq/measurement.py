@@ -108,9 +108,12 @@ def povm_elements(elements, d: int, tol: Tolerance) -> list[np.ndarray]:
     decided against ``tol.psd_floor`` at scale 1: each Hermitian part plus half
     the floor must have a Cholesky factor, and only when one has none does one
     batched eigenvalue computation decide and name the element.  Returns the
-    elements as complex matrices.
+    elements as read-only views of complex matrices: a complex128 array of
+    the caller's is borrowed, not copied, and stays writable to the caller.
     """
-    mats = square_matrices(elements, d, "element")
+    mats = [a.view() for a in square_matrices(elements, d, "element")]
+    for a in mats:
+        a.setflags(write=False)
     herm = np.empty((len(mats), d, d), dtype=complex)
     for k, e in enumerate(mats):
         if fro(e - dagger(e)) > tol.eq_residual * fro(e):
@@ -152,15 +155,28 @@ class Povm:
         return len(self.elements)
 
 
+@dataclass
 class Retrodictor:
     """An ``N+1``-element POVM on the output space of a measurement.
 
     Element ``inconclusive_index`` signals an inconclusive attempt; the other
-    ``N`` elements, in order, name the retrodicted outcome.
+    ``N`` elements, in order, name the retrodicted outcome.  Construction
+    validates the elements as a POVM and keeps them as read-only views of the
+    caller's arrays.  Perfect and unambiguous retrodiction build the
+    subclasses ``ProjectiveRetrodictor`` and ``UnambiguousRetrodictor``.
     """
 
     elements: list[np.ndarray]
     inconclusive_index: int = 0
+    tol: InitVar[Tolerance | None] = None
+
+    def __post_init__(self, tol: Tolerance | None) -> None:
+        if not self.elements:
+            raise InvalidOperatorSetError("need at least the inconclusive element")
+        if not 0 <= self.inconclusive_index < len(self.elements):
+            raise ValueError(f"inconclusive index {self.inconclusive_index} out of range")
+        d = as_matrix(self.elements[0]).shape[0]
+        self.elements = povm_elements(self.elements, d, tol or DEFAULT_TOL)
 
     @property
     def d(self) -> int:

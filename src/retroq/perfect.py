@@ -14,13 +14,13 @@ rows have an exactly zero product.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidOperatorSetError, NotFineGrainedError, NotPerfectlyRetrodictableError
 from .linalg import DEFAULT_TOL, Tolerance, dagger, fro, support_projector
-from .measurement import Measurement, Povm, Retrodictor, povm_elements, square_matrices
+from .measurement import Measurement, Povm, Retrodictor, square_matrices
 
 
 @dataclass
@@ -38,35 +38,30 @@ class PerfectCheckReport:
     witness: tuple[int, int, int, int] | None
 
 
-@dataclass
 class ProjectiveRetrodictor(Retrodictor):
     """Orthogonal projectors on the output space, one per outcome.
 
     The projectors are mutually orthogonal and complete on the subspace
-    reachable by the measurement.  As an ``N+1``-element POVM its
-    inconclusive element (index 0) is the remainder ``I - sum_k P_k``, which
-    never fires on a post-measurement state.
+    reachable by the measurement.  As a ``Retrodictor`` its inconclusive
+    element (index 0) is the remainder ``I - sum_k P_k``, which never fires
+    on a post-measurement state, and ``projectors`` are its other elements.
     """
 
-    d_out: int
-    projectors: list[np.ndarray]
-    tol: InitVar[Tolerance | None] = None
-
-    def __post_init__(self, tol: Tolerance | None) -> None:
+    def __init__(self, d_out: int, projectors, tol: Tolerance | None = None) -> None:
         tol = tol or DEFAULT_TOL
-        projs = square_matrices(self.projectors, self.d_out, "projector")
+        projs = square_matrices(projectors, d_out, "projector")
         for k, p in enumerate(projs):
             if fro(p @ p - p) > tol.eq_residual * max(fro(p), 1.0):
                 raise InvalidOperatorSetError(f"operator {k} is not idempotent")
             if fro(p - dagger(p)) > tol.eq_residual * max(fro(p), 1.0):
                 raise InvalidOperatorSetError(f"operator {k} is not Hermitian")
-        self.projectors = projs
-        remainder = np.eye(self.d_out) - sum(projs, np.zeros((self.d_out, self.d_out)))
+        remainder = np.eye(d_out) - sum(projs, np.zeros((d_out, d_out)))
         # Overlapping projectors give the remainder a negative eigenvalue.  For a
         # complete set it is rounding noise, which the norm-relative Hermiticity
         # test of povm_elements would reject unless it is symmetrised.
-        remainder = (remainder + dagger(remainder)) / 2.0
-        self.elements = povm_elements([remainder] + projs, self.d_out, tol)
+        super().__init__([(remainder + dagger(remainder)) / 2.0] + projs, 0, tol)
+        self.d_out = d_out
+        self.projectors = self.elements[1:]
 
 
 @dataclass

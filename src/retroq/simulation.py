@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOL, Tolerance
 from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, _split_dims, images
-from .unambiguous import UnambiguousRetrodictor
 
 _BLOCK = 8192
 
@@ -139,7 +138,7 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
     return TrialReport(n_trials, confusion, agreement, inconclusive_rate, int(seed))
 
 
-def always_inconclusive(d: int, n_outcomes: int) -> UnambiguousRetrodictor:
+def always_inconclusive(d: int, n_outcomes: int) -> Retrodictor:
     """Degenerate retrodictor that never commits; useful to tally outcome statistics only."""
     zero = np.zeros((d, d), dtype=complex)
-    return UnambiguousRetrodictor([np.eye(d, dtype=complex)] + [zero.copy() for _ in range(n_outcomes)])
+    return Retrodictor([np.eye(d, dtype=complex)] + [zero.copy() for _ in range(n_outcomes)])

@@ -17,45 +17,24 @@ priors is the special case with Kraus operators ``sqrt(p_k) U_k``.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DependentFinalStatesError,
-    InvalidOperatorSetError,
     LinearlyDependentStatesError,
     NonUnitaryInputError,
     NotFineGrainedError,
     ZeroProbabilityOutcomeError,
 )
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, fro, numeric_rank
-from .measurement import (
-    Measurement,
-    QuantumState,
-    Retrodictor,
-    _probabilities,
-    _split_dims,
-    images,
-    povm_elements,
-)
+from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, _split_dims, images
 
 
-@dataclass
 class UnambiguousRetrodictor(Retrodictor):
-    """An ``N+1``-element POVM whose extra outcome signals an inconclusive attempt."""
-
-    elements: list[np.ndarray]
-    inconclusive_index: int = 0
-    tol: InitVar[Tolerance | None] = None
-
-    def __post_init__(self, tol: Tolerance | None) -> None:
-        if not self.elements:
-            raise InvalidOperatorSetError("need at least the inconclusive element")
-        if not 0 <= self.inconclusive_index < len(self.elements):
-            raise InvalidOperatorSetError("inconclusive index out of range")
-        d = as_matrix(self.elements[0]).shape[0]
-        self.elements = povm_elements(self.elements, d, tol or DEFAULT_TOL)
+    """A ``Retrodictor`` for unambiguous retrodiction; ``build_ud_povm`` scales its
+    conclusive elements from projectors onto the dual vectors of the final states."""
 
 
 @dataclass

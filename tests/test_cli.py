@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import retroq
 from retroq import Measurement, QuantumState, build_retrodictor, get_example, synthesize
 from retroq.cli import main
 from retroq.catalog import PAULI
@@ -145,9 +150,12 @@ _EYE = '[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]'  # the 2 x 2 identity as rows of [
     '{"d_in": 2, "d_out": 2, "outcomes": [5]}',
     '{"operators": 5}',
     '{"d": 2, "elements": [%s], "inconclusive_index": null}' % _EYE,
+    '{"d": 1, "elements": [[[[1, 0]]]], "inconclusive_index": 3}',
+    '{"d": 1, "elements": [[[[1, 0]]]], "inconclusive_index": -1}',
 ], ids=["short_factor_dims", "scalar_factor_dims", "float_factor_dim", "null_d_in",
         "fractional_d_in", "bool_d_in", "scalar_outcomes", "scalar_group", "scalar_operators",
-        "null_inconclusive_index"])
+        "null_inconclusive_index", "inconclusive_index_past_the_end",
+        "negative_inconclusive_index"])
 def test_validate_rejects_wrong_typed_fields(text, tmp_path, capsys):
     path = tmp_path / "typed.json"
     path.write_text(text)
@@ -406,6 +414,22 @@ def test_console_entry_runs_in_subprocess(files):
     )
     assert proc.returncode == 0
     assert "retrodictable: true" in proc.stdout
+
+
+def test_readme_walkthrough_exits_as_documented(tmp_path):
+    # every line of the README's command-line walkthrough, in order, in one fresh directory;
+    # a line exits 0 unless its comment says "exit N"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in readme.split("```sh\n") if "retroq simulate" in b).split("```")[0]
+    shim = f'retroq() {{ {shlex.quote(sys.executable)} -m retroq.cli "$@"; }}\n'
+    path = [str(Path(retroq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    assert "retroq check-perfect pauli.json          # exit 1" in block
+    for line in block.splitlines():
+        documented = re.search(r"# exit (\d)", line)
+        proc = subprocess.run(shim + line, shell=True, cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == (int(documented[1]) if documented else 0), (line, proc.stderr)
 
 
 def test_cli_import_loads_no_scipy():

@@ -25,7 +25,7 @@ from retroq import (
 )
 from retroq.catalog import PAULI, counterexample_3d, two_to_four
 from retroq.linalg import DEFAULT_TOL, partial_trace
-from retroq.measurement import images
+from retroq.measurement import Retrodictor, images
 from retroq.rand import random_fine_grained, random_psd, random_pure_state, random_unitary
 
 E2 = np.eye(2, dtype=complex)
@@ -180,9 +180,13 @@ def _projective(projectors):
     (_povm, [SKEW, np.eye(2) - SKEW], NotHermitianError, "Hermitian"),
     (_unambiguous, [SKEW, np.eye(2) - SKEW], NotHermitianError, "Hermitian"),
     (_projective, [np.array([[1.0, 1.0], [0.0, 0.0]])], InvalidOperatorSetError, "Hermitian"),
+    (Retrodictor, [np.diag([1.1, 0.0]), np.diag([-0.1, 1.0])], InvalidOperatorSetError, "not PSD"),
+    (Retrodictor, [np.eye(2) * 0.3, np.eye(2) * 0.3], InvalidOperatorSetError, "identity"),
+    (Retrodictor, [np.eye(2), np.zeros((3, 3))], DimensionMismatchError, "shape"),
+    (Retrodictor, [SKEW, np.eye(2) - SKEW], NotHermitianError, "Hermitian"),
 ], ids=["povm-psd", "ud-psd", "proj-psd", "povm-incomplete", "ud-incomplete",
         "povm-shape", "ud-shape", "proj-shape", "povm-hermitian", "ud-hermitian",
-        "proj-hermitian"])
+        "proj-hermitian", "retro-psd", "retro-incomplete", "retro-shape", "retro-hermitian"])
 def test_resolutions_of_identity_share_validation(construct, elements, error, match):
     with pytest.raises(error, match=match):
         construct(elements)
@@ -205,6 +209,23 @@ def test_positivity_verdict_matches_batched_eigenvalues_at_the_floor():
         else:
             with pytest.raises(InvalidOperatorSetError, match="element 0 is not PSD"):
                 Povm(d, [e0, np.eye(d) - e0])
+
+
+def test_validated_elements_are_read_only_views_of_the_callers_arrays():
+    e0, e1, p0 = np.diag([1.0, 0.0 + 0j]), np.diag([0.0, 1.0 + 0j]), P0.copy()
+    povm, ud = Povm(2, [e0, e1]), UnambiguousRetrodictor([e0, e1], 0)
+    proj = ProjectiveRetrodictor(2, [p0])
+    for stored in povm.elements + Retrodictor([e0, e1]).elements + ud.elements + proj.elements:
+        with pytest.raises(ValueError, match="read-only"):
+            stored[1, 1] = -3
+        with pytest.raises(ValueError, match="read-only"):
+            stored *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        proj.projectors[0][0, 0] = 0.5
+    assert proj.projectors[0] is proj.elements[1]
+    # borrowed, not copied: the caller's arrays stay the caller's, writable
+    for stored, own in zip(povm.elements + ud.elements + proj.projectors, [e0, e1, e0, e1, p0]):
+        assert np.shares_memory(stored, own) and own.flags.writeable
 
 
 def test_projective_retrodictor_is_completed_by_its_remainder():
