@@ -101,6 +101,14 @@ def square_matrices(ops, d: int, what: str) -> list[np.ndarray]:
     return mats
 
 
+def _read_only(mats) -> list[np.ndarray]:
+    """Read-only views of ``mats``; the arrays themselves keep their flags."""
+    views = [a.view() for a in mats]
+    for a in views:
+        a.setflags(write=False)
+    return views
+
+
 def povm_elements(elements, d: int, tol: Tolerance) -> list[np.ndarray]:
     """Check that ``elements`` are Hermitian, PSD ``d x d`` matrices summing to the identity.
 
@@ -111,9 +119,7 @@ def povm_elements(elements, d: int, tol: Tolerance) -> list[np.ndarray]:
     elements as read-only views of complex matrices: a complex128 array of
     the caller's is borrowed, not copied, and stays writable to the caller.
     """
-    mats = [a.view() for a in square_matrices(elements, d, "element")]
-    for a in mats:
-        a.setflags(write=False)
+    mats = _read_only(square_matrices(elements, d, "element"))
     herm = np.empty((len(mats), d, d), dtype=complex)
     for k, e in enumerate(mats):
         if fro(e - dagger(e)) > tol.eq_residual * fro(e):
@@ -146,7 +152,7 @@ class Povm:
     def __post_init__(self, tol: Tolerance | None) -> None:
         if self.d < 1:
             raise InvalidOperatorSetError("dimension must be positive")
-        if not self.elements:
+        if not len(self.elements):
             raise InvalidOperatorSetError("a POVM needs at least one element")
         self.elements = povm_elements(self.elements, self.d, tol or DEFAULT_TOL)
 
@@ -155,37 +161,62 @@ class Povm:
         return len(self.elements)
 
 
-@dataclass
-class Retrodictor:
-    """An ``N+1``-element POVM on the output space of a measurement.
+def _factored(stack: np.ndarray) -> np.ndarray:
+    """Factors ``V sqrt(max(w, 0))`` of the Hermitian parts ``V diag(w) V^dag`` of a stack."""
+    w, v = np.linalg.eigh((stack + np.conj(stack).transpose(0, 2, 1)) / 2.0)
+    return v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
 
-    Element ``inconclusive_index`` signals an inconclusive attempt; the other
-    ``N`` elements, in order, name the retrodicted outcome.  Construction
-    validates the elements as a POVM and keeps them as read-only views of the
-    caller's arrays.  Perfect and unambiguous retrodiction build the
+
+def _completed(conclusive: list[np.ndarray], d: int) -> list[np.ndarray]:
+    """Read-only views of ``[I - sum_j E_j] + conclusive``, the first symmetrised."""
+    rest = np.eye(d) - sum(conclusive, np.zeros((d, d)))
+    return _read_only([(rest + dagger(rest)) / 2.0] + conclusive)
+
+
+class Retrodictor:
+    """An ``N+1``-element POVM on the output space of a measurement, held as a thin factor.
+
+    Element ``inconclusive_index`` signals an inconclusive attempt; the other ``N``, in
+    order, name the retrodicted outcome: ``W_j W_j^dag`` for the blocks ``W_j`` of the
+    read-only ``(N, d, k)`` stack ``factor`` (zero columns pad lower ranks).  Given
+    ``factor``, the inconclusive element is ``I - W W^dag`` for ``W = [W_1 | ... | W_N]``,
+    valid iff ``||W||_2^2 <= 1 + psd_floor`` (one eigenvalue of the smaller Gram matrix),
+    and the elements, inconclusive first, are formed on first read.  Given ``elements``,
+    they are validated as a POVM, kept as read-only views of the caller's arrays, and
+    the conclusive ones factored once.  Perfect and unambiguous retrodiction build the
     subclasses ``ProjectiveRetrodictor`` and ``UnambiguousRetrodictor``.
     """
 
-    elements: list[np.ndarray]
-    inconclusive_index: int = 0
-    tol: InitVar[Tolerance | None] = None
+    def __init__(self, elements=None, inconclusive_index: int = 0, tol: Tolerance | None = None,
+                 factor: np.ndarray | None = None) -> None:
+        self._elements, self.inconclusive_index, self.factor = elements, inconclusive_index, factor
+        self.__post_init__(tol)  # the validating step, named as in this module's dataclasses
 
     def __post_init__(self, tol: Tolerance | None) -> None:
-        if not self.elements:
-            raise InvalidOperatorSetError("need at least the inconclusive element")
-        if not 0 <= self.inconclusive_index < len(self.elements):
-            raise ValueError(f"inconclusive index {self.inconclusive_index} out of range")
-        d = as_matrix(self.elements[0]).shape[0]
-        self.elements = povm_elements(self.elements, d, tol or DEFAULT_TOL)
+        tol = tol or DEFAULT_TOL
+        if self.factor is None:
+            if not len(self._elements):
+                raise InvalidOperatorSetError("need at least the inconclusive element")
+            if not 0 <= self.inconclusive_index < len(self._elements):
+                raise ValueError(f"inconclusive index {self.inconclusive_index} out of range")
+            d = as_matrix(self._elements[0]).shape[0]
+            self._elements = povm_elements(self._elements, d, tol)
+            self.factor = _factored(np.array(self.conclusive_elements()).reshape(-1, d, d))
+        else:
+            w = self.factor.transpose(1, 0, 2).reshape(self.factor.shape[1], -1)  # W
+            top = max(np.linalg.eigvalsh(dagger(w) @ w if w.shape[1] <= len(w) else w @ dagger(w)),
+                      default=0.0)  # ||W||_2^2
+            if top > 1.0 + tol.psd_floor:
+                raise InvalidOperatorSetError(f"element 0 is not PSD: most negative eigenvalue "
+                                              f"{1.0 - top:.3e} below the admissible floor")
+        self.factor.setflags(write=False)
+        self.n_outcomes, self.d = self.factor.shape[:2]  # conclusive outcomes, dimension
 
     @property
-    def d(self) -> int:
-        return self.elements[0].shape[0]
-
-    @property
-    def n_outcomes(self) -> int:
-        """Number of conclusive outcomes."""
-        return len(self.elements) - 1
+    def elements(self) -> list[np.ndarray]:
+        if self._elements is None:  # threads racing here form the same elements
+            self._elements = _completed([w @ dagger(w) for w in self.factor], self.d)
+        return self._elements
 
     def conclusive_elements(self) -> list[np.ndarray]:
         return [e for i, e in enumerate(self.elements) if i != self.inconclusive_index]
@@ -260,7 +291,7 @@ class QuantumState:
 
 def povm_of(m: Measurement) -> Povm:
     """The POVM of a measurement: element ``k`` is the group sum of adjoint products."""
-    return Povm(m.d_in, list(m.elements))
+    return Povm(m.d_in, m.elements)
 
 
 def _split_dims(m: Measurement, s: QuantumState) -> int:

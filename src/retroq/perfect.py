@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOperatorSetError, NotFineGrainedError, NotPerfectlyRetrodictableError
-from .linalg import DEFAULT_TOL, Tolerance, dagger, fro, support_projector
-from .measurement import Measurement, Povm, Retrodictor, square_matrices
+from .linalg import DEFAULT_TOL, Tolerance, dagger, fro
+from .measurement import Measurement, Povm, Retrodictor, _completed, _factored, square_matrices
 
 
 @dataclass
@@ -45,23 +45,28 @@ class ProjectiveRetrodictor(Retrodictor):
     reachable by the measurement.  As a ``Retrodictor`` its inconclusive
     element (index 0) is the remainder ``I - sum_k P_k``, which never fires
     on a post-measurement state, and ``projectors`` are its other elements.
+    Given projectors, each is coerced and tested once, borrowed and factored.
     """
 
-    def __init__(self, d_out: int, projectors, tol: Tolerance | None = None) -> None:
-        tol = tol or DEFAULT_TOL
-        projs = square_matrices(projectors, d_out, "projector")
-        for k, p in enumerate(projs):
-            if fro(p @ p - p) > tol.eq_residual * max(fro(p), 1.0):
-                raise InvalidOperatorSetError(f"operator {k} is not idempotent")
-            if fro(p - dagger(p)) > tol.eq_residual * max(fro(p), 1.0):
-                raise InvalidOperatorSetError(f"operator {k} is not Hermitian")
-        remainder = np.eye(d_out) - sum(projs, np.zeros((d_out, d_out)))
-        # Overlapping projectors give the remainder a negative eigenvalue.  For a
-        # complete set it is rounding noise, which the norm-relative Hermiticity
-        # test of povm_elements would reject unless it is symmetrised.
-        super().__init__([(remainder + dagger(remainder)) / 2.0] + projs, 0, tol)
+    def __init__(self, d_out: int, projectors=None, tol: Tolerance | None = None,
+                 factor: np.ndarray | None = None) -> None:
+        if projectors is not None:
+            tol = tol or DEFAULT_TOL
+            projs = square_matrices(projectors, d_out, "projector")
+            for k, p in enumerate(projs):
+                if fro(p @ p - p) > tol.eq_residual * max(fro(p), 1.0):
+                    raise InvalidOperatorSetError(f"operator {k} is not idempotent")
+                if fro(p - dagger(p)) > tol.eq_residual * max(fro(p), 1.0):
+                    raise InvalidOperatorSetError(f"operator {k} is not Hermitian")
+            factor = _factored(np.array(projs).reshape(-1, d_out, d_out))
+        super().__init__(None, 0, tol, factor)
+        if projectors is not None:
+            self._elements = _completed(projs, d_out)
         self.d_out = d_out
-        self.projectors = self.elements[1:]
+
+    @property
+    def projectors(self) -> list[np.ndarray]:
+        return self.elements[1:]
 
 
 @dataclass
@@ -132,16 +137,21 @@ def build_retrodictor(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Projectiv
 
     Outcome ``k`` maps to the support projector of
     ``G_k = sum_r A_kr A_kr^dag``; every post-measurement state with nonzero
-    probability lies inside the corresponding support.
+    probability lies inside the corresponding support.  The factor holds, from
+    one batched ``eigh``, each symmetrised ``G_k``'s eigenvectors (descending) with
+    eigenvalues above ``tol.rank_rel`` times its largest; no projector is formed.
     """
     report = check_perfect(m, tol)
     if not report.retrodictable:
         raise NotPerfectlyRetrodictableError(
             f"cross-product residual {report.max_residual:.3e} at witness {report.witness}"
         )
-    blocks = [np.hstack(group) for group in m.outcomes]  # G_k = X_k X_k^dag, X_k = [A_k0 | A_k1 ...]
-    projectors = [support_projector(x @ dagger(x), tol) for x in blocks]
-    return ProjectiveRetrodictor(m.d_out, projectors, tol)
+    g = np.array([x @ dagger(x) for x in (np.hstack(group) for group in m.outcomes)])
+    w, v = np.linalg.eigh((g + np.conj(g).transpose(0, 2, 1)) / 2.0)
+    order = np.argsort(-w, axis=1, kind="stable")  # descending, ties in eigh's order
+    w, v = np.take_along_axis(w, order, 1), np.take_along_axis(v, order[:, None, :], 2)
+    keep = w > tol.rank_rel * w[:, :1]  # a prefix of each row: the support's eigenvectors
+    return ProjectiveRetrodictor(m.d_out, None, tol, (v * keep[:, None, :])[:, :, :keep.sum(axis=1).max()])
 
 
 def projective_equivalence(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> ProjectiveEquivalence:
@@ -169,5 +179,5 @@ def projective_equivalence(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Proj
         return ProjectiveEquivalence(False, None, None, None,
                                      isometry_residual, projector_residual)
     kind = "unitary" if m.d_out == m.d_in else "isometry"
-    return ProjectiveEquivalence(True, s, kind, Povm(m.d_in, list(m.elements), tol),
+    return ProjectiveEquivalence(True, s, kind, Povm(m.d_in, m.elements, tol),
                                  isometry_residual, projector_residual)

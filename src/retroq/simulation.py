@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, dagger
 from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, _split_dims, images
 
 _BLOCK = 8192
@@ -66,12 +66,13 @@ def _retrodictor_rows(r: Retrodictor, m: Measurement, s: QuantumState, stack: np
     """Probability vectors over rows 0..N-1 (retrodicted) plus row N (inconclusive),
     one per outcome in ``live``.
 
-    Entry ``j`` of outcome ``k`` is ``sum_r tr(S_r^dag E_j S_r)`` over the Kraus images
-    ``S_r = (A_kr x I) F`` of ``s``, divided by the row total; ``stack`` holds the images
-    of the live outcomes' operators, in order.  Reshaped to ``r.d`` rows, the images
-    serve a retrodictor on the joint output space and one on the first factor alike,
-    with no ``kron(E, I_anc)`` lift.  A projective retrodictor's inconclusive element
-    is the remainder ``I - sum_k P_k``.
+    Over the Kraus images ``S_r = (A_kr x I) F`` of ``s``, entry ``j`` of outcome ``k`` is
+    ``sum_r ||W_j^dag S_r||^2 = sum_r tr(S_r^dag E_j S_r)`` for the blocks ``W_j`` of the
+    retrodictor's factor, all from one product of the factor with the image stack, and the
+    inconclusive entry is ``sum_r ||S_r||^2`` less those; the row is divided by its total.
+    ``stack`` holds the images of the live outcomes' operators, in order.  Reshaped to
+    ``r.d`` rows, the images serve a retrodictor on the joint output space and one on the
+    first factor alike, with no ``kron(E, I_anc)`` lift.
     """
     if r.n_outcomes != m.n_outcomes:
         raise DimensionMismatchError("retrodictor outcome count differs from measurement")
@@ -79,11 +80,13 @@ def _retrodictor_rows(r: Retrodictor, m: Measurement, s: QuantumState, stack: np
     if r.d != dim and (s.factor_dims is None or r.d != m.d_out):
         raise DimensionMismatchError(f"retrodictor acts on dimension {r.d}, state has {dim}")
     stack = stack.reshape(len(stack), r.d, -1)
-    conj = stack.conj()
-    elements = r.conclusive_elements() + [r.elements[r.inconclusive_index]]
-    per_image = np.array([np.einsum("mia,mia->m", conj, e @ stack).real for e in elements])
+    w = r.factor.transpose(1, 0, 2).reshape(r.d, -1)  # W = [W_1 | ... | W_N]
+    per_column = np.sum(np.abs(dagger(w) @ stack) ** 2, axis=2)
+    conclusive = per_column.reshape(len(stack), r.n_outcomes, -1).sum(axis=2)
+    total = np.sum(np.abs(stack) ** 2, axis=(1, 2))
+    per_image = np.column_stack([conclusive, total - conclusive.sum(axis=1)])
     sizes = np.diff(m.starts)[live]
-    rows = np.add.reduceat(per_image, np.cumsum(sizes) - sizes, axis=1).T
+    rows = np.add.reduceat(per_image, np.cumsum(sizes) - sizes, axis=0)
     return [_clean_probs(row / row.sum(), tol.rank_rel) for row in rows]
 
 

@@ -33,8 +33,8 @@ from .measurement import Measurement, QuantumState, Retrodictor, _probabilities,
 
 
 class UnambiguousRetrodictor(Retrodictor):
-    """A ``Retrodictor`` for unambiguous retrodiction; ``build_ud_povm`` scales its
-    conclusive elements from projectors onto the dual vectors of the final states."""
+    """A ``Retrodictor`` for unambiguous retrodiction; ``build_ud_povm`` takes its
+    factor from the dual vectors of the final states, one scaled column each."""
 
 
 @dataclass
@@ -74,8 +74,7 @@ def _dual_family(states: list[np.ndarray], tol: Tolerance) -> tuple[np.ndarray, 
 
 
 def _retrodictor(duals, norms2, c: float, tol: Tolerance) -> UnambiguousRetrodictor:
-    conclusive = [(c / n2) * np.outer(v, np.conj(v)) for v, n2 in zip(duals.T, norms2)]
-    return UnambiguousRetrodictor([np.eye(duals.shape[0]) - sum(conclusive)] + conclusive, 0, tol)
+    return UnambiguousRetrodictor(None, 0, tol, (duals * np.sqrt(c / norms2)).T[:, :, None])
 
 
 def build_ud_povm(states, tol: Tolerance = DEFAULT_TOL) -> UnambiguousRetrodictor:
@@ -84,7 +83,8 @@ def build_ud_povm(states, tol: Tolerance = DEFAULT_TOL) -> UnambiguousRetrodicto
     Element ``k >= 1`` is ``c |dual_k><dual_k| / ||dual_k||^2``; the duals'
     norms and the largest scale ``c`` that keeps the inconclusive remainder
     positive come from one thin SVD of the states.  Components
-    outside their span are absorbed into the inconclusive element.
+    outside their span are absorbed into the inconclusive element.  Only the
+    factor ``W_k = sqrt(c / ||dual_k||^2) dual_k`` is formed and validated.
     """
     vecs = []
     for k, v in enumerate(states):

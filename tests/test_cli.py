@@ -90,6 +90,15 @@ def test_validate_rejects_incomplete_measurement(files, capsys):
     assert "identity" in err
 
 
+def test_validate_rejects_a_non_hermitian_idempotent_projector(tmp_path, capsys):
+    # [[1, 1], [0, 0]] squares to itself: only the Hermiticity test refuses it, once
+    path = tmp_path / "skew.json"
+    path.write_text(dumps({"d_out": 2, "projectors": [array_to_obj(np.array([[1.0, 1.0], [0.0, 0.0]]))]}))
+    code, _, err = run_cli(["validate", path], capsys)
+    assert code == 1
+    assert err == "InvalidOperatorSetError: operator 0 is not Hermitian\n"
+
+
 def test_malformed_json_gives_line_diagnostic(files, capsys):
     code, _, err = run_cli(["validate", files["bad_json"]], capsys)
     assert code == 2

@@ -244,6 +244,43 @@ def test_rotated_complete_projectors_leave_a_zero_remainder(rng):
     assert np.linalg.norm(retro.elements[0]) < 1e-14
 
 
+def test_validated_sets_accept_one_stack_of_elements():
+    # the (n, d, d) form Measurement.elements has; an empty stack is refused as an empty list is
+    stack = np.array([np.diag([0.25, 0.5]), np.diag([0.75, 0.5])], dtype=complex)
+    povm, retro, ud = Povm(2, stack), Retrodictor(stack), UnambiguousRetrodictor(stack, 1)
+    assert (povm.n_outcomes, retro.n_outcomes, ud.n_outcomes) == (2, 1, 1)
+    for got in (povm.elements, retro.elements, ud.elements):
+        assert np.array_equal(np.array(got), stack)
+    assert np.allclose(ud.factor[0] @ np.conj(ud.factor[0]).T, stack[0], atol=1e-16)
+    for construct in (lambda e: Povm(2, e), Retrodictor, UnambiguousRetrodictor):
+        with pytest.raises(InvalidOperatorSetError, match="at least"):
+            construct(stack[:0])
+
+
+def test_factor_norm_check_agrees_with_the_expanded_elements_around_the_floor():
+    # ||W||_2^2 swept across 1 + psd_floor: the factored verdict against povm_elements on
+    # I - W W^dag and the rank-one W_j W_j^dag, which the factor's check replaces
+    floor = DEFAULT_TOL.psd_floor
+    rng = np.random.default_rng(31)
+    for target in np.linspace(1.0 - 10.0 * floor, 1.0 + 10.0 * floor, 40):
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(1, d + 1))
+        s = np.sqrt(np.r_[target, rng.uniform(0.0, 0.9, n - 1)])
+        w = random_unitary(d, rng)[:, :n] @ np.diag(s) @ random_unitary(n, rng)
+        conclusive = [np.outer(col, np.conj(col)) for col in w.T]
+        elements = [np.eye(d) - sum(conclusive)] + conclusive
+        verdicts = []
+        for build in (lambda: Retrodictor(None, 0, None, w.T[:, :, None]),
+                      lambda: Retrodictor(elements)):
+            try:
+                build()
+                verdicts.append(True)
+            except InvalidOperatorSetError as exc:
+                assert "element 0 is not PSD" in str(exc)
+                verdicts.append(False)
+        assert verdicts == [target <= 1.0 + floor] * 2
+
+
 def test_state_validation():
     with pytest.raises(InvalidOperatorSetError):
         QuantumState.pure(np.array([1.0, 1.0]))

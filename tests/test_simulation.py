@@ -234,6 +234,57 @@ def test_run_trials_matches_the_state_building_path(rng):
                     assert got.tobytes() == _old_confusion(m, r, s, 3000, seed).tobytes()
 
 
+def _element_rows(r, m, s):
+    """Per outcome, sum_r tr(S_r^dag E_j S_r) over its Kraus images S_r = (A_r x I) F,
+    conclusive elements first, normalised; F and the images formed here with numpy."""
+    if s.kind == "pure":
+        f = s.data.reshape(m.d_in, -1)
+    else:
+        w, v = np.linalg.eigh(s.data)
+        f = (v * np.sqrt(np.maximum(w, 0.0))).reshape(m.d_in, -1)
+    elements = r.conclusive_elements() + [r.elements[r.inconclusive_index]]
+    rows = []
+    for group in m.outcomes:
+        images = [(a @ f).reshape(r.d, -1) for a in group]
+        row = np.array([sum(np.trace(np.conj(x).T @ e @ x).real for x in images) for e in elements])
+        rows.append(row / row.sum())
+    return rows
+
+
+def test_factored_rows_match_the_element_reference(rng):
+    d_in, d_out, n, d_anc = 2, 3, 3, 2
+    fine = random_fine_grained(d_in, d_out, n, rng)
+    ops = random_fine_grained(d_in, d_out, 2 * n, rng).all_kraus()
+    coarse = Measurement(d_in, d_out, [[ops[2 * k], ops[2 * k + 1]] for k in range(n)])
+    synthesised = synthesize(random_povm(d_in, n, rng), d_out=d_out).measurement
+    proj = build_retrodictor(synthesize(random_povm(d_in, n, rng), d_out=d_out).measurement)
+    states = [
+        QuantumState.pure(random_pure_state(d_in, rng)),
+        QuantumState.mixed(_mixed(d_in, rng)),
+        QuantumState.pure(random_pure_state(d_in * d_anc, rng), factor_dims=(d_in, d_anc)),
+        QuantumState.mixed(_mixed(d_in * d_anc, rng), factor_dims=(d_in, d_anc)),
+    ]
+    cases = []
+    for m in (fine, coarse, synthesised):
+        for s in states:
+            d_s = s.dim // d_in
+            # factor-built: projective on the first factor; element-built: a generic POVM
+            # on the joint space and the projective one lifted there; both degenerate kinds.
+            # The factored rows read the inconclusive entry as the complement of the others,
+            # so the generic POVM's inconclusive element is the complement of its others too.
+            conclusive = random_povm(d_out * d_s, n + 1, rng).elements[1:]
+            joint = UnambiguousRetrodictor([np.eye(d_out * d_s) - sum(conclusive)] + conclusive)
+            lifted = UnambiguousRetrodictor([np.kron(e, np.eye(d_s)) for e in proj.elements])
+            cases += [(m, r, s) for r in (proj, joint, lifted, always_inconclusive(d_out, n))]
+    entangled = maximally_entangled_state(2)
+    cases.append((pauli_measurement(), retrodict_unambiguously(pauli_measurement(), entangled)[0],
+                  entangled))
+    for m, r, s in cases:
+        got = _retrodictor_rows(r, m, s, images(m.kraus, s), list(range(m.n_outcomes)), DEFAULT_TOL)
+        for row, want in zip(got, _element_rows(r, m, s)):
+            assert np.abs(row - want).max() <= 1e-15
+
+
 def test_run_trials_builds_no_state(rng, monkeypatch):
     result = synthesize(random_povm(2, 3, rng), d_out=3)
     retro = build_retrodictor(result.measurement)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import retroq.measurement as measurement
 import retroq.unambiguous as unambiguous
 from retroq import (
     DependentFinalStatesError,
@@ -14,19 +15,24 @@ from retroq import (
     NotFineGrainedError,
     QuantumState,
     Tolerance,
+    UnambiguousRetrodictor,
     assess_measurement,
+    build_retrodictor,
     build_ud_povm,
     discriminate_unitaries,
     maximally_entangled_state,
     outcome_probabilities,
     retrodict_unambiguously,
+    synthesize,
 )
 from retroq.catalog import PAULI, counterexample_3d
+from retroq.linalg import DEFAULT_TOL
 from retroq.rand import (
     ginibre,
     psd_inv_sqrt,
     random_nonsingular_dependent,
     random_nonsingular_independent,
+    random_povm,
     random_pure_state,
 )
 
@@ -216,6 +222,44 @@ def test_assess_builds_no_retrodictor(rng, monkeypatch):
     assert not built
     retrodict_unambiguously(m, maximally_entangled_state(3))
     assert len(built) == 1
+
+
+def test_factored_elements_match_the_dense_formula(rng):
+    # E_k = (c / ||dual_k||^2) |dual_k><dual_k| and E_0 = I - sum_k E_k, as formed before
+    # the retrodictor held its factor
+    cases = [[random_pure_state(d, rng) for _ in range(n)] for d, n in ((2, 2), (4, 3), (6, 6))]
+    for d in (2, 3, 4):
+        m = random_nonsingular_independent(d, d * d, rng)
+        state = maximally_entangled_state(d)
+        cases.append([f / np.linalg.norm(f) for f in (np.kron(g[0], np.eye(d)) @ state.data
+                                                       for g in m.outcomes)])
+    for states in cases:
+        ud = build_ud_povm(states)
+        duals, norms2, c = unambiguous._dual_family(states, DEFAULT_TOL)
+        conclusive = [(c / n2) * np.outer(v, np.conj(v)) for v, n2 in zip(duals.T, norms2)]
+        dense = [np.eye(duals.shape[0]) - sum(conclusive)] + conclusive
+        assert len(ud.elements) == len(dense) and ud.factor.shape == (len(states), len(states[0]), 1)
+        assert max(np.abs(got - want).max() for got, want in zip(ud.elements, dense)) <= 1e-15
+
+
+def test_built_retrodictors_validate_no_dense_element(rng, monkeypatch):
+    calls = []
+    povm_elements = measurement.povm_elements
+
+    def counting(*args):
+        calls.append(args)
+        return povm_elements(*args)
+
+    m = random_nonsingular_independent(3, 5, rng)
+    states = [random_pure_state(4, rng) for _ in range(3)]
+    synthesised = synthesize(random_povm(3, 4, rng), d_out=4).measurement  # validates a POVM
+    monkeypatch.setattr(measurement, "povm_elements", counting)
+    retrodict_unambiguously(m, maximally_entangled_state(3))
+    build_ud_povm(states)
+    build_retrodictor(synthesised)
+    assert calls == []
+    UnambiguousRetrodictor([np.eye(2), np.zeros((2, 2))])  # built from elements: validated
+    assert len(calls) == 1
 
 
 def nearly_dependent(seed: int, eps: float) -> Measurement:
