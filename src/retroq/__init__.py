@@ -33,16 +33,7 @@ from .errors import (
     TooManyOutcomesError,
     ZeroProbabilityOutcomeError,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    herm_eig,
-    numeric_rank,
-    partial_trace,
-    schmidt,
-    schmidt_rank,
-    support_projector,
-)
+from .linalg import DEFAULT_TOL, Tolerance, herm_eig, numeric_rank, support_projector
 from .measurement import Measurement, Povm, QuantumState, apply_outcome, outcome_probabilities, povm_of
 from .perfect import (
     PerfectCheckReport,
@@ -118,13 +109,10 @@ __all__ = [
     "maximally_entangled_state",
     "numeric_rank",
     "outcome_probabilities",
-    "partial_trace",
     "povm_of",
     "projective_equivalence",
     "retrodict_unambiguously",
     "run_trials",
-    "schmidt",
-    "schmidt_rank",
     "standard_basis",
     "support_projector",
     "synthesize",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .catalog import NamedExample
 from .dependence import DependenceVerdict, _checked_ops
-from .measurement import Measurement, Povm, QuantumState
+from .measurement import Measurement, Povm, QuantumState, square_matrices
 from .perfect import PerfectCheckReport, ProjectiveRetrodictor
 from .simulation import TrialReport
 from .unambiguous import RetrodictionAssessment, UnambiguousRetrodictor
@@ -29,17 +29,16 @@ def array_to_obj(a) -> list:
 
 def array_from_obj(obj, ndim: int) -> np.ndarray:
     """Complex array of rank ``ndim`` (1 for a vector, 2 for a matrix) from nested
-    ``[re, im]`` pairs, read bit for bit.  Ragged, empty or non-numeric nesting and
-    innermost entries that are not pairs raise ``ValueError``."""
+    ``[re, im]`` pairs, read bit for bit.  Ragged, empty or non-numeric nesting, JSON
+    booleans and innermost entries that are not pairs raise ``ValueError``."""
     try:
-        a = np.asarray(obj)
-        if a.dtype.kind == "O" and all(isinstance(x, (int, float)) for x in a.flat):
-            a = a.astype(float)  # JSON integers beyond int64
-    except (ValueError, OverflowError):  # ragged rows, integers beyond float range
+        a = np.asarray(obj, dtype=object)  # each entry as parsed: a bool is not read as 1.0
+        a = a.astype(float) if {type(x) for x in a.flat} <= {int, float} else None
+    except (ValueError, OverflowError):  # nesting numpy cannot shape, integers beyond float range
         a = None
-    if a is None or a.dtype.kind not in "biuf" or a.ndim != ndim + 1 or a.shape[-1] != 2:
+    if a is None or a.ndim != ndim + 1 or a.shape[-1] != 2:
         raise ValueError(f"expected a nonempty rank-{ndim} array of [re, im] pairs")
-    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+    return a.view(complex)[..., 0]
 
 
 def _typed(value, kind: type, what: str):
@@ -113,6 +112,7 @@ def ud_to_obj(r: UnambiguousRetrodictor) -> dict:
 
 def ud_from_obj(obj, tol=None) -> UnambiguousRetrodictor:
     elements = [array_from_obj(e, 2) for e in _typed(obj["elements"], list, "elements")]
+    elements = square_matrices(elements, _typed(obj["d"], int, "d"), "element")
     index = _typed(obj.get("inconclusive_index", 0), int, "inconclusive_index")
     return UnambiguousRetrodictor(elements, index, tol)
 

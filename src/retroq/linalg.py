@@ -1,4 +1,5 @@
-"""Dense complex linear-algebra kernel consumed by every other module."""
+"""Dense complex linear-algebra kernel: tolerances, coercion, Hermitian eigendecompositions,
+supports and numerical ranks, consumed by every other module."""
 
 from __future__ import annotations
 
@@ -6,13 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotHermitianError,
-    NotPsdError,
-    NotSquareError,
-    ShapeMismatchError,
-)
+from .errors import NotHermitianError, NotPsdError, NotSquareError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -137,55 +132,3 @@ def numeric_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
-
-
-def schmidt(
-    v, d_left: int, d_right: int, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt decomposition of a bipartite unit vector.
-
-    Returns ``(coeffs, left, right)`` with nonnegative coefficients in
-    descending order and orthonormal columns, so that
-
-        v = sum_j coeffs[j] * np.kron(left[:, j], right[:, j]).
-
-    The coefficients are the singular values of the ``d_left x d_right``
-    reshaping of ``v``; their squares sum to one.
-    """
-    v = as_vector(v)
-    if v.size != d_left * d_right:
-        raise DimensionMismatchError(
-            f"vector of length {v.size} does not factor as {d_left} x {d_right}"
-        )
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > tol.eq_residual:
-        raise ValueError(f"expected a unit vector, got norm {nrm!r}")
-    c = v.reshape(d_left, d_right)
-    u, s, vh = np.linalg.svd(c, full_matrices=False)
-    return s, u, vh.T
-
-
-def schmidt_rank(coeffs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of Schmidt coefficients above ``tol.rank_rel``."""
-    return int(np.count_nonzero(np.asarray(coeffs) > tol.rank_rel))
-
-
-def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one factor of an operator on a two-factor space.
-
-    ``dims`` is ``(d_left, d_right)``; ``keep`` selects the surviving factor
-    (0 = left, 1 = right).  Trace and Hermiticity are preserved.
-    """
-    rho = as_matrix(rho)
-    d_left, d_right = dims
-    n = d_left * d_right
-    if rho.shape != (n, n):
-        raise DimensionMismatchError(
-            f"operator of shape {rho.shape} does not act on a {d_left} x {d_right} product space"
-        )
-    t = rho.reshape(d_left, d_right, d_left, d_right)
-    if keep == 0:
-        return np.einsum("ijkj->ik", t)
-    if keep == 1:
-        return np.einsum("ijil->jl", t)
-    raise ValueError("keep must be 0 (left factor) or 1 (right factor)")

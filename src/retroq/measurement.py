@@ -183,8 +183,9 @@ class Retrodictor:
     valid iff ``||W||_2^2 <= 1 + psd_floor`` (one eigenvalue of the smaller Gram matrix),
     and the elements, inconclusive first, are formed on first read.  Given ``elements``,
     they are validated as a POVM, kept as read-only views of the caller's arrays, and
-    the conclusive ones factored once.  Perfect and unambiguous retrodiction build the
-    subclasses ``ProjectiveRetrodictor`` and ``UnambiguousRetrodictor``.
+    the conclusive ones factored once.  What the library builds enters as a ``factor``
+    (``build_retrodictor``, the unambiguous builders, ``always_inconclusive``); what
+    comes from outside, a file or a caller's projectors included, as ``elements``.
     """
 
     def __init__(self, elements=None, inconclusive_index: int = 0, tol: Tolerance | None = None,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidOperatorSetError, NotFineGrainedError, NotPerfectlyRetrodictableError
 from .linalg import DEFAULT_TOL, Tolerance, dagger, fro
-from .measurement import Measurement, Povm, Retrodictor, _completed, _factored, square_matrices
+from .measurement import Measurement, Povm, Retrodictor, _completed, square_matrices
 
 
 @dataclass
@@ -45,11 +45,15 @@ class ProjectiveRetrodictor(Retrodictor):
     reachable by the measurement.  As a ``Retrodictor`` its inconclusive
     element (index 0) is the remainder ``I - sum_k P_k``, which never fires
     on a post-measurement state, and ``projectors`` are its other elements.
-    Given projectors, each is coerced and tested once, borrowed and factored.
+    ``build_retrodictor`` passes a ``factor``.  Projectors from outside are
+    each tested for idempotence and Hermiticity, then completed by their
+    remainder and validated as ``Retrodictor`` elements, so overlapping ones
+    leave a remainder that is not PSD.
     """
 
     def __init__(self, d_out: int, projectors=None, tol: Tolerance | None = None,
                  factor: np.ndarray | None = None) -> None:
+        elements = None
         if projectors is not None:
             tol = tol or DEFAULT_TOL
             projs = square_matrices(projectors, d_out, "projector")
@@ -58,10 +62,8 @@ class ProjectiveRetrodictor(Retrodictor):
                     raise InvalidOperatorSetError(f"operator {k} is not idempotent")
                 if fro(p - dagger(p)) > tol.eq_residual * max(fro(p), 1.0):
                     raise InvalidOperatorSetError(f"operator {k} is not Hermitian")
-            factor = _factored(np.array(projs).reshape(-1, d_out, d_out))
-        super().__init__(None, 0, tol, factor)
-        if projectors is not None:
-            self._elements = _completed(projs, d_out)
+            elements, factor = _completed(projs, d_out), None
+        super().__init__(elements, 0, tol, factor)
         self.d_out = d_out
 
     @property

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dependence import check_linear_independence
 from .linalg import DEFAULT_TOL, Tolerance, dagger, herm_eig, numeric_rank
 from .measurement import Measurement, Povm
 
@@ -85,11 +86,9 @@ def random_nonsingular_independent(d: int, n: int, rng,
     rng = _rng(rng)
     while True:
         m = random_fine_grained(d, d, n, rng, tol)
-        ops = [g[0] for g in m.outcomes]
-        if all(numeric_rank(a, tol) == d for a in ops):
-            stack = np.stack([a.ravel() for a in ops])
-            if numeric_rank(stack, tol) == n:
-                return m
+        ops = m.all_kraus()
+        if all(numeric_rank(a, tol) == d for a in ops) and check_linear_independence(ops, tol)[0]:
+            return m
 
 
 def random_nonsingular_dependent(d: int, n: int, rng,

@@ -143,5 +143,4 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
 
 def always_inconclusive(d: int, n_outcomes: int) -> Retrodictor:
     """Degenerate retrodictor that never commits; useful to tally outcome statistics only."""
-    zero = np.zeros((d, d), dtype=complex)
-    return Retrodictor([np.eye(d, dtype=complex)] + [zero.copy() for _ in range(n_outcomes)])
+    return Retrodictor(None, 0, None, np.zeros((n_outcomes, d, 1), dtype=complex))

@@ -99,6 +99,17 @@ def test_validate_rejects_a_non_hermitian_idempotent_projector(tmp_path, capsys)
     assert err == "InvalidOperatorSetError: operator 0 is not Hermitian\n"
 
 
+def test_validate_rejects_overlapping_projectors_by_their_remainder(tmp_path, capsys):
+    # each is a projector; together they leave I - P0 - P+ with eigenvalue -1/sqrt(2)
+    path = tmp_path / "overlap.json"
+    path.write_text(dumps({"d_out": 2, "projectors": [array_to_obj(np.diag([1.0, 0.0])),
+                                                      array_to_obj(np.full((2, 2), 0.5))]}))
+    code, _, err = run_cli(["validate", path], capsys)
+    assert code == 1
+    assert err == ("InvalidOperatorSetError: element 0 is not PSD: most negative eigenvalue "
+                   "-7.071e-01 below the admissible floor\n")
+
+
 def test_malformed_json_gives_line_diagnostic(files, capsys):
     code, _, err = run_cli(["validate", files["bad_json"]], capsys)
     assert code == 2
@@ -123,13 +134,20 @@ def _povm_with_first_element(element) -> dict:
     _povm_with_first_element([[], []]),  # empty rows
     _povm_with_first_element([[1.0, 0.0], [0.0, 0.0]]),  # bare numbers for pairs
     {"kind": "pure", "data": _UPPER},  # a matrix for a state vector
+    {"kind": "pure", "data": [[True, False], [False, False]]},  # JSON booleans for numbers
+    _povm_with_first_element([[[1, 0], [0, False]], [[0, 0], [0, 0]]]),
+    _povm_with_first_element([[_ONE, [0.0, True]], [_ZERO, _ZERO]]),
+    {"d_in": 1, "d_out": 1, "outcomes": [[[[[True, 0]]]]]},
+    {"d": 1, "elements": [[[[True, 0]]]]},
+    {"kind": "mixed", "data": [[[1.0, False]]]},
 ], ids=["ragged", "triples", "strings", "null", "empty_matrix", "empty_row", "bare_number",
-        "matrix_for_vector"])
+        "matrix_for_vector", "bool_vector", "bool_among_ints", "bool_among_floats",
+        "bool_in_measurement", "bool_in_povm", "bool_in_state"])
 def test_validate_rejects_malformed_complex_payloads(payload, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     assert main(["validate", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: expected a nonempty rank-" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, reason", [
@@ -161,16 +179,29 @@ _EYE = '[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]'  # the 2 x 2 identity as rows of [
     '{"d": 2, "elements": [%s], "inconclusive_index": null}' % _EYE,
     '{"d": 1, "elements": [[[[1, 0]]]], "inconclusive_index": 3}',
     '{"d": 1, "elements": [[[[1, 0]]]], "inconclusive_index": -1}',
+    '{"elements": [%s], "inconclusive_index": 0}' % _EYE,
 ], ids=["short_factor_dims", "scalar_factor_dims", "float_factor_dim", "null_d_in",
         "fractional_d_in", "bool_d_in", "scalar_outcomes", "scalar_group", "scalar_operators",
         "null_inconclusive_index", "inconclusive_index_past_the_end",
-        "negative_inconclusive_index"])
+        "negative_inconclusive_index", "unambiguous_without_d"])
 def test_validate_rejects_wrong_typed_fields(text, tmp_path, capsys):
     path = tmp_path / "typed.json"
     path.write_text(text)
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"d": 7, "elements": [%s]}' % _EYE,
+    '{"d_out": 7, "projectors": [%s]}' % _EYE,
+    '{"d": 7, "elements": [%s], "inconclusive_index": 0}' % _EYE,
+], ids=["povm", "projective", "unambiguous"])
+def test_validate_rejects_elements_of_another_dimension_than_the_files(text, tmp_path, capsys):
+    path = tmp_path / "mismatch.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("DimensionMismatchError: ")
 
 
 def test_validate_accepts_the_well_formed_payload_and_integers_beyond_int64(tmp_path):

@@ -1,4 +1,4 @@
-"""Core linear-algebra kernel: decompositions, supports, ranks, tensor ops."""
+"""Core linear-algebra kernel: decompositions, supports, ranks, tolerances."""
 
 from __future__ import annotations
 
@@ -7,16 +7,12 @@ import pytest
 
 from retroq import (
     DEFAULT_TOL,
-    DimensionMismatchError,
     NotHermitianError,
     NotPsdError,
     NotSquareError,
     Tolerance,
     herm_eig,
     numeric_rank,
-    partial_trace,
-    schmidt,
-    schmidt_rank,
     support_projector,
 )
 from retroq.rand import ginibre, random_psd, random_unitary
@@ -149,92 +145,6 @@ def test_rank_invariant_under_unitaries(rng):
         assert numeric_rank(a @ w) == r
 
 
-# ---------------------------------------------------------------- schmidt
-
-def test_schmidt_product_state():
-    e2 = np.eye(2)
-    v = np.kron(e2[:, 0], e2[:, 1])
-    c, left, right = schmidt(v, 2, 2)
-    assert c[0] == pytest.approx(1.0, abs=1e-12)
-    assert schmidt_rank(c) == 1
-    assert abs(np.vdot(left[:, 0], e2[:, 0])) == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.vdot(right[:, 0], e2[:, 1])) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_schmidt_maximally_entangled():
-    v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    c, _, _ = schmidt(v, 2, 2)
-    assert np.allclose(c, [1 / np.sqrt(2)] * 2, atol=1e-12)
-    assert schmidt_rank(c) == 2
-
-
-def test_schmidt_reconstruction_and_svd_oracle(rng):
-    v = ginibre(6, 1, rng).ravel()
-    v /= np.linalg.norm(v)
-    c, left, right = schmidt(v, 3, 2)
-    # coefficients are the singular values of the reshaped vector (oracle)
-    s = np.linalg.svd(v.reshape(3, 2), compute_uv=False)
-    assert np.max(np.abs(np.sort(c)[::-1] - np.sort(s)[::-1])) < 1e-10
-    assert np.sum(c ** 2) == pytest.approx(1.0, abs=1e-12)
-    recon = sum(c[j] * np.kron(left[:, j], right[:, j]) for j in range(c.size))
-    assert np.linalg.norm(recon - v) < 1e-12
-    for basis in (left, right):
-        gram = dag(basis) @ basis
-        assert np.linalg.norm(gram - np.eye(gram.shape[0])) < 1e-12
-
-
-def test_schmidt_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        schmidt(np.ones(5) / np.sqrt(5), 2, 2)
-
-
-# ------------------------------------------------------------ partial_trace
-
-def _direct_partial_trace(rho, dl, dr, keep):
-    # summation oracle, independent of the reshape implementation
-    if keep == 0:
-        out = np.zeros((dl, dl), dtype=complex)
-        for i in range(dl):
-            for k in range(dl):
-                out[i, k] = sum(rho[i * dr + j, k * dr + j] for j in range(dr))
-    else:
-        out = np.zeros((dr, dr), dtype=complex)
-        for j in range(dr):
-            for l in range(dr):
-                out[j, l] = sum(rho[i * dr + j, i * dr + l] for i in range(dl))
-    return out
-
-
-def test_partial_trace_product_state(rng):
-    rho = random_psd(2, rng)
-    rho /= np.trace(rho)
-    sigma = random_psd(3, rng)
-    sigma /= np.trace(sigma)
-    joint = np.kron(rho, sigma)
-    assert np.allclose(partial_trace(joint, (2, 3), keep=0), rho, atol=1e-12)
-    assert np.allclose(partial_trace(joint, (2, 3), keep=1), sigma, atol=1e-12)
-
-
-def test_partial_trace_maximally_entangled():
-    v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    rho = np.outer(v, v.conj())
-    assert np.allclose(partial_trace(rho, (2, 2), keep=0), np.eye(2) / 2, atol=1e-12)
-
-
-def test_partial_trace_against_summation_oracle(rng):
-    rho = random_psd(6, rng)
-    for keep in (0, 1):
-        got = partial_trace(rho, (2, 3), keep)
-        want = _direct_partial_trace(rho, 2, 3, keep)
-        assert np.linalg.norm(got - want) < 1e-12
-    assert np.trace(partial_trace(rho, (2, 3), 0)) == pytest.approx(np.trace(rho), abs=1e-12)
-
-
-def test_partial_trace_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        partial_trace(np.eye(5), (2, 3), keep=0)
-
-
 # ---------------------------------------------------------------- Tolerance
 
 def test_tolerance_defaults_and_validation():
@@ -245,3 +155,12 @@ def test_tolerance_defaults_and_validation():
         Tolerance(eq_residual=0.0)
     with pytest.raises(ValueError):
         Tolerance(rank_rel=1.5)
+
+
+def test_public_surface_resolves_without_the_removed_helpers():
+    import retroq
+    import retroq.linalg
+
+    assert [name for name in retroq.__all__ if not hasattr(retroq, name)] == []
+    for gone in ("partial_trace", "schmidt", "schmidt_rank"):
+        assert not hasattr(retroq, gone) and not hasattr(retroq.linalg, gone)
