@@ -92,53 +92,39 @@ def _check_identity(total: np.ndarray, tol: Tolerance, message: str) -> None:
         raise InvalidOperatorSetError(f"{message} (deviation {deviation:.3e})")
 
 
-def square_matrices(ops, d: int, what: str) -> list[np.ndarray]:
-    """``ops`` as complex ``d x d`` matrices; any other shape raises ``DimensionMismatchError``."""
+def square_matrices(ops, d: int, what: str) -> np.ndarray:
+    """``ops`` as one read-only ``(n, d, d)`` complex copy.  A ``d`` below 1 raises
+    ``InvalidOperatorSetError``; an operator of another shape ``DimensionMismatchError``."""
+    if d < 1:
+        raise InvalidOperatorSetError("dimension must be positive")
     mats = [as_matrix(a) for a in ops]
     for k, a in enumerate(mats):
         if a.shape != (d, d):
             raise DimensionMismatchError(f"{what} {k} has shape {a.shape}; expected ({d}, {d})")
-    return mats
-
-
-def _read_only(mats) -> list[np.ndarray]:
-    """Read-only views of ``mats``; the arrays themselves keep their flags."""
-    views = [a.view() for a in mats]
-    for a in views:
-        a.setflags(write=False)
-    return views
+    stack = np.array(mats, dtype=complex).reshape(len(mats), d, d)
+    stack.setflags(write=False)
+    return stack
 
 
 def povm_elements(elements, d: int, tol: Tolerance) -> list[np.ndarray]:
     """Check that ``elements`` are Hermitian, PSD ``d x d`` matrices summing to the identity.
 
     Every element of such a set is bounded by the identity, so positivity is
-    decided against ``tol.psd_floor`` at scale 1: each Hermitian part plus half
-    the floor must have a Cholesky factor, and only when one has none does one
-    batched eigenvalue computation decide and name the element.  Returns the
-    elements as read-only views of complex matrices: a complex128 array of
-    the caller's is borrowed, not copied, and stays writable to the caller.
+    decided against ``tol.psd_floor`` at scale 1, by one batched eigenvalue
+    computation over the Hermitian parts, which also names the first element
+    that fails.  Returns views of the read-only copy ``square_matrices`` makes.
     """
-    mats = _read_only(square_matrices(elements, d, "element"))
-    herm = np.empty((len(mats), d, d), dtype=complex)
-    for k, e in enumerate(mats):
+    stack = square_matrices(elements, d, "element")
+    for k, e in enumerate(stack):
         if fro(e - dagger(e)) > tol.eq_residual * fro(e):
             raise NotHermitianError(f"element {k} is not Hermitian within tolerance")
-        herm[k] = (e + dagger(e)) / 2.0
-    shift = tol.psd_floor / 2.0 * np.eye(d)  # a factor found by rounding still means > -psd_floor
-    try:
-        for h in herm:  # one at a time: a batched factorisation raises peak memory
-            np.linalg.cholesky(h + shift)
-    except np.linalg.LinAlgError:
-        lowest = np.linalg.eigvalsh(herm)[:, 0]
-        bad = np.flatnonzero(lowest < -tol.psd_floor)
-        if bad.size:
-            raise InvalidOperatorSetError(
-                f"element {bad[0]} is not PSD: most negative eigenvalue {lowest[bad[0]]:.3e} "
-                f"below the admissible floor"
-            ) from None
-    _check_identity(sum(mats), tol, "elements do not sum to the identity")
-    return mats
+    lowest = np.linalg.eigvalsh((stack + np.conj(stack).transpose(0, 2, 1)) / 2.0)[:, 0]
+    bad = np.flatnonzero(lowest < -tol.psd_floor)
+    if bad.size:
+        raise InvalidOperatorSetError(f"element {bad[0]} is not PSD: most negative eigenvalue "
+                                      f"{lowest[bad[0]]:.3e} below the admissible floor")
+    _check_identity(sum(stack), tol, "elements do not sum to the identity")
+    return list(stack)
 
 
 @dataclass
@@ -150,8 +136,6 @@ class Povm:
     tol: InitVar[Tolerance | None] = None
 
     def __post_init__(self, tol: Tolerance | None) -> None:
-        if self.d < 1:
-            raise InvalidOperatorSetError("dimension must be positive")
         if not len(self.elements):
             raise InvalidOperatorSetError("a POVM needs at least one element")
         self.elements = povm_elements(self.elements, self.d, tol or DEFAULT_TOL)
@@ -167,10 +151,10 @@ def _factored(stack: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
 
 
-def _completed(conclusive: list[np.ndarray], d: int) -> list[np.ndarray]:
-    """Read-only views of ``[I - sum_j E_j] + conclusive``, the first symmetrised."""
+def _completed(conclusive, d: int) -> list[np.ndarray]:
+    """Views of the read-only stack ``[I - sum_j E_j] + conclusive``, the first symmetrised."""
     rest = np.eye(d) - sum(conclusive, np.zeros((d, d)))
-    return _read_only([(rest + dagger(rest)) / 2.0] + conclusive)
+    return list(square_matrices([(rest + dagger(rest)) / 2.0, *conclusive], d, "element"))
 
 
 class Retrodictor:
@@ -178,40 +162,41 @@ class Retrodictor:
 
     Element ``inconclusive_index`` signals an inconclusive attempt; the other ``N``, in
     order, name the retrodicted outcome: ``W_j W_j^dag`` for the blocks ``W_j`` of the
-    read-only ``(N, d, k)`` stack ``factor`` (zero columns pad lower ranks).  Given
-    ``factor``, the inconclusive element is ``I - W W^dag`` for ``W = [W_1 | ... | W_N]``,
-    valid iff ``||W||_2^2 <= 1 + psd_floor`` (one eigenvalue of the smaller Gram matrix),
-    and the elements, inconclusive first, are formed on first read.  Given ``elements``,
-    they are validated as a POVM, kept as read-only views of the caller's arrays, and
-    the conclusive ones factored once.  What the library builds enters as a ``factor``
-    (``build_retrodictor``, the unambiguous builders, ``always_inconclusive``); what
-    comes from outside, a file or a caller's projectors included, as ``elements``.
+    read-only ``(N, d, k)`` stack ``factor`` (zero columns pad lower ranks).  Elements
+    from outside, a file or a caller's projectors included, enter here: they are
+    validated as a POVM, kept as one read-only copy and their conclusive ones factored
+    once.  What the library builds enters through ``from_factor``.
     """
 
-    def __init__(self, elements=None, inconclusive_index: int = 0, tol: Tolerance | None = None,
-                 factor: np.ndarray | None = None) -> None:
-        self._elements, self.inconclusive_index, self.factor = elements, inconclusive_index, factor
-        self.__post_init__(tol)  # the validating step, named as in this module's dataclasses
+    _elements: list[np.ndarray] | None = None  # from a factor: formed on first read
 
-    def __post_init__(self, tol: Tolerance | None) -> None:
-        tol = tol or DEFAULT_TOL
-        if self.factor is None:
-            if not len(self._elements):
-                raise InvalidOperatorSetError("need at least the inconclusive element")
-            if not 0 <= self.inconclusive_index < len(self._elements):
-                raise ValueError(f"inconclusive index {self.inconclusive_index} out of range")
-            d = as_matrix(self._elements[0]).shape[0]
-            self._elements = povm_elements(self._elements, d, tol)
-            self.factor = _factored(np.array(self.conclusive_elements()).reshape(-1, d, d))
-        else:
-            w = self.factor.transpose(1, 0, 2).reshape(self.factor.shape[1], -1)  # W
-            top = max(np.linalg.eigvalsh(dagger(w) @ w if w.shape[1] <= len(w) else w @ dagger(w)),
-                      default=0.0)  # ||W||_2^2
-            if top > 1.0 + tol.psd_floor:
-                raise InvalidOperatorSetError(f"element 0 is not PSD: most negative eigenvalue "
-                                              f"{1.0 - top:.3e} below the admissible floor")
-        self.factor.setflags(write=False)
-        self.n_outcomes, self.d = self.factor.shape[:2]  # conclusive outcomes, dimension
+    def __init__(self, elements, inconclusive_index: int = 0, tol: Tolerance | None = None) -> None:
+        if not len(elements):
+            raise InvalidOperatorSetError("need at least the inconclusive element")
+        if not 0 <= inconclusive_index < len(elements):
+            raise ValueError(f"inconclusive index {inconclusive_index} out of range")
+        self._elements = povm_elements(elements, as_matrix(elements[0]).shape[0], tol or DEFAULT_TOL)
+        self._hold(_factored(np.delete(self._elements, inconclusive_index, 0)), inconclusive_index)
+
+    @classmethod
+    def from_factor(cls, factor: np.ndarray, tol: Tolerance | None = None) -> "Retrodictor":
+        """The retrodictor with conclusive elements ``W_j W_j^dag`` for the blocks of ``factor``,
+        held as a read-only copy, and the inconclusive element ``I - W W^dag`` first, for
+        ``W = [W_1 | ... | W_N]``: valid iff ``||W||_2^2 <= 1 + psd_floor`` (one eigenvalue of
+        the smaller Gram matrix).  The elements are formed on first read."""
+        w = factor.transpose(1, 0, 2).reshape(factor.shape[1], -1)  # W
+        top = max(np.linalg.eigvalsh(dagger(w) @ w if w.shape[1] <= len(w) else w @ dagger(w)),
+                  default=0.0)  # ||W||_2^2
+        if top > 1.0 + (tol or DEFAULT_TOL).psd_floor:
+            raise InvalidOperatorSetError(f"element 0 is not PSD: most negative eigenvalue "
+                                          f"{1.0 - top:.3e} below the admissible floor")
+        return cls.__new__(cls)._hold(np.array(factor, dtype=complex), 0)
+
+    def _hold(self, factor: np.ndarray, inconclusive_index: int) -> "Retrodictor":
+        factor.setflags(write=False)
+        self.factor, self.inconclusive_index = factor, inconclusive_index
+        self.n_outcomes, self.d = factor.shape[:2]  # conclusive outcomes, dimension
+        return self
 
     @property
     def elements(self) -> list[np.ndarray]:

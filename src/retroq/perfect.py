@@ -45,26 +45,25 @@ class ProjectiveRetrodictor(Retrodictor):
     reachable by the measurement.  As a ``Retrodictor`` its inconclusive
     element (index 0) is the remainder ``I - sum_k P_k``, which never fires
     on a post-measurement state, and ``projectors`` are its other elements.
-    ``build_retrodictor`` passes a ``factor``.  Projectors from outside are
-    each tested for idempotence and Hermiticity, then completed by their
-    remainder and validated as ``Retrodictor`` elements, so overlapping ones
-    leave a remainder that is not PSD.
+    ``build_retrodictor`` builds one with ``from_factor``.  Projectors from
+    outside are each tested for idempotence and Hermiticity, then completed
+    by their remainder and validated as ``Retrodictor`` elements, so
+    overlapping ones leave a remainder that is not PSD.
     """
 
-    def __init__(self, d_out: int, projectors=None, tol: Tolerance | None = None,
-                 factor: np.ndarray | None = None) -> None:
-        elements = None
-        if projectors is not None:
-            tol = tol or DEFAULT_TOL
-            projs = square_matrices(projectors, d_out, "projector")
-            for k, p in enumerate(projs):
-                if fro(p @ p - p) > tol.eq_residual * max(fro(p), 1.0):
-                    raise InvalidOperatorSetError(f"operator {k} is not idempotent")
-                if fro(p - dagger(p)) > tol.eq_residual * max(fro(p), 1.0):
-                    raise InvalidOperatorSetError(f"operator {k} is not Hermitian")
-            elements, factor = _completed(projs, d_out), None
-        super().__init__(elements, 0, tol, factor)
-        self.d_out = d_out
+    def __init__(self, d_out: int, projectors, tol: Tolerance | None = None) -> None:
+        tol = tol or DEFAULT_TOL
+        projs = square_matrices(projectors, d_out, "projector")
+        for k, p in enumerate(projs):
+            if fro(p @ p - p) > tol.eq_residual * max(fro(p), 1.0):
+                raise InvalidOperatorSetError(f"operator {k} is not idempotent")
+            if fro(p - dagger(p)) > tol.eq_residual * max(fro(p), 1.0):
+                raise InvalidOperatorSetError(f"operator {k} is not Hermitian")
+        super().__init__(_completed(projs, d_out), 0, tol)
+
+    @property
+    def d_out(self) -> int:
+        return self.d
 
     @property
     def projectors(self) -> list[np.ndarray]:
@@ -153,7 +152,7 @@ def build_retrodictor(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Projectiv
     order = np.argsort(-w, axis=1, kind="stable")  # descending, ties in eigh's order
     w, v = np.take_along_axis(w, order, 1), np.take_along_axis(v, order[:, None, :], 2)
     keep = w > tol.rank_rel * w[:, :1]  # a prefix of each row: the support's eigenvectors
-    return ProjectiveRetrodictor(m.d_out, None, tol, (v * keep[:, None, :])[:, :, :keep.sum(axis=1).max()])
+    return ProjectiveRetrodictor.from_factor((v * keep[:, None, :])[:, :, :keep.sum(axis=1).max()], tol)
 
 
 def projective_equivalence(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> ProjectiveEquivalence:

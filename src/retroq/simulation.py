@@ -143,4 +143,4 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
 
 def always_inconclusive(d: int, n_outcomes: int) -> Retrodictor:
     """Degenerate retrodictor that never commits; useful to tally outcome statistics only."""
-    return Retrodictor(None, 0, None, np.zeros((n_outcomes, d, 1), dtype=complex))
+    return Retrodictor.from_factor(np.zeros((n_outcomes, d, 1), dtype=complex))

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DependentFinalStatesError,
+    DimensionMismatchError,
     LinearlyDependentStatesError,
     NonUnitaryInputError,
     NotFineGrainedError,
@@ -74,7 +75,7 @@ def _dual_family(states: list[np.ndarray], tol: Tolerance) -> tuple[np.ndarray, 
 
 
 def _retrodictor(duals, norms2, c: float, tol: Tolerance) -> UnambiguousRetrodictor:
-    return UnambiguousRetrodictor(None, 0, tol, (duals * np.sqrt(c / norms2)).T[:, :, None])
+    return UnambiguousRetrodictor.from_factor((duals * np.sqrt(c / norms2)).T[:, :, None], tol)
 
 
 def build_ud_povm(states, tol: Tolerance = DEFAULT_TOL) -> UnambiguousRetrodictor:
@@ -85,14 +86,19 @@ def build_ud_povm(states, tol: Tolerance = DEFAULT_TOL) -> UnambiguousRetrodicto
     positive come from one thin SVD of the states.  Components
     outside their span are absorbed into the inconclusive element.  Only the
     factor ``W_k = sqrt(c / ||dual_k||^2) dual_k`` is formed and validated.
+    States of another length than state 0's raise ``DimensionMismatchError``.
     """
     vecs = []
     for k, v in enumerate(states):
         v = as_vector(v)
+        if vecs and v.size != vecs[0].size:
+            raise DimensionMismatchError(f"state {k} has length {v.size}; state 0 has {vecs[0].size}")
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > tol.eq_residual:
             raise ValueError(f"state {k} must be a unit vector, got norm {nrm!r}")
         vecs.append(v)
+    if not vecs:
+        raise ValueError("need at least one state")
     return _retrodictor(*_dual_family(vecs, tol), tol)
 
 

@@ -204,6 +204,21 @@ def test_validate_rejects_elements_of_another_dimension_than_the_files(text, tmp
     assert capsys.readouterr().err.startswith("DimensionMismatchError: ")
 
 
+@pytest.mark.parametrize("text", [
+    '{"d_out": 0, "projectors": []}',
+    '{"d_out": -1, "projectors": []}',
+    '{"d_out": -1, "projectors": [%s]}' % _EYE,
+    '{"d": -1, "elements": [%s], "inconclusive_index": 0}' % _EYE,
+    '{"d": 0, "elements": [%s]}' % _EYE,
+], ids=["projective_zero", "projective_negative", "projective_negative_with_a_projector",
+        "unambiguous_negative", "povm_zero"])
+def test_validate_refuses_a_non_positive_dimension_as_every_kind_does(text, tmp_path, capsys):
+    path = tmp_path / "dimension.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "InvalidOperatorSetError: dimension must be positive\n"
+
+
 def test_validate_accepts_the_well_formed_payload_and_integers_beyond_int64(tmp_path):
     path = tmp_path / "good.json"
     path.write_text(json.dumps(_povm_with_first_element(_UPPER)))

@@ -27,6 +27,7 @@ from retroq.catalog import PAULI, counterexample_3d, two_to_four
 from retroq.linalg import DEFAULT_TOL
 from retroq.measurement import Retrodictor, images
 from retroq.rand import random_fine_grained, random_psd, random_pure_state, random_unitary
+from retroq.simulation import run_trials
 
 E2 = np.eye(2, dtype=complex)
 PROJ_Z = Measurement(2, 2, [[np.diag([1.0, 0.0 + 0j])], [np.diag([0.0 + 0j, 1.0])]])
@@ -211,21 +212,59 @@ def test_positivity_verdict_matches_batched_eigenvalues_at_the_floor():
                 Povm(d, [e0, np.eye(d) - e0])
 
 
-def test_validated_elements_are_read_only_views_of_the_callers_arrays():
-    e0, e1, p0 = np.diag([1.0, 0.0 + 0j]), np.diag([0.0, 1.0 + 0j]), P0.copy()
-    povm, ud = Povm(2, [e0, e1]), UnambiguousRetrodictor([e0, e1], 0)
-    proj = ProjectiveRetrodictor(2, [p0])
-    for stored in povm.elements + Retrodictor([e0, e1]).elements + ud.elements + proj.elements:
+def test_validated_elements_are_read_only_copies_owned_by_their_objects():
+    # writing to the caller's arrays after construction changes no element, factor or
+    # simulated confusion of what was validated from them
+    elements = [0.2 * E2, np.diag([0.8, 0.0 + 0j]), np.diag([0.0, 0.8 + 0j])]
+    projectors = [P0.copy(), np.diag([0.0, 1.0 + 0j])]
+    povm, retro = Povm(2, elements), Retrodictor(elements)
+    ud, proj = UnambiguousRetrodictor(elements, 0), ProjectiveRetrodictor(2, projectors)
+    state = QuantumState.pure(PLUS)
+
+    def snapshot():
+        out = [np.array(povm.elements)]
+        for r in (retro, ud, proj):
+            confusion = run_trials(PROJ_Z, r, state, 2000, seed=3).confusion
+            out += [np.array(r.elements), r.factor.copy(), confusion]
+        return out
+
+    before = snapshot()
+    for stored in povm.elements + retro.elements + ud.elements + proj.elements:
         with pytest.raises(ValueError, match="read-only"):
             stored[1, 1] = -3
         with pytest.raises(ValueError, match="read-only"):
             stored *= 2.0
+        assert not any(np.shares_memory(stored, own) for own in elements + projectors)
     with pytest.raises(ValueError, match="read-only"):
         proj.projectors[0][0, 0] = 0.5
     assert proj.projectors[0] is proj.elements[1]
-    # borrowed, not copied: the caller's arrays stay the caller's, writable
-    for stored, own in zip(povm.elements + ud.elements + proj.projectors, [e0, e1, e0, e1, p0]):
-        assert np.shares_memory(stored, own) and own.flags.writeable
+    for own in elements + projectors:
+        own[:] = 5.0
+    assert all(np.array_equal(a, b) for a, b in zip(snapshot(), before))
+
+
+def test_each_retrodictor_origin_has_its_own_entry_point():
+    # outside elements through the constructor, a factor the library builds through
+    # from_factor: no signature takes both
+    with pytest.raises(TypeError):
+        Retrodictor([np.full((2, 2), 5.0)], 0, None, np.zeros((1, 2, 1)))
+    with pytest.raises(TypeError):
+        ProjectiveRetrodictor(2, None, None, np.zeros((1, 2, 1)))
+    with pytest.raises(TypeError):
+        ProjectiveRetrodictor(2)
+
+
+@pytest.mark.parametrize("cls", [Retrodictor, UnambiguousRetrodictor, ProjectiveRetrodictor])
+def test_from_factor_refuses_a_factor_beyond_the_norm_bound(cls):
+    w = np.zeros((2, 3, 1), dtype=complex)
+    w[0, 0, 0], w[1, 1, 0] = np.sqrt(1.0 + 4.0 * DEFAULT_TOL.psd_floor), 1.0
+    with pytest.raises(InvalidOperatorSetError, match="element 0 is not PSD"):
+        cls.from_factor(w)
+    w[0, 0, 0] = 1.0
+    retro = cls.from_factor(w)
+    assert type(retro) is cls and (retro.n_outcomes, retro.d, retro.inconclusive_index) == (2, 3, 0)
+    w[:] = 0.0  # the caller's array stays the caller's
+    assert retro.factor[0, 0, 0] == 1.0 and not retro.factor.flags.writeable and w.flags.writeable
 
 
 def test_projective_retrodictor_is_completed_by_its_remainder():
@@ -270,7 +309,7 @@ def test_factor_norm_check_agrees_with_the_expanded_elements_around_the_floor():
         conclusive = [np.outer(col, np.conj(col)) for col in w.T]
         elements = [np.eye(d) - sum(conclusive)] + conclusive
         verdicts = []
-        for build in (lambda: Retrodictor(None, 0, None, w.T[:, :, None]),
+        for build in (lambda: Retrodictor.from_factor(w.T[:, :, None]),
                       lambda: Retrodictor(elements)):
             try:
                 build()

@@ -351,6 +351,16 @@ def test_retrodictor_rejects_every_pair_over_the_overlap_rule():
     assert 0 < rejected < 600
 
 
+def test_projective_from_factor_takes_its_dimension_and_projectors_from_the_factor(rng):
+    # d_out is the factor's row count; each projector is W_k W_k^dag of its block, as the
+    # factor-built projectors have always been formed
+    factor = build_retrodictor(synthesize(random_povm(3, 4, rng), d_out=5).measurement).factor.copy()
+    retro = ProjectiveRetrodictor.from_factor(factor)
+    assert retro.d_out == factor.shape[1] == 5 and len(retro.projectors) == len(factor) == 4
+    for got, w in zip(retro.projectors, factor):
+        assert np.array_equal(got, w @ dag(w))
+
+
 def test_retrodictor_projectors_are_orthogonal(rng):
     result = synthesize(random_povm(3, 3, rng), d_out=4)
     retro = build_retrodictor(result.measurement)

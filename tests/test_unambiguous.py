@@ -9,6 +9,7 @@ import retroq.measurement as measurement
 import retroq.unambiguous as unambiguous
 from retroq import (
     DependentFinalStatesError,
+    DimensionMismatchError,
     LinearlyDependentStatesError,
     Measurement,
     NonUnitaryInputError,
@@ -86,6 +87,16 @@ def test_dependent_states_are_rejected():
     plus = (e[:, 0] + e[:, 1]) / np.sqrt(2)
     with pytest.raises(LinearlyDependentStatesError):
         build_ud_povm([e[:, 0], e[:, 1], plus])
+
+
+def test_build_ud_povm_names_its_input_errors():
+    e = np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match="^need at least one state$"):
+        build_ud_povm([])
+    with pytest.raises(DimensionMismatchError, match="^state 2 has length 3; state 0 has 2$"):
+        build_ud_povm([e[:2, 0], e[:2, 1], e[:, 2]])
+    with pytest.raises(DimensionMismatchError, match="^state 1 has length 2; state 0 has 3$"):
+        build_ud_povm(iter([e[:, 0], e[:2, 1]]))
 
 
 def _two_state_failure_oracle(psi1, psi2, steps=60) -> float:
@@ -209,13 +220,13 @@ def test_assess_failure_probability_matches_the_retrodictor(d, rng):
 
 def test_assess_builds_no_retrodictor(rng, monkeypatch):
     built = []
-    post_init = unambiguous.UnambiguousRetrodictor.__post_init__
+    from_factor = unambiguous.UnambiguousRetrodictor.from_factor.__func__
 
-    def counting(self, tol):
-        built.append(self)
-        post_init(self, tol)
+    def counting(cls, factor, tol=None):
+        built.append(factor)
+        return from_factor(cls, factor, tol)
 
-    monkeypatch.setattr(unambiguous.UnambiguousRetrodictor, "__post_init__", counting)
+    monkeypatch.setattr(unambiguous.UnambiguousRetrodictor, "from_factor", classmethod(counting))
     m = random_nonsingular_independent(3, 5, rng)
     assert assess_measurement(m).feasible == "yes"
     assert assess_measurement(pauli_measurement()).feasible == "yes"
