@@ -15,7 +15,8 @@ import numpy as np
 
 from .catalog import NamedExample
 from .dependence import DependenceVerdict, _checked_ops
-from .measurement import Measurement, Povm, QuantumState, square_matrices
+from .errors import DimensionMismatchError, InvalidOperatorSetError
+from .measurement import Measurement, Povm, QuantumState
 from .perfect import PerfectCheckReport, ProjectiveRetrodictor
 from .simulation import TrialReport
 from .unambiguous import RetrodictionAssessment, UnambiguousRetrodictor
@@ -112,9 +113,14 @@ def ud_to_obj(r: UnambiguousRetrodictor) -> dict:
 
 def ud_from_obj(obj, tol=None) -> UnambiguousRetrodictor:
     elements = [array_from_obj(e, 2) for e in _typed(obj["elements"], list, "elements")]
-    elements = square_matrices(elements, _typed(obj["d"], int, "d"), "element")
+    d = _typed(obj["d"], int, "d")
     index = _typed(obj.get("inconclusive_index", 0), int, "inconclusive_index")
-    return UnambiguousRetrodictor(elements, index, tol)
+    if d < 1:
+        raise InvalidOperatorSetError("dimension must be positive")
+    r = UnambiguousRetrodictor(elements, index, tol)
+    if r.d != d:  # the constructor took d from element 0 and held every element to it
+        raise DimensionMismatchError(f"element 0 has shape ({r.d}, {r.d}); expected ({d}, {d})")
+    return r
 
 
 def operators_to_obj(ops) -> dict:

@@ -152,9 +152,9 @@ def _factored(stack: np.ndarray) -> np.ndarray:
 
 
 def _completed(conclusive, d: int) -> list[np.ndarray]:
-    """Views of the read-only stack ``[I - sum_j E_j] + conclusive``, the first symmetrised."""
+    """``[I - sum_j E_j] + conclusive``, the first symmetrised; ``conclusive`` is not copied."""
     rest = np.eye(d) - sum(conclusive, np.zeros((d, d)))
-    return list(square_matrices([(rest + dagger(rest)) / 2.0, *conclusive], d, "element"))
+    return [(rest + dagger(rest)) / 2.0, *conclusive]
 
 
 class Retrodictor:
@@ -201,7 +201,8 @@ class Retrodictor:
     @property
     def elements(self) -> list[np.ndarray]:
         if self._elements is None:  # threads racing here form the same elements
-            self._elements = _completed([w @ dagger(w) for w in self.factor], self.d)
+            elements = _completed([w @ dagger(w) for w in self.factor], self.d)
+            self._elements = list(square_matrices(elements, self.d, "element"))
         return self._elements
 
     def conclusive_elements(self) -> list[np.ndarray]:

@@ -96,9 +96,9 @@ def check_perfect(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> PerfectCheckR
     ``k != k'``, normalised by the product of the operator norms so the
     verdict is scale-invariant, one operator ``A_kr`` at a time.  Operators
     that share no nonzero output row with a later outcome are skipped before
-    any per-operator work, norms included; for the others only the span of
-    later operators from the first to the last that share a row with
-    ``A_kr`` is multiplied.  Every product left out is exactly zero.  For
+    any per-operator work, norms and adjoints included; for the others only
+    the span of later operators from the first to the last that share a row
+    with ``A_kr`` is multiplied.  Every product left out is exactly zero.  For
     dense operators the span is the whole later stack, and temporaries are
     about three times the operator list.  Of equal maxima the witness is the
     first in the order ``(k, r, k', r')``.  The residual and witness are
@@ -112,13 +112,14 @@ def check_perfect(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> PerfectCheckR
 def _cross_products(m: Measurement) -> tuple[float, tuple[int, int, int, int] | None]:
     ops = m.kraus
     owner = np.repeat(np.arange(m.n_outcomes), np.diff(m.starts))  # outcome of each operator
-    adjoints = dagger(np.hstack(ops))  # row block j is ops[j]^dag
     # entries are finite, so operators with disjoint output rows have an exactly zero product
-    touched = (adjoints != 0).reshape(len(ops), m.d_in, m.d_out).any(axis=1)
+    touched = (ops != 0).any(axis=2)  # the output rows each operator writes
     last = np.where(touched, owner[:, None], -1).max(axis=0)  # last outcome writing each row
     meeting = np.flatnonzero((touched & (last > owner[:, None])).any(axis=1))
     worst, witness = 0.0, None
-    norms = np.array([fro(a) for a in ops]) if meeting.size else None
+    if meeting.size:
+        adjoints = dagger(np.hstack(ops))  # row block j is ops[j]^dag
+        norms = np.array([fro(a) for a in ops])
     for i in meeting:
         k = owner[i]
         later = m.starts[k + 1]  # first operator of outcome k + 1

@@ -7,7 +7,10 @@ post-measurement state, whose statistics are read from the Kraus images of
 the input without forming the state.  Trials are partitioned into fixed-size
 blocks with independently spawned PCG64 substreams; block results merge by
 summation, making the report independent of execution order and reproducible
-from the seed alone.
+from the seed alone.  A block's confusion counts come from sorted integer
+keys (actual outcome, rank of the answer draw), located by ``searchsorted``
+at every CDF entry, rather than from each draw compared with its CDF row;
+the counts are the same.
 """
 
 from __future__ import annotations
@@ -117,7 +120,8 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
     outcome_cdf = np.cumsum(p)
     outcome_cdf[outcome_cdf >= outcome_cdf[-1]] = 1.0
 
-    confusion = np.zeros((n + 1) * n, dtype=np.int64)
+    counts = np.zeros((n, n + 1), dtype=np.int64)  # [actual outcome, answer]
+    firsts = np.arange(n)[:, None] * _BLOCK  # key of outcome k's first possible trial
     n_blocks = -(-n_trials // _BLOCK) if n_trials else 0
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     done = 0
@@ -129,10 +133,19 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
         u_retro = rng.random(size)
         ks = np.searchsorted(outcome_cdf, u_outcome, side="right")
         np.clip(ks, 0, n - 1, out=ks)
-        # the count of CDF entries <= u is searchsorted(side="right"): every CDF ends at 1 > u
-        rows = (row_cdfs[ks] <= u_retro[:, None]).sum(axis=1)
-        confusion += np.bincount(rows * n + ks, minlength=(n + 1) * n)
-    confusion = confusion.reshape(n + 1, n)
+        # A trial of outcome k answers j iff cdf[k, j-1] <= u < cdf[k, j], and every CDF
+        # ends at 1 > u.  With rank the trial's place among the sorted draws, u < cdf[k, j]
+        # iff rank < below[k, j], ties included; so the trials of outcome k with
+        # u < cdf[k, j] are the sorted keys k * _BLOCK + rank below k * _BLOCK + below[k, j].
+        # As rank < _BLOCK and below <= _BLOCK, no key of outcome k reaches outcome k + 1's.
+        order = np.argsort(u_retro)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(size)
+        below = np.searchsorted(u_retro[order], row_cdfs, side="left")
+        keys = np.sort(ks * _BLOCK + rank)
+        cumulative = np.searchsorted(keys, firsts + below)
+        counts += np.diff(cumulative, axis=1, prepend=np.searchsorted(keys, firsts))
+    confusion = np.ascontiguousarray(counts.T)
 
     conclusive = int(confusion[:-1, :].sum())
     agreed = int(np.trace(confusion[:-1, :]))

@@ -7,6 +7,8 @@ import re
 import numpy as np
 import pytest
 
+import retroq.measurement as measurement
+import retroq.perfect as perfect
 from retroq import (
     DimensionMismatchError,
     InvalidOperatorSetError,
@@ -24,6 +26,7 @@ from retroq import (
     povm_of,
 )
 from retroq.catalog import PAULI, counterexample_3d, two_to_four
+from retroq.jsonio import ud_from_obj, ud_to_obj
 from retroq.linalg import DEFAULT_TOL
 from retroq.measurement import Retrodictor, images
 from retroq.rand import random_fine_grained, random_psd, random_pure_state, random_unitary
@@ -272,6 +275,24 @@ def test_projective_retrodictor_is_completed_by_its_remainder():
     assert retro.d == 2 and retro.n_outcomes == 1 and retro.inconclusive_index == 0
     assert np.allclose(retro.elements[0], np.diag([0.0, 1.0]), atol=1e-15)
     assert np.array_equal(retro.conclusive_elements()[0], P0)
+
+
+def test_outside_sets_are_copied_once_per_check(monkeypatch):
+    # projectors once to test them and once as the validated stack; a file's elements only
+    # as the validated stack, its d checked against the retrodictor made from them
+    square = measurement.square_matrices
+    copies = []
+    for module in (measurement, perfect):
+        monkeypatch.setattr(module, "square_matrices",
+                            lambda ops, d, what: copies.append(what) or square(ops, d, what))
+    ProjectiveRetrodictor(2, [P0, np.diag([0.0, 1.0 + 0j])])
+    assert copies == ["projector", "element"]
+    obj = ud_to_obj(UnambiguousRetrodictor([0.2 * E2, 0.8 * P0, np.diag([0.0, 0.8 + 0j])]))
+    copies.clear()
+    assert ud_from_obj(obj).d == 2
+    assert copies == ["element"]
+    with pytest.raises(DimensionMismatchError, match=re.escape("expected (3, 3)")):
+        ud_from_obj({**obj, "d": 3})
 
 
 def test_rotated_complete_projectors_leave_a_zero_remainder(rng):

@@ -201,6 +201,17 @@ def test_standard_synthesis_forms_no_product_and_no_norm(monkeypatch):
     assert calls["product"] > 0 and calls["norm"] > 0
 
 
+def test_standard_synthesis_forms_no_adjoint(monkeypatch):
+    # operators meeting no later outcome are skipped before the adjoint stack is formed
+    formed = []
+    monkeypatch.setattr(perfect, "dagger", lambda a: formed.append(a.shape) or dag(a))
+    for seed in range(25):
+        perfect._cross_products(seeded_measurement("standard", seed))
+    assert formed == []
+    perfect._cross_products(seeded_measurement("fine", 0))  # the counter does count
+    assert formed
+
+
 def span_cases(m: Measurement) -> set[str]:
     """How the later operators meeting each operator in an output row lie:
     none at all, the first beyond the next outcome, or a gap inside the span."""

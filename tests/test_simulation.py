@@ -360,3 +360,74 @@ def test_the_largest_draw_never_lands_on_a_zero_probability_entry(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", Top)
     report = run_trials(m, retro, s, 10, seed=0)
     assert report.confusion[3, 2] == report.confusion.sum() == 10
+
+
+# --------------------------------------------- the sorted-key counter against the old loop
+
+def _replay(monkeypatch, outcome_draws, answer_draws):
+    """Make every block draw its outcomes cycling through ``outcome_draws`` and its
+    answers through ``answer_draws``, in place of ``np.random.Generator``."""
+
+    class Replayed:
+        def __init__(self, bit_generator):
+            self.draws = iter((outcome_draws, answer_draws))
+
+        def random(self, size):
+            return np.resize(np.array(next(self.draws)), size)
+
+    monkeypatch.setattr(np.random, "Generator", Replayed)
+
+
+def _scalar_measurement(n, amplitude):
+    return Measurement(1, 1, [[np.full((1, 1), amplitude, dtype=complex)] for _ in range(n)])
+
+
+def _scalar_retrodictor(conclusive):
+    # on C^1 every post-measurement state is |0>, so each row is the elements themselves
+    return UnambiguousRetrodictor([np.full((1, 1), 1.0 - sum(conclusive))]
+                                  + [np.full((1, 1), e) for e in conclusive])
+
+
+@pytest.mark.parametrize("n_trials", [0, 1, 8191, 8192, 8193])
+def test_counter_places_draws_on_cdf_entries_and_ties_as_the_loop_does(n_trials, monkeypatch):
+    # dyadic amplitudes and elements make every CDF exact on both paths, so the draws can
+    # equal CDF entries: outcome CDF (1/4, 1/2, 3/4, 1), answer CDF (1/4, 1/2, 1/2, 3/4, 1)
+    # with an entry repeated by the zero element; the cycles' lengths are coprime, so every
+    # outcome draw meets every answer draw, and each value recurs as ties
+    top = np.nextafter(1.0, 0.0)
+    _replay(monkeypatch, [0.0, 0.25, 0.5, 0.75, top], [0.25, 0.0, 0.25, 0.5, 0.75, top, 0.5])
+    m, s = _scalar_measurement(4, 0.5), QuantumState.pure([1.0])
+    for r in (_scalar_retrodictor([0.25, 0.25, 0.0, 0.25]), always_inconclusive(1, 4)):
+        got = run_trials(m, r, s, n_trials, seed=0).confusion
+        assert got.tobytes() == _old_confusion(m, r, s, n_trials, seed=0).tobytes()
+        assert got.sum() == n_trials
+    # one outcome, whose answer CDF is (1/4, 1): the draws sit on, below and above 1/4
+    m, r = _scalar_measurement(1, 1.0), _scalar_retrodictor([0.25])
+    got = run_trials(m, r, s, n_trials, seed=0).confusion
+    assert got.tobytes() == _old_confusion(m, r, s, n_trials, seed=0).tobytes()
+    if n_trials == 1:  # the one draw, u = 1/4, equals the CDF's first entry: it answers past it
+        assert got[:, 0].tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("n_trials", [0, 1, 8191, 8192, 8193])
+def test_counter_leaves_outcomes_without_draws_empty(n_trials, monkeypatch):
+    # every outcome draw lands on outcome 3 of 4: the other outcomes hold no key at all
+    _replay(monkeypatch, [0.75, 0.9, np.nextafter(1.0, 0.0)], [0.0, 0.3, 0.5, 0.6, 0.99])
+    m, s = _scalar_measurement(4, 0.5), QuantumState.pure([1.0])
+    r = _scalar_retrodictor([0.25, 0.25, 0.0, 0.25])
+    got = run_trials(m, r, s, n_trials, seed=0).confusion
+    assert got.tobytes() == _old_confusion(m, r, s, n_trials, seed=0).tobytes()
+    assert got[:, :3].sum() == 0 and got[:, 3].sum() == n_trials
+
+
+def test_counter_has_no_outcome_limit():
+    # 1,100 outcomes on C^1, A_k = n^-1/2, each answered from a 1,101-entry CDF: keys reach
+    # 1099 * 8192 + 8191, far beyond 16 bits, and most outcomes are drawn
+    n = 1100
+    m, s = _scalar_measurement(n, n ** -0.5), QuantumState.pure([1.0])
+    weights = np.random.default_rng(8).random(n + 1)
+    r = _scalar_retrodictor(list(weights[:n] / weights.sum()))
+    got = run_trials(m, r, s, 8193, seed=1).confusion
+    assert got.shape == (n + 1, n)
+    assert got.tobytes() == _old_confusion(m, r, s, 8193, seed=1).tobytes()
+    assert np.count_nonzero(got.sum(axis=0)) > n // 2

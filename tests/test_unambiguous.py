@@ -27,7 +27,7 @@ from retroq import (
     synthesize,
 )
 from retroq.catalog import PAULI, counterexample_3d
-from retroq.linalg import DEFAULT_TOL
+from retroq.linalg import DEFAULT_TOL, numeric_rank
 from retroq.rand import (
     ginibre,
     psd_inv_sqrt,
@@ -35,6 +35,7 @@ from retroq.rand import (
     random_nonsingular_independent,
     random_povm,
     random_pure_state,
+    random_unitary,
 )
 
 
@@ -196,6 +197,25 @@ def test_nonsingular_dependent_measurement_is_infeasible(rng):
 def test_singular_dependent_measurement_is_undecided():
     assessment = assess_measurement(counterexample_3d().measurement)
     assert assessment.feasible == "undecided"
+
+
+def test_singular_member_is_decided_as_numeric_rank_decides(rng):
+    # dependent sets of five operators on C^2 with none, one or every member of rank 1; in
+    # the "near" set member 0 has singular values 1 and 1e-5 before normalisation, so the
+    # cutoff 1e-3 makes it singular and the default cutoff does not
+    cases = [(2, 0, "no", "no"), (2, 1, "undecided", "undecided"), (2, 5, "undecided", "undecided"),
+             (1, 0, "undecided", "undecided"), (2, "near", "no", "undecided")]
+    for d_out, rank_one, *expected in cases:
+        gs = [ginibre(d_out, 2, rng) for _ in range(5)]
+        if rank_one == "near":
+            gs[0] = random_unitary(2, rng) @ np.diag([1.0, 1e-5]) @ random_unitary(2, rng)
+        else:
+            gs[:rank_one] = [np.outer(g[:, 0], g[0]) for g in gs[:rank_one]]
+        root = psd_inv_sqrt(sum(np.conj(g).T @ g for g in gs))
+        m = Measurement(2, d_out, [[g @ root] for g in gs])
+        for tol, want in zip((DEFAULT_TOL, Tolerance(rank_rel=1e-3)), expected):
+            singular = any(numeric_rank(a, tol) < 2 for a in m.all_kraus())
+            assert assess_measurement(m, tol).feasible == want == ("undecided" if singular else "no")
 
 
 def test_assess_requires_fine_grained():
