@@ -29,9 +29,11 @@ class Measurement:
     numerically zero.  The measurement owns a read-only copy of its operators,
     the stack ``kraus`` of shape ``(N, d_out, d_in)`` in ``all_kraus()`` order,
     and ``outcomes[k]`` holds views of its rows.  It also stores, read-only:
-    ``starts``, the ``n + 1`` offsets of the groups in that order, and
-    ``elements``, the group elements ``E_k = sum_r A_kr^dag A_kr`` as one
-    ``(n, d_in, d_in)`` stack, which retains ``n d_in^2`` complex entries.
+    ``starts``, the ``n + 1`` offsets of the groups in that order;
+    ``nonzero_rows``, the ``(N, d_out)`` mask of the output rows each operator
+    writes, which the perfect check reads; and ``elements``, the group elements
+    ``E_k = sum_r A_kr^dag A_kr`` as one ``(n, d_in, d_in)`` stack, formed as
+    ``X_k^dag X_k`` over the nonzero rows ``X_k`` of group ``k`` alone.
     """
 
     d_in: int
@@ -41,6 +43,7 @@ class Measurement:
     kraus: np.ndarray = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
     elements: np.ndarray = field(init=False, repr=False, compare=False)
+    nonzero_rows: np.ndarray = field(init=False, repr=False, compare=False)
     _cross_residual: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, tol: Tolerance | None) -> None:
@@ -64,9 +67,19 @@ class Measurement:
         stack = self.kraus = finite(np.stack(ops))  # a copy: no caller array is kept
         stack.setflags(write=False)  # before slicing, so that every view is read-only too
         self.outcomes = [list(stack[a:b]) for a, b in zip(self.starts[:-1], self.starts[1:])]
-        self.elements = np.add.reduceat(np.conj(stack).transpose(0, 2, 1) @ stack, self.starts[:-1])
-        self.starts.setflags(write=False)
-        self.elements.setflags(write=False)
+        rows = self.nonzero_rows = (stack.view(float) != 0).any(axis=2)  # re or im nonzero
+        # E_k = X_k^dag X_k for the nonzero rows X_k of group k, padded with zero rows to whole
+        # chunks of d_in rows (at least one), one product per chunk, summed per group; skip
+        # counts the zero rows placed before each nonzero row
+        counts = np.add.reduceat(rows.sum(axis=1), self.starts[:-1])
+        chunks = np.maximum(-(-counts // self.d_in), 1)
+        firsts = np.cumsum(chunks) - chunks  # the first chunk of each group
+        padded = np.zeros((chunks.sum(), self.d_in, self.d_in), dtype=complex)
+        skip = np.repeat(firsts * self.d_in - np.cumsum(counts) + counts, counts)
+        padded.reshape(-1, self.d_in)[np.arange(skip.size) + skip] = stack[rows]
+        self.elements = np.add.reduceat(np.conj(padded).transpose(0, 2, 1) @ padded, firsts)
+        for a in (self.starts, rows, self.elements):
+            a.setflags(write=False)
         vanishing = np.flatnonzero(np.linalg.norm(self.elements, axis=(1, 2)) <= tol.eq_residual)
         if vanishing.size:
             raise InvalidOperatorSetError(f"outcome {vanishing[0]} has a vanishing POVM element")
@@ -201,8 +214,11 @@ class Retrodictor:
     @property
     def elements(self) -> list[np.ndarray]:
         if self._elements is None:  # threads racing here form the same elements
-            elements = _completed([w @ dagger(w) for w in self.factor], self.d)
-            self._elements = list(square_matrices(elements, self.d, "element"))
+            stack = np.empty((self.n_outcomes + 1, self.d, self.d), dtype=complex)
+            np.matmul(self.factor, np.conj(self.factor).transpose(0, 2, 1), out=stack[1:])
+            stack[0] = _completed(stack[1:], self.d)[0]
+            stack.setflags(write=False)
+            self._elements = list(stack)
         return self._elements
 
     def conclusive_elements(self) -> list[np.ndarray]:

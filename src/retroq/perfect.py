@@ -95,8 +95,9 @@ def check_perfect(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> PerfectCheckR
     Takes the norm of every cross product ``A_{k'r'}^dag A_{kr}`` with
     ``k != k'``, normalised by the product of the operator norms so the
     verdict is scale-invariant, one operator ``A_kr`` at a time.  Operators
-    that share no nonzero output row with a later outcome are skipped before
-    any per-operator work, norms and adjoints included; for the others only
+    that share no nonzero output row with a later outcome, read from the
+    measurement's ``nonzero_rows`` mask made once at construction, are skipped
+    before any per-operator work, norms and adjoints included; for the others only
     the span of later operators from the first to the last that share a row
     with ``A_kr`` is multiplied.  Every product left out is exactly zero.  For
     dense operators the span is the whole later stack, and temporaries are
@@ -113,7 +114,7 @@ def _cross_products(m: Measurement) -> tuple[float, tuple[int, int, int, int] | 
     ops = m.kraus
     owner = np.repeat(np.arange(m.n_outcomes), np.diff(m.starts))  # outcome of each operator
     # entries are finite, so operators with disjoint output rows have an exactly zero product
-    touched = (ops != 0).any(axis=2)  # the output rows each operator writes
+    touched = m.nonzero_rows  # the output rows each operator writes
     last = np.where(touched, owner[:, None], -1).max(axis=0)  # last outcome writing each row
     meeting = np.flatnonzero((touched & (last > owner[:, None])).any(axis=1))
     worst, witness = 0.0, None

@@ -10,7 +10,8 @@ summation, making the report independent of execution order and reproducible
 from the seed alone.  A block's confusion counts come from sorted integer
 keys (actual outcome, rank of the answer draw), located by ``searchsorted``
 at every CDF entry, rather than from each draw compared with its CDF row;
-the counts are the same.
+the counts are the same.  The actual outcomes, likewise, come from the
+outcome draws sorted once and the outcome CDF located among them.
 """
 
 from __future__ import annotations
@@ -55,19 +56,19 @@ class TrialReport:
 
 
 def _clean_probs(p: np.ndarray, floor: float) -> np.ndarray:
-    """Clamp to [0, 1], zero entries below ``floor``, renormalise."""
+    """Clamp to [0, 1], zero entries below ``floor``, renormalise; row by row for a 2-D ``p``."""
     q = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
     q[q < floor] = 0.0
-    total = q.sum()
-    if total <= 0.0:
+    total = q.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise ValueError("probability vector vanished after clamping")
     return q / total
 
 
 def _retrodictor_rows(r: Retrodictor, m: Measurement, s: QuantumState, stack: np.ndarray,
-                      live: list[int], tol: Tolerance) -> list[np.ndarray]:
+                      live: list[int], tol: Tolerance) -> np.ndarray:
     """Probability vectors over rows 0..N-1 (retrodicted) plus row N (inconclusive),
-    one per outcome in ``live``.
+    one row per outcome in ``live``.
 
     Over the Kraus images ``S_r = (A_kr x I) F`` of ``s``, entry ``j`` of outcome ``k`` is
     ``sum_r ||W_j^dag S_r||^2 = sum_r tr(S_r^dag E_j S_r)`` for the blocks ``W_j`` of the
@@ -90,7 +91,19 @@ def _retrodictor_rows(r: Retrodictor, m: Measurement, s: QuantumState, stack: np
     per_image = np.column_stack([conclusive, total - conclusive.sum(axis=1)])
     sizes = np.diff(m.starts)[live]
     rows = np.add.reduceat(per_image, np.cumsum(sizes) - sizes, axis=0)
-    return [_clean_probs(row / row.sum(), tol.rank_rel) for row in rows]
+    return _clean_probs(rows / rows.sum(axis=1, keepdims=True), tol.rank_rel)
+
+
+def _outcomes(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Outcome of each draw ``u``: the number of ``cdf`` entries at or below it, at most
+    ``len(cdf) - 1``.  Of the sorted draws, outcome ``k`` takes those below ``cdf[k]`` that
+    no earlier outcome took."""
+    by_outcome = np.argsort(u)
+    bounds = np.searchsorted(u[by_outcome], cdf, side="left")
+    bounds[-1] = u.size
+    ks = np.empty(u.size, dtype=np.intp)
+    ks[by_outcome] = np.repeat(np.arange(cdf.size), np.diff(bounds, prepend=0))
+    return ks
 
 
 def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, seed: int,
@@ -129,10 +142,8 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
         size = min(_BLOCK, n_trials - done)
         done += size
         rng = np.random.Generator(np.random.PCG64(child))
-        u_outcome = rng.random(size)
+        ks = _outcomes(rng.random(size), outcome_cdf)
         u_retro = rng.random(size)
-        ks = np.searchsorted(outcome_cdf, u_outcome, side="right")
-        np.clip(ks, 0, n - 1, out=ks)
         # A trial of outcome k answers j iff cdf[k, j-1] <= u < cdf[k, j], and every CDF
         # ends at 1 > u.  With rank the trial's place among the sorted draws, u < cdf[k, j]
         # iff rank < below[k, j], ties included; so the trials of outcome k with

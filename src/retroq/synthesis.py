@@ -4,7 +4,10 @@ Any POVM with no more outcomes than output dimensions admits a Kraus
 decomposition whose outcome can be retrodicted for every input: diagonalise
 each element, route all of its eigenvector weights onto one member ``x_k``
 of an orthonormal reference family in the output space.  Distinct outcomes
-then write into orthogonal one-dimensional slots.
+then write into orthogonal one-dimensional slots.  All elements are
+diagonalised in one batched decomposition, and every kept eigen-term
+``sqrt(w) |x_k><v|`` is written straight into one Kraus stack, split into
+the outcome groups.
 
 The same spectral data also yields single-operator factors
 ``B_k = sum_r sqrt(w_kr) |x_r><pi_kr|`` with ``B_k^dag B_k`` equal to the
@@ -18,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadBasisError, InvalidOperatorSetError, TooManyOutcomesError
-from .linalg import DEFAULT_TOL, Tolerance, as_vector, fro, psd_eig
+from .errors import (BadBasisError, InvalidOperatorSetError, NotHermitianError, NotPsdError,
+                     TooManyOutcomesError)
+from .linalg import DEFAULT_TOL, Tolerance, as_vector, finite, fro, psd_eig
 from .measurement import Measurement, Povm
 
 
@@ -71,19 +75,30 @@ def synthesize(p: Povm, d_out: int, x_basis=None,
     if n > d_out:
         raise TooManyOutcomesError(f"{n} outcomes exceed output dimension {d_out}")
     basis = _checked_basis(x_basis, n, d_out, tol)
-    outcomes: list[list[np.ndarray]] = []
-    spectral: list[list[tuple[float, np.ndarray]]] = []
-    for k, element in enumerate(p.elements):
-        w, v = psd_eig(element, tol, scale=1.0)
-        lam_max = float(w[0]) if w.size else 0.0
-        if lam_max <= 0.0:
-            raise InvalidOperatorSetError(f"POVM element {k} is numerically zero")
-        keep = np.flatnonzero(w > tol.rank_rel * lam_max)
-        # sqrt(w_r) |x_k><v_r| for every kept eigen-term at once
-        group = np.sqrt(w[keep])[:, None, None] * (basis[k][:, None] * np.conj(v[:, keep]).T[:, None, :])
-        outcomes.append(list(group))
-        spectral.append([(float(w[r]), v[:, r]) for r in keep])
-    measurement = Measurement(p.d, d_out, outcomes, tol)
+    stack = finite(np.stack(p.elements))
+    w, v = np.linalg.eigh((stack + np.conj(stack).transpose(0, 2, 1)) / 2.0)
+    order = np.argsort(-w, axis=1, kind="stable")  # descending, ties in eigh's order
+    w, v = np.take_along_axis(w, order, 1), np.take_along_axis(v, order[:, None, :], 2)
+    # psd_eig's checks, in its order, for the first element failing any of them
+    skew = np.linalg.norm(stack - np.conj(stack).transpose(0, 2, 1), axis=(1, 2))
+    failed = [skew > tol.eq_residual * np.linalg.norm(stack, axis=(1, 2)),
+              w[:, -1] < -tol.psd_floor, w[:, 0] <= 0.0]
+    bad = np.flatnonzero(np.any(failed, axis=0))
+    if bad.size:
+        k = bad[0]
+        if failed[0][k]:
+            raise NotHermitianError("matrix is not Hermitian within tolerance")
+        if failed[1][k]:
+            raise NotPsdError(f"most negative eigenvalue {w[k, -1]:.3e} below the admissible floor")
+        raise InvalidOperatorSetError(f"POVM element {k} is numerically zero")
+    keep = w > tol.rank_rel * w[:, :1]
+    ks, rs = np.nonzero(keep)
+    # sqrt(w_r) |x_k><v_r| for every kept eigen-term of every element at once
+    kraus = np.sqrt(w[ks, rs])[:, None, None] * (np.array(basis[:n])[ks][:, :, None]
+                                                 * np.conj(v[ks, :, rs])[:, None, :])
+    sizes = keep.sum(axis=1)
+    measurement = Measurement(p.d, d_out, np.split(kraus, np.cumsum(sizes)[:-1]), tol)
+    spectral = [[(float(w[k, r]), v[k, :, r]) for r in np.flatnonzero(keep[k])] for k in range(n)]
     return SynthesisResult(measurement, basis, spectral)
 
 

@@ -24,12 +24,22 @@ from retroq import (
     check_perfect,
     outcome_probabilities,
     povm_of,
+    synthesize,
 )
 from retroq.catalog import PAULI, counterexample_3d, two_to_four
 from retroq.jsonio import ud_from_obj, ud_to_obj
 from retroq.linalg import DEFAULT_TOL
 from retroq.measurement import Retrodictor, images
-from retroq.rand import random_fine_grained, random_psd, random_pure_state, random_unitary
+from retroq.rand import (
+    ginibre,
+    psd_inv_sqrt,
+    random_fine_grained,
+    random_povm,
+    random_projective_povm,
+    random_psd,
+    random_pure_state,
+    random_unitary,
+)
 from retroq.simulation import run_trials
 
 E2 = np.eye(2, dtype=complex)
@@ -101,6 +111,10 @@ HALF_2 = np.diag([1.0, 1.0j]) / np.sqrt(2)
      "outcome 1 has a vanishing POVM element"),
     ([[HALF, 0.0 * E2], [HALF_2], [1e-11 * E2], [0.0 * E2] * 3], InvalidOperatorSetError,
      "outcome 2 has a vanishing POVM element"),
+    ([[0.0 * E2], [HALF, HALF_2]], InvalidOperatorSetError, "outcome 0 has a vanishing POVM element"),
+    ([[HALF], [0.0 * E2, 0.0 * E2], [HALF_2]], InvalidOperatorSetError,
+     "outcome 1 has a vanishing POVM element"),
+    ([[HALF, HALF_2], [0.0 * E2] * 5], InvalidOperatorSetError, "outcome 1 has a vanishing POVM element"),
     ([[HALF, HALF_2], [0.1 * E2]], InvalidOperatorSetError, "Kraus operators do not resolve the identity"),
 ])
 def test_construction_errors_keep_their_type_and_message(outcomes, error, message):
@@ -133,9 +147,54 @@ def test_group_offsets_and_elements_are_stored_read_only(rng):
     assert m.elements.shape == (3, 3, 3)
     assert np.abs(m.elements - np.array(want)).max() <= 1e-14
     assert np.abs(np.array(povm_of(m).elements) - np.array(want)).max() <= 1e-14
-    for stored in (m.starts, m.elements):
+    for stored in (m.starts, m.elements, m.nonzero_rows):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = 0
+
+
+def _per_operator_elements(m):
+    """The group elements as sums of the per-operator products ``A^dag A``."""
+    return np.add.reduceat(np.conj(m.kraus).transpose(0, 2, 1) @ m.kraus, m.starts[:-1])
+
+
+def _normalised_groups(ops, sizes):
+    """``ops`` times ``(sum A^dag A)^-1/2`` on the right, which keeps their zero rows, split
+    into groups of ``sizes``."""
+    root = psd_inv_sqrt(sum(np.conj(a).T @ a for a in ops))
+    return [list(g) for g in np.split(np.array([a @ root for a in ops]), np.cumsum(sizes)[:-1])]
+
+
+def _zero_rows(ops, rng):
+    """Each operator with about half of its rows set to zero, the first always kept."""
+    return [a * np.r_[1.0, rng.random(len(a) - 1) < 0.5][:, None] for a in ops]
+
+
+def test_group_elements_match_the_per_operator_products(rng):
+    cases = []
+    for d, n, d_out in [(2, 2, 2), (5, 3, 7), (16, 16, 16), (6, 6, 6)]:
+        cases.append(synthesize(random_povm(d, n, rng), d_out).measurement)
+        cases.append(synthesize(random_projective_povm(d, n, rng), d).measurement)
+    for d_in, d_out, n in [(6, 3, 4), (5, 5, 7), (3, 7, 5), (8, 8, 32)]:  # dense fine-grained
+        cases.append(random_fine_grained(d_in, d_out, n, rng))
+    for d_in, d_out, sizes in [(4, 6, [3, 1, 2, 5]), (6, 3, [2, 2, 2, 2]), (5, 9, [1] * 7)]:
+        ops = _zero_rows([ginibre(d_out, d_in, rng) for _ in range(sum(sizes))], rng)
+        cases.append(Measurement(d_in, d_out, _normalised_groups(ops, sizes)))
+    # skewed: one group of 100 operators and 99 single-operator groups
+    ops = [ginibre(16, 16, rng) for _ in range(199)]
+    cases.append(Measurement(16, 16, _normalised_groups(ops, [100] + [1] * 99)))
+    cases.append(Measurement(16, 16, _normalised_groups(_zero_rows(ops, rng), [1] * 99 + [100])))
+    for m in cases:
+        want = _per_operator_elements(m)
+        error = np.linalg.norm(m.elements - want, axis=(1, 2))
+        assert np.all(error <= 1e-15 * np.linalg.norm(want, axis=(1, 2)))
+
+
+def test_the_perfect_check_reads_the_stored_row_mask():
+    m = pauli_measurement()
+    assert np.array_equal(m.nonzero_rows, (m.kraus != 0).any(axis=2))
+    assert perfect._cross_products(m)[0] > 0.0
+    m.nonzero_rows = np.zeros_like(m.nonzero_rows)  # as if no operator wrote any row
+    assert perfect._cross_products(m) == (0.0, None)
 
 
 def test_fine_grained_flag():

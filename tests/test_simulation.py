@@ -23,7 +23,7 @@ from retroq.catalog import PAULI, counterexample_3d
 from retroq.jsonio import trial_report_to_obj, dumps
 from retroq.linalg import DEFAULT_TOL
 from retroq.measurement import images
-from retroq.simulation import _retrodictor_rows
+from retroq.simulation import _outcomes, _retrodictor_rows
 from retroq.rand import random_fine_grained, random_povm, random_psd, random_pure_state
 
 
@@ -431,3 +431,38 @@ def test_counter_has_no_outcome_limit():
     assert got.shape == (n + 1, n)
     assert got.tobytes() == _old_confusion(m, r, s, 8193, seed=1).tobytes()
     assert np.count_nonzero(got.sum(axis=0)) > n // 2
+
+
+# ------------------------------------- outcomes from sorted draws against the searched ones
+
+def _searched_outcomes(u, cdf):
+    return np.clip(np.searchsorted(cdf, u, side="right"), 0, len(cdf) - 1)
+
+
+@pytest.mark.parametrize("n_trials", [0, 1, 8191, 8192, 8193])
+def test_outcomes_of_sorted_draws_are_the_searched_outcomes(n_trials):
+    # exact CDFs, so draws can equal their entries; a repeated entry is an outcome of zero
+    # probability, and run_trials forces the final plateau to 1
+    top = np.nextafter(1.0, 0.0)
+    cdfs = [np.array([1.0]), np.array([0.25, 0.5, 0.75, 1.0]), np.array([0.0, 0.5, 1.0]),
+            np.array([0.25, 0.25, 0.5, 0.75, 0.75, 1.0, 1.0, 1.0])]
+    rng = np.random.default_rng(n_trials)
+    for cdf in cdfs:
+        ties = np.resize(np.r_[cdf, 0.0, top, cdf / 2.0, 0.3], n_trials)  # on entries, tied
+        for u in (ties, np.sort(ties), rng.random(n_trials), np.full(n_trials, cdf[0])):
+            got = _outcomes(u, cdf)
+            assert got.dtype == np.intp and np.array_equal(got, _searched_outcomes(u, cdf))
+
+
+@pytest.mark.parametrize("n_trials", [0, 1, 8191, 8192, 8193])
+def test_replayed_draws_skip_outcomes_of_zero_probability_as_the_loop_does(n_trials, monkeypatch):
+    # probabilities (1/4, 0, 1/4, 1/4, 0, 1/4, 0, 0), CDF (1/4, 1/4, 1/2, 3/4, 3/4, 1, 1, 1):
+    # the draws sit on every entry and tie; the cycles' lengths are coprime
+    top = np.nextafter(1.0, 0.0)
+    _replay(monkeypatch, [0.25, 0.0, 0.5, 0.75, top, 0.25, 0.6], [0.5, 0.1, top, 0.0, 0.3])
+    m = Measurement(8, 8, [[np.diag(e).astype(complex)] for e in np.eye(8)])
+    s = QuantumState.pure(np.array([0.5, 0.0, 0.5, 0.5, 0.0, 0.5, 0.0, 0.0]))
+    for r in (build_retrodictor(m), always_inconclusive(8, 8)):
+        got = run_trials(m, r, s, n_trials, seed=0).confusion
+        assert got.tobytes() == _old_confusion(m, r, s, n_trials, seed=0).tobytes()
+        assert got.sum() == n_trials and got[:, [1, 4, 6, 7]].sum() == 0

@@ -7,6 +7,9 @@ import pytest
 
 from retroq import (
     BadBasisError,
+    InvalidOperatorSetError,
+    NotHermitianError,
+    NotPsdError,
     Povm,
     TooManyOutcomesError,
     b_factor,
@@ -115,6 +118,51 @@ def test_synthesised_groups_equal_the_per_eigenvector_outer_products(rng):
     # each projective POVM keeps d of its n * d eigen-terms, n >= 2
     projective = [povm for povm, _, _ in cases[1::2]]
     assert all(sum(map(len, synthesize(p, p.d).measurement.outcomes)) == p.d for p in projective)
+
+
+def _element_loop_failure(povm: Povm, tol=DEFAULT_TOL):
+    """The exception the per-element loop raised: ``psd_eig`` at scale 1, then the zero
+    test, element by element."""
+    for k, element in enumerate(povm.elements):
+        try:
+            w, _ = psd_eig(element, tol, scale=1.0)
+        except (NotHermitianError, NotPsdError) as exc:
+            return exc
+        if float(w[0]) <= 0.0:
+            return InvalidOperatorSetError(f"POVM element {k} is numerically zero")
+    return None
+
+
+SKEW = np.array([[0.3, 0.2], [0.0, 0.3]], dtype=complex)  # not Hermitian
+NEGATIVE = np.diag([0.5, -0.1]).astype(complex)  # not PSD
+ZERO = np.zeros((2, 2), dtype=complex)
+SKEW_NEGATIVE = np.array([[-0.1, 0.2], [0.0, 0.3]], dtype=complex)  # neither
+
+
+NOT_HERMITIAN = (NotHermitianError, "matrix is not Hermitian within tolerance")
+NEGATIVE_01 = (NotPsdError, "most negative eigenvalue -1.000e-01 below the admissible floor")
+
+
+@pytest.mark.parametrize("swaps, error", [
+    ({1: SKEW, 2: ZERO}, NOT_HERMITIAN),
+    ({2: SKEW, 1: ZERO}, (InvalidOperatorSetError, "POVM element 1 is numerically zero")),
+    ({0: ZERO, 1: NEGATIVE}, (InvalidOperatorSetError, "POVM element 0 is numerically zero")),
+    ({1: NEGATIVE, 2: SKEW}, NEGATIVE_01),
+    ({2: NEGATIVE, 0: SKEW}, NOT_HERMITIAN),
+    ({0: SKEW_NEGATIVE, 1: ZERO}, NOT_HERMITIAN),
+    ({1: ZERO, 2: ZERO}, (InvalidOperatorSetError, "POVM element 1 is numerically zero")),
+    ({1: NEGATIVE, 2: 2.0 * NEGATIVE}, NEGATIVE_01),
+])
+def test_synthesis_reports_the_first_failing_element_as_the_element_loop_did(swaps, error):
+    # Povm validates at construction, so the faults are swapped into its list afterwards
+    povm = Povm(2, [np.eye(2) / 3.0] * 3)
+    for k, bad in swaps.items():
+        povm.elements[k] = bad
+    expected = _element_loop_failure(povm)
+    assert (type(expected), str(expected)) == error
+    with pytest.raises(error[0]) as info:
+        synthesize(povm, d_out=3)
+    assert (type(info.value), str(info.value)) == error
 
 
 def test_round_trip_and_support_markers(rng):
