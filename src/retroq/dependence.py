@@ -215,12 +215,11 @@ def check_lli(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0
     mats = _checked_ops(ops)
     n = len(mats)
     d_out, d_in = mats[0].shape
-    for k, a in enumerate(mats):
-        if numeric_rank(a, tol) < d_in:
-            psi = _kernel_vector(a)
-            alpha = np.zeros(n, dtype=complex)
-            alpha[k] = 1.0
-            return "no", 0.0, (psi, alpha)
+    singular = np.flatnonzero(numeric_rank(np.stack(mats), tol) < d_in)
+    if singular.size:
+        alpha = np.zeros(n, dtype=complex)
+        alpha[singular[0]] = 1.0
+        return "no", 0.0, (_kernel_vector(mats[singular[0]]), alpha)
     if n >= 2 and d_out <= d_in:
         witness = _eigen_witness(mats)
         if witness is not None:

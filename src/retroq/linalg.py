@@ -1,5 +1,6 @@
 """Dense complex linear-algebra kernel: tolerances, coercion, Hermitian eigendecompositions,
-supports and numerical ranks, consumed by every other module."""
+supports and numerical ranks, consumed by every other module; ``dagger``,
+``eigh_descending`` and ``numeric_rank`` also take a stack of matrices."""
 
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ def as_vector(a) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def fro(m: np.ndarray) -> float:
@@ -86,9 +87,14 @@ def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     scale = fro(m)
     if scale > 0.0 and fro(m - dagger(m)) > tol.eq_residual * scale:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
+    return eigh_descending(m)
+
+
+def eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked ``eigh`` of the Hermitian part(s) of ``m``, descending, ties in ``eigh``'s order."""
     w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    order = np.argsort(-w, axis=-1, kind="stable")
+    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
 
 
 def psd_eig(m, tol: Tolerance = DEFAULT_TOL,
@@ -123,12 +129,10 @@ def support_projector(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return vk @ dagger(vk)
 
 
-def numeric_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above ``tol.rank_rel`` times the largest (0 for the zero matrix)."""
-    m = as_matrix(m)
-    if m.size == 0:
-        return 0
+def numeric_rank(m, tol: Tolerance = DEFAULT_TOL) -> int | np.ndarray:
+    """Number of singular values above ``tol.rank_rel`` times the largest (0 for the zero matrix):
+    an ``int`` for a matrix, an int array for a stack."""
+    m = as_matrix(m) if np.ndim(m) <= 2 else finite(np.asarray(m, dtype=complex))
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    rank = np.count_nonzero(s > tol.rank_rel * s[..., :1], axis=-1)
+    return int(rank) if m.ndim == 2 else rank

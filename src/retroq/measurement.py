@@ -11,6 +11,7 @@ from .errors import (
     InvalidOperatorSetError,
     NotHermitianError,
     NotPsdError,
+    ShapeMismatchError,
     ZeroProbabilityOutcomeError,
 )
 from .linalg import DEFAULT_TOL, Tolerance, as_2d, as_matrix, as_vector, dagger, finite, fro, psd_eig
@@ -33,7 +34,7 @@ class Measurement:
     ``nonzero_rows``, the ``(N, d_out)`` mask of the output rows each operator
     writes, which the perfect check reads; and ``elements``, the group elements
     ``E_k = sum_r A_kr^dag A_kr`` as one ``(n, d_in, d_in)`` stack, formed as
-    ``X_k^dag X_k`` over the nonzero rows ``X_k`` of group ``k`` alone.
+    ``X_k^dag X_k``, one product over the nonzero rows ``X_k`` of group ``k``.
     """
 
     d_in: int
@@ -68,16 +69,9 @@ class Measurement:
         stack.setflags(write=False)  # before slicing, so that every view is read-only too
         self.outcomes = [list(stack[a:b]) for a, b in zip(self.starts[:-1], self.starts[1:])]
         rows = self.nonzero_rows = (stack.view(float) != 0).any(axis=2)  # re or im nonzero
-        # E_k = X_k^dag X_k for the nonzero rows X_k of group k, padded with zero rows to whole
-        # chunks of d_in rows (at least one), one product per chunk, summed per group; skip
-        # counts the zero rows placed before each nonzero row
-        counts = np.add.reduceat(rows.sum(axis=1), self.starts[:-1])
-        chunks = np.maximum(-(-counts // self.d_in), 1)
-        firsts = np.cumsum(chunks) - chunks  # the first chunk of each group
-        padded = np.zeros((chunks.sum(), self.d_in, self.d_in), dtype=complex)
-        skip = np.repeat(firsts * self.d_in - np.cumsum(counts) + counts, counts)
-        padded.reshape(-1, self.d_in)[np.arange(skip.size) + skip] = stack[rows]
-        self.elements = np.add.reduceat(np.conj(padded).transpose(0, 2, 1) @ padded, firsts)
+        x = stack[rows]  # E_k = X_k^dag X_k, one product over the nonzero rows X_k of group k
+        ends = np.cumsum(np.add.reduceat(rows.sum(axis=1), self.starts[:-1]))
+        self.elements = np.array([dagger(x[a:b]) @ x[a:b] for a, b in zip([0, *ends[:-1]], ends)])
         for a in (self.starts, rows, self.elements):
             a.setflags(write=False)
         vanishing = np.flatnonzero(np.linalg.norm(self.elements, axis=(1, 2)) <= tol.eq_residual)
@@ -131,7 +125,7 @@ def povm_elements(elements, d: int, tol: Tolerance) -> list[np.ndarray]:
     for k, e in enumerate(stack):
         if fro(e - dagger(e)) > tol.eq_residual * fro(e):
             raise NotHermitianError(f"element {k} is not Hermitian within tolerance")
-    lowest = np.linalg.eigvalsh((stack + np.conj(stack).transpose(0, 2, 1)) / 2.0)[:, 0]
+    lowest = np.linalg.eigvalsh((stack + dagger(stack)) / 2.0)[:, 0]
     bad = np.flatnonzero(lowest < -tol.psd_floor)
     if bad.size:
         raise InvalidOperatorSetError(f"element {bad[0]} is not PSD: most negative eigenvalue "
@@ -160,7 +154,7 @@ class Povm:
 
 def _factored(stack: np.ndarray) -> np.ndarray:
     """Factors ``V sqrt(max(w, 0))`` of the Hermitian parts ``V diag(w) V^dag`` of a stack."""
-    w, v = np.linalg.eigh((stack + np.conj(stack).transpose(0, 2, 1)) / 2.0)
+    w, v = np.linalg.eigh((stack + dagger(stack)) / 2.0)
     return v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
 
 
@@ -196,14 +190,18 @@ class Retrodictor:
         """The retrodictor with conclusive elements ``W_j W_j^dag`` for the blocks of ``factor``,
         held as a read-only copy, and the inconclusive element ``I - W W^dag`` first, for
         ``W = [W_1 | ... | W_N]``: valid iff ``||W||_2^2 <= 1 + psd_floor`` (one eigenvalue of
-        the smaller Gram matrix).  The elements are formed on first read."""
+        the smaller Gram matrix).  The elements are formed on first read.  A factor that is not
+        a 3-D stack raises ``ShapeMismatchError``, one with a NaN or Inf entry ``ValueError``."""
+        factor = finite(np.array(factor, dtype=complex), "factor")
+        if factor.ndim != 3:
+            raise ShapeMismatchError(f"expected an (N, d, k) factor, got array of dimension {factor.ndim}")
         w = factor.transpose(1, 0, 2).reshape(factor.shape[1], -1)  # W
         top = max(np.linalg.eigvalsh(dagger(w) @ w if w.shape[1] <= len(w) else w @ dagger(w)),
                   default=0.0)  # ||W||_2^2
         if top > 1.0 + (tol or DEFAULT_TOL).psd_floor:
             raise InvalidOperatorSetError(f"element 0 is not PSD: most negative eigenvalue "
                                           f"{1.0 - top:.3e} below the admissible floor")
-        return cls.__new__(cls)._hold(np.array(factor, dtype=complex), 0)
+        return cls.__new__(cls)._hold(factor, 0)
 
     def _hold(self, factor: np.ndarray, inconclusive_index: int) -> "Retrodictor":
         factor.setflags(write=False)
@@ -215,7 +213,7 @@ class Retrodictor:
     def elements(self) -> list[np.ndarray]:
         if self._elements is None:  # threads racing here form the same elements
             stack = np.empty((self.n_outcomes + 1, self.d, self.d), dtype=complex)
-            np.matmul(self.factor, np.conj(self.factor).transpose(0, 2, 1), out=stack[1:])
+            np.matmul(self.factor, dagger(self.factor), out=stack[1:])
             stack[0] = _completed(stack[1:], self.d)[0]
             stack.setflags(write=False)
             self._elements = list(stack)

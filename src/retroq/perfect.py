@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOperatorSetError, NotFineGrainedError, NotPerfectlyRetrodictableError
-from .linalg import DEFAULT_TOL, Tolerance, dagger, fro
+from .linalg import DEFAULT_TOL, Tolerance, dagger, eigh_descending, fro
 from .measurement import Measurement, Povm, Retrodictor, _completed, square_matrices
 
 
@@ -150,9 +150,7 @@ def build_retrodictor(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Projectiv
             f"cross-product residual {report.max_residual:.3e} at witness {report.witness}"
         )
     g = np.array([x @ dagger(x) for x in (np.hstack(group) for group in m.outcomes)])
-    w, v = np.linalg.eigh((g + np.conj(g).transpose(0, 2, 1)) / 2.0)
-    order = np.argsort(-w, axis=1, kind="stable")  # descending, ties in eigh's order
-    w, v = np.take_along_axis(w, order, 1), np.take_along_axis(v, order[:, None, :], 2)
+    w, v = eigh_descending(g)
     keep = w > tol.rank_rel * w[:, :1]  # a prefix of each row: the support's eigenvectors
     return ProjectiveRetrodictor.from_factor((v * keep[:, None, :])[:, :, :keep.sum(axis=1).max()], tol)
 

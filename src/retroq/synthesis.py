@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import (BadBasisError, InvalidOperatorSetError, NotHermitianError, NotPsdError,
                      TooManyOutcomesError)
-from .linalg import DEFAULT_TOL, Tolerance, as_vector, finite, fro, psd_eig
+from .linalg import (DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, eigh_descending, finite,
+                     fro, psd_eig)
 from .measurement import Measurement, Povm
 
 
@@ -76,11 +77,9 @@ def synthesize(p: Povm, d_out: int, x_basis=None,
         raise TooManyOutcomesError(f"{n} outcomes exceed output dimension {d_out}")
     basis = _checked_basis(x_basis, n, d_out, tol)
     stack = finite(np.stack(p.elements))
-    w, v = np.linalg.eigh((stack + np.conj(stack).transpose(0, 2, 1)) / 2.0)
-    order = np.argsort(-w, axis=1, kind="stable")  # descending, ties in eigh's order
-    w, v = np.take_along_axis(w, order, 1), np.take_along_axis(v, order[:, None, :], 2)
+    w, v = eigh_descending(stack)
     # psd_eig's checks, in its order, for the first element failing any of them
-    skew = np.linalg.norm(stack - np.conj(stack).transpose(0, 2, 1), axis=(1, 2))
+    skew = np.linalg.norm(stack - dagger(stack), axis=(1, 2))
     failed = [skew > tol.eq_residual * np.linalg.norm(stack, axis=(1, 2)),
               w[:, -1] < -tol.psd_floor, w[:, 0] <= 0.0]
     bad = np.flatnonzero(np.any(failed, axis=0))
@@ -138,8 +137,9 @@ def dilated_kraus(factors: list[np.ndarray], x_basis,
     ranges inside the span of the reference family.  Numerically vanishing
     operators are dropped from each group.
     """
-    if not factors:
+    if not len(factors):
         raise InvalidOperatorSetError("need at least one factor")
+    factors = [as_matrix(b) for b in factors]
     n = len(factors)
     d_in = factors[0].shape[1]
     d_out = factors[0].shape[0]

@@ -29,7 +29,7 @@ from .errors import (
     NotFineGrainedError,
     ZeroProbabilityOutcomeError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, fro
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, fro, numeric_rank
 from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, _split_dims, images
 
 
@@ -144,9 +144,7 @@ def assess_measurement(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Retrodic
     try:
         return RetrodictionAssessment("yes", state, _final_family(m, state, tol)[3])
     except DependentFinalStatesError:
-        # numeric_rank of every operator from one batched SVD; a zero operator has rank 0
-        sv = np.linalg.svd(m.kraus, compute_uv=False)
-        singular = bool(np.any(np.count_nonzero(sv > tol.rank_rel * sv[:, :1], axis=1) < m.d_in))
+        singular = bool(np.any(numeric_rank(m.kraus, tol) < m.d_in))
         return RetrodictionAssessment("undecided" if singular else "no")
 
 

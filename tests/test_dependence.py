@@ -142,6 +142,11 @@ def test_singular_member_gives_kernel_witness():
     assert verdict == "no"
     assert np.linalg.norm(singular @ psi) < 1e-10
     assert np.argmax(np.abs(alpha)) == 0
+    # of several singular members, the first one gives the witness
+    other = np.diag([0.0 + 0j, 1.0])
+    verdict, _, (psi, alpha) = check_lli([PAULI["X"], other, singular])
+    assert verdict == "no" and np.flatnonzero(alpha).tolist() == [1]
+    assert np.linalg.norm(other @ psi) < 1e-10
 
 
 def test_random_nonsingular_square_pairs_are_never_lli(rng):

@@ -15,6 +15,7 @@ from retroq import (
     numeric_rank,
     support_projector,
 )
+from retroq.linalg import dagger, eigh_descending
 from retroq.rand import ginibre, random_psd, random_unitary
 
 PAULI = [
@@ -119,7 +120,8 @@ def test_support_projector_rejects_indefinite():
 # ------------------------------------------------------------ numeric_rank
 
 def test_rank_identity():
-    assert numeric_rank(np.eye(3)) == 3
+    rank = numeric_rank(np.eye(3))
+    assert rank == 3 and type(rank) is int
 
 
 def test_rank_repeated_columns():
@@ -143,6 +145,54 @@ def test_rank_invariant_under_unitaries(rng):
         w = random_unitary(3, rng)
         assert numeric_rank(u @ a) == r
         assert numeric_rank(a @ w) == r
+
+
+# ------------------------------------------------------------- stack forms
+
+def test_dagger_of_a_stack_is_the_adjoint_of_each_matrix(rng):
+    stack = np.stack([ginibre(3, 5, rng) for _ in range(4)])
+    got = dagger(stack)
+    assert got.shape == (4, 5, 3)
+    for a, g in zip(stack, got):
+        assert g.tobytes() == np.ascontiguousarray(np.conj(a).T).tobytes()
+
+
+def test_eigh_descending_of_a_stack_matches_herm_eig_of_each_matrix(rng):
+    u = random_unitary(4, rng)
+    mats = [random_psd(4, rng), (u * [2.0, 2.0, 1.0, 1.0]) @ dag(u),  # repeated eigenvalues
+            np.eye(4), np.diag([0.0, 1.0, 0.0, 1.0]), np.zeros((4, 4))]
+    for _ in range(3):
+        g = ginibre(4, 4, rng)
+        mats.append(g + dag(g))
+    w, v = eigh_descending(np.stack(mats))
+    for k, m in enumerate(mats):
+        wk, vk = herm_eig(m)
+        assert w[k].tobytes() == wk.tobytes() and v[k].tobytes() == np.ascontiguousarray(vk).tobytes()
+        # descending, and exact ties (the identity, the diagonal projector) in eigh's order
+        w0, v0 = np.linalg.eigh((m + dag(m)) / 2.0)
+        order = np.argsort(-w0, kind="stable")
+        assert np.array_equal(w[k], w0[order]) and np.array_equal(v[k], v0[:, order])
+
+
+def test_numeric_rank_of_a_stack_matches_each_matrix(rng):
+    u, v = random_unitary(4, rng), random_unitary(3, rng)
+    near = (u[:, :3] * [1.0, 1e-2, 1e-5]) @ v  # rank 3 at the default cutoff, 2 at 1e-3
+    mats = [ginibre(4, 3, rng), ginibre(4, 2, rng) @ ginibre(2, 3, rng), np.zeros((4, 3)), near,
+            1e-12 * ginibre(4, 3, rng)]  # each cut is relative to its own matrix
+    for tol in (DEFAULT_TOL, Tolerance(rank_rel=1e-3)):
+        ranks = numeric_rank(np.stack(mats), tol)
+        assert ranks.tolist() == [numeric_rank(m, tol) for m in mats]
+        assert numeric_rank(np.zeros((0, 3)), tol) == 0
+        assert numeric_rank(np.zeros((2, 0, 3)), tol).tolist() == [0, 0]
+    assert numeric_rank(np.stack(mats)).tolist() == [3, 2, 0, 3, 3]
+    assert numeric_rank(np.stack(mats), Tolerance(rank_rel=1e-3)).tolist() == [3, 2, 0, 2, 3]
+
+
+def test_numeric_rank_refuses_a_stack_with_a_nan():
+    stack = np.zeros((3, 2, 2))
+    stack[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        numeric_rank(stack)
 
 
 # ---------------------------------------------------------------- Tolerance

@@ -183,6 +183,9 @@ def test_group_elements_match_the_per_operator_products(rng):
     ops = [ginibre(16, 16, rng) for _ in range(199)]
     cases.append(Measurement(16, 16, _normalised_groups(ops, [100] + [1] * 99)))
     cases.append(Measurement(16, 16, _normalised_groups(_zero_rows(ops, rng), [1] * 99 + [100])))
+    # coarse groups of dense operators with d_out > d_in: a group's rows span many d_in blocks
+    ops = [ginibre(12, 3, rng) for _ in range(9)]
+    cases.append(Measurement(3, 12, _normalised_groups(ops, [4, 1, 4])))
     for m in cases:
         want = _per_operator_elements(m)
         error = np.linalg.norm(m.elements - want, axis=(1, 2))
@@ -327,6 +330,17 @@ def test_from_factor_refuses_a_factor_beyond_the_norm_bound(cls):
     assert type(retro) is cls and (retro.n_outcomes, retro.d, retro.inconclusive_index) == (2, 3, 0)
     w[:] = 0.0  # the caller's array stays the caller's
     assert retro.factor[0, 0, 0] == 1.0 and not retro.factor.flags.writeable and w.flags.writeable
+
+
+@pytest.mark.parametrize("cls", [Retrodictor, UnambiguousRetrodictor, ProjectiveRetrodictor])
+def test_from_factor_refuses_non_finite_and_non_stack_factors(cls):
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        w = np.zeros((2, 2, 1), dtype=complex)
+        w[0, 0, 0], w[1, 1, 0] = 1.0, bad
+        with pytest.raises(ValueError, match="factor entries must be finite"):
+            cls.from_factor(w)
+    with pytest.raises(ShapeMismatchError):
+        cls.from_factor(np.eye(2, dtype=complex))
 
 
 def test_projective_retrodictor_is_completed_by_its_remainder():

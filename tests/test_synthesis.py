@@ -230,6 +230,17 @@ def test_dilated_kraus_matches_synthesis(rng):
                 assert min(np.linalg.norm(a - b) for b in g2) < 1e-10
 
 
+def test_dilated_kraus_coerces_its_factors():
+    povm = trine_povm().povm
+    basis = standard_basis(3, 3)
+    factors = b_factor(povm, x_basis=basis)
+    for given in ([b.tolist() for b in factors], np.array(factors)):  # nested lists, one stack
+        assert np.array_equal(dilated_kraus(given, basis).kraus, dilated_kraus(factors, basis).kraus)
+    factors[1][0, 0] = np.nan
+    with pytest.raises(ValueError, match="entries must be finite"):
+        dilated_kraus(factors, basis)
+
+
 def test_dilated_kraus_identity_povm():
     povm = Povm(2, [np.eye(2, dtype=complex)])
     basis = standard_basis(2, 2)
