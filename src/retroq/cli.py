@@ -186,7 +186,7 @@ def _cmd_synthesize(args, tol: Tolerance) -> int:
     p = _load(args.file, tol, Povm, "synthesize expects a POVM file")
     result = synthesize(p, args.d_out, tol=tol)
     obj = jsonio.measurement_to_obj(result.measurement)
-    sizes = [len(g) for g in result.measurement.outcomes]
+    sizes = np.diff(result.measurement.starts).tolist()
     _emit(args, obj, [f"synthesised measurement: d_in={p.d} d_out={args.d_out}",
                       f"kraus group sizes: {sizes}"])
     return EXIT_OK

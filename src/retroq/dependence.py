@@ -28,8 +28,9 @@ import numpy as np
 from .errors import BadMuError, ShapeMismatchError
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, numeric_rank, support_projector
 
-# Smallest image singular value regarded as genuinely positive; values below
-# are indistinguishable from optimisation noise at double precision.
+# Smallest image singular value regarded as genuinely positive, relative to the largest
+# operator norm, so that scaling a set keeps its verdict; values below are indistinguishable
+# from optimisation noise at double precision.
 LLI_SIGMA_FLOOR = 1e-6
 
 # Points sampled by the LLD probe and random starts of the LLI descent.
@@ -66,7 +67,7 @@ class DependenceVerdict:
     lld_reason: str | None = None
 
 
-def _checked_ops(ops) -> list[np.ndarray]:
+def _checked_ops(ops) -> np.ndarray:
     mats = [as_matrix(a) for a in ops]
     if not mats:
         raise ShapeMismatchError("need at least one operator")
@@ -74,11 +75,11 @@ def _checked_ops(ops) -> list[np.ndarray]:
     for a in mats[1:]:
         if a.shape != shape:
             raise ShapeMismatchError(f"mixed operator shapes {shape} and {a.shape}")
-    return mats
+    return np.array(mats)
 
 
-def _image_matrix(ops: list[np.ndarray], psi: np.ndarray) -> np.ndarray:
-    return np.column_stack([a @ psi for a in ops])
+def _image_matrix(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray((ops @ psi).T)  # C order: _eigen_witness's residuals depend on it
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -94,7 +95,7 @@ def check_linear_independence(ops, tol: Tolerance = DEFAULT_TOL
     with a unit coefficient vector satisfying ``sum_k beta_k ops[k] ~ 0``.
     """
     mats = _checked_ops(ops)
-    stack = np.stack([a.ravel() for a in mats])
+    stack = mats.reshape(len(mats), -1)
     if numeric_rank(stack, tol) == len(mats):
         return True, None
     # beta spans the null space of the transposed stack; the last right
@@ -112,8 +113,7 @@ def check_lld(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> tuple[str, np
     sampled points came out rank-deficient.
     """
     mats = _checked_ops(ops)
-    n = len(mats)
-    d_out, d_in = mats[0].shape
+    n, d_out, d_in = mats.shape
     if n > d_out:
         return "yes", None
     rng = np.random.default_rng(seed)
@@ -148,8 +148,7 @@ def _kernel_vector(a: np.ndarray) -> np.ndarray:
     return np.conj(vh[-1, :])
 
 
-def _eigen_witness(mats: list[np.ndarray]
-                   ) -> tuple[np.ndarray, np.ndarray] | None:
+def _eigen_witness(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Witness from an eigenvector of ``A_1^{-1} A_2`` (square, non-singular case)."""
     a1, a2 = mats[0], mats[1]
     if np.linalg.cond(a1) >= _ILL_CONDITIONED:
@@ -161,8 +160,7 @@ def _eigen_witness(mats: list[np.ndarray]
     for lam, vec in zip(lams, vecs.T):
         psi = vec / np.linalg.norm(vec)
         alpha = np.zeros(len(mats), dtype=complex)
-        alpha[0] = -lam
-        alpha[1] = 1.0
+        alpha[:2] = -lam, 1.0
         alpha /= np.linalg.norm(alpha)
         res = np.linalg.norm(_image_matrix(mats, psi) @ alpha)
         if res < best_res:
@@ -171,10 +169,9 @@ def _eigen_witness(mats: list[np.ndarray]
     return best
 
 
-def _minimise_sigma(mats: list[np.ndarray], seed: int) -> tuple[float, np.ndarray]:
+def _minimise_sigma(mats: np.ndarray, seed: int) -> tuple[float, np.ndarray]:
     """Multi-start alternating descent for the smallest image singular value on the sphere."""
-    d_in = mats[0].shape[1]
-    stack = np.stack(mats)
+    d_in = mats.shape[2]
     rng = np.random.default_rng(seed)
     best_val, best_psi = np.inf, None
     for _ in range(_N_STARTS):
@@ -182,7 +179,7 @@ def _minimise_sigma(mats: list[np.ndarray], seed: int) -> tuple[float, np.ndarra
         sigma = np.inf
         for _ in range(_MAX_SWEEPS):
             alpha = _kernel_vector(_image_matrix(mats, psi))
-            _, s, vh = np.linalg.svd(np.tensordot(alpha, stack, axes=1), full_matrices=False)
+            _, s, vh = np.linalg.svd(np.tensordot(alpha, mats, axes=1), full_matrices=False)
             prev, sigma, psi = sigma, float(s[-1]), np.conj(vh[-1, :])
             # written so that the first sweep (prev = inf) never stops the start
             if sigma >= (1.0 - _SWEEP_RTOL) * prev:
@@ -207,15 +204,15 @@ def check_lli(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0
     the smallest image singular value on the unit sphere: ``alpha`` becomes
     the smallest right singular vector of the image matrix, then ``psi`` that
     of ``sum_k alpha_k A_k``, so no sweep raises it.  A minimum above
-    ``LLI_SIGMA_FLOOR`` is reported as ``"yes_probabilistic"``.
+    ``LLI_SIGMA_FLOOR`` times the largest operator norm ``max_k ||A_k||_2`` is reported
+    as ``"yes_probabilistic"``; ``min_sigma`` itself is not rescaled.
 
     Returns ``(verdict, min_sigma, witness)`` with witness ``(psi, alpha)``
     normalised to unit length when the verdict is ``"no"``.
     """
     mats = _checked_ops(ops)
-    n = len(mats)
-    d_out, d_in = mats[0].shape
-    singular = np.flatnonzero(numeric_rank(np.stack(mats), tol) < d_in)
+    n, d_out, d_in = mats.shape
+    singular = np.flatnonzero(numeric_rank(mats, tol) < d_in)
     if singular.size:
         alpha = np.zeros(n, dtype=complex)
         alpha[singular[0]] = 1.0
@@ -230,7 +227,7 @@ def check_lli(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0
         psi[0] = 1.0
         return "no", 0.0, (psi, _kernel_vector(_image_matrix(mats, psi)))
     min_sigma, psi = _minimise_sigma(mats, seed)
-    if min_sigma > LLI_SIGMA_FLOOR:
+    if min_sigma > LLI_SIGMA_FLOOR * np.linalg.norm(mats, 2, axis=(1, 2)).max():
         return "yes_probabilistic", min_sigma, None
     alpha = _kernel_vector(_image_matrix(mats, psi))
     return "no", min_sigma, (psi, alpha)
@@ -239,8 +236,7 @@ def check_lli(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0
 def classify_operators(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> DependenceVerdict:
     """Full dependence classification with exact criteria overriding sampling."""
     mats = _checked_ops(ops)
-    n = len(mats)
-    d_out, _ = mats[0].shape
+    n, d_out, _ = mats.shape
     independent, beta = check_linear_independence(mats, tol)
 
     not_lld_witness = None

@@ -129,7 +129,8 @@ def operators_to_obj(ops) -> dict:
 
 def operators_from_obj(obj) -> list[np.ndarray]:
     """At least one operator, all of one shape and with finite entries."""
-    return _checked_ops([array_from_obj(a, 2) for a in _typed(obj["operators"], list, "operators")])
+    return list(_checked_ops([array_from_obj(a, 2)
+                              for a in _typed(obj["operators"], list, "operators")]))
 
 
 def perfect_report_to_obj(report: PerfectCheckReport) -> dict:

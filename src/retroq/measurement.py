@@ -17,7 +17,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Tolerance, as_2d, as_matrix, as_vector, dagger, finite, fro, psd_eig
 
 
-@dataclass
+@dataclass(eq=False)
 class Measurement:
     """A generalised measurement described by groups of Kraus operators.
 
@@ -35,37 +35,53 @@ class Measurement:
     writes, which the perfect check reads; and ``elements``, the group elements
     ``E_k = sum_r A_kr^dag A_kr`` as one ``(n, d_in, d_in)`` stack, formed as
     ``X_k^dag X_k``, one product over the nonzero rows ``X_k`` of group ``k``.
+    Outside groups enter here, library-built stacks through ``from_stack``.
     """
 
     d_in: int
     d_out: int
     outcomes: list[list[np.ndarray]]
     tol: InitVar[Tolerance | None] = None
-    kraus: np.ndarray = field(init=False, repr=False, compare=False)
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-    elements: np.ndarray = field(init=False, repr=False, compare=False)
-    nonzero_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _cross_residual: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    kraus: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+    elements: np.ndarray = field(init=False, repr=False)
+    nonzero_rows: np.ndarray = field(init=False, repr=False)
+    _cross_residual: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, tol: Tolerance | None) -> None:
-        tol = tol or DEFAULT_TOL
+        ops = [as_2d(a) for group in self.outcomes for a in group]
+        sizes = [len(group) for group in self.outcomes]
+        if len({a.shape for a in ops}) > 1:  # no stack: name the first operator of another shape
+            i = next(i for i, a in enumerate(ops) if a.shape != (self.d_out, self.d_in))
+            raise DimensionMismatchError(f"operator of shape {ops[i].shape} in outcome "
+                                         f"{np.searchsorted(np.cumsum(sizes), i, 'right')}; "
+                                         f"expected ({self.d_out}, {self.d_in})")
+        self._hold(self.d_in, self.d_out, np.array(ops, dtype=complex), sizes, tol)
+
+    @classmethod
+    def from_stack(cls, d_in: int, d_out: int, kraus, sizes,
+                   tol: Tolerance | None = None) -> "Measurement":
+        """The measurement whose outcome ``k`` holds the next ``sizes[k]`` operators of the
+        ``(N, d_out, d_in)`` stack ``kraus``, held as a read-only copy and checked as outside
+        groups are; a stack of another shape raises ``DimensionMismatchError``."""
+        return cls.__new__(cls)._hold(d_in, d_out, np.array(kraus, dtype=complex), sizes, tol)
+
+    def _hold(self, d_in: int, d_out: int, stack: np.ndarray, sizes, tol: Tolerance | None) -> "Measurement":
+        self.d_in, self.d_out, tol = d_in, d_out, tol or DEFAULT_TOL
         if self.d_in < 1 or self.d_out < 1:
             raise InvalidOperatorSetError("dimensions must be positive")
-        if not self.outcomes:
+        if not len(sizes):
             raise InvalidOperatorSetError("a measurement needs at least one outcome")
-        ops = []
-        for k, group in enumerate(self.outcomes):
-            if not len(group):
-                raise InvalidOperatorSetError(f"outcome {k} has no Kraus operators")
-            for a in group:
-                ops.append(as_2d(a))
-                if ops[-1].shape != (self.d_out, self.d_in):
-                    raise DimensionMismatchError(
-                        f"operator of shape {ops[-1].shape} in outcome {k}; "
-                        f"expected ({self.d_out}, {self.d_in})"
-                    )
-        self.starts = np.cumsum([0] + [len(group) for group in self.outcomes])
-        stack = self.kraus = finite(np.stack(ops))  # a copy: no caller array is kept
+        empty = np.flatnonzero(np.asarray(sizes) < 1)
+        if empty.size:
+            raise InvalidOperatorSetError(f"outcome {empty[0]} has no Kraus operators")
+        if stack.shape[1:] != (self.d_out, self.d_in):
+            raise DimensionMismatchError(f"operator of shape {stack.shape[1:]} in outcome 0; "
+                                         f"expected ({self.d_out}, {self.d_in})")
+        self.starts = np.cumsum([0, *sizes])
+        if self.starts[-1] != len(stack):
+            raise InvalidOperatorSetError(f"group sizes sum to {self.starts[-1]}, not {len(stack)}")
+        self.kraus = finite(stack)
         stack.setflags(write=False)  # before slicing, so that every view is read-only too
         self.outcomes = [list(stack[a:b]) for a, b in zip(self.starts[:-1], self.starts[1:])]
         rows = self.nonzero_rows = (stack.view(float) != 0).any(axis=2)  # re or im nonzero
@@ -78,14 +94,15 @@ class Measurement:
         if vanishing.size:
             raise InvalidOperatorSetError(f"outcome {vanishing[0]} has a vanishing POVM element")
         _check_identity(self.elements.sum(axis=0), tol, "Kraus operators do not resolve the identity")
+        return self
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.outcomes)
+        return len(self.starts) - 1
 
     @property
     def fine_grained(self) -> bool:
-        return all(len(group) == 1 for group in self.outcomes)
+        return len(self.kraus) == self.n_outcomes  # no group is empty
 
     def all_kraus(self) -> list[np.ndarray]:
         """All Kraus operators, flattened in outcome order."""
@@ -134,7 +151,7 @@ def povm_elements(elements, d: int, tol: Tolerance) -> list[np.ndarray]:
     return list(stack)
 
 
-@dataclass
+@dataclass(eq=False)
 class Povm:
     """Positive operators on a ``d``-dimensional space summing to the identity."""
 
@@ -223,7 +240,7 @@ class Retrodictor:
         return [e for i, e in enumerate(self.elements) if i != self.inconclusive_index]
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantumState:
     """A pure vector or density matrix, optionally split as system x ancilla.
 

@@ -149,7 +149,9 @@ def build_retrodictor(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Projectiv
         raise NotPerfectlyRetrodictableError(
             f"cross-product residual {report.max_residual:.3e} at witness {report.witness}"
         )
-    g = np.array([x @ dagger(x) for x in (np.hstack(group) for group in m.outcomes)])
+    wide = m.kraus.transpose(1, 0, 2)  # G_k = X_k X_k^dag, X_k the operators of group k side by side
+    g = np.array([x @ dagger(x) for x in (wide[:, a:b].reshape(m.d_out, -1)
+                                          for a, b in zip(m.starts[:-1], m.starts[1:]))])
     w, v = eigh_descending(g)
     keep = w > tol.rank_rel * w[:, :1]  # a prefix of each row: the support's eigenvectors
     return ProjectiveRetrodictor.from_factor((v * keep[:, None, :])[:, :, :keep.sum(axis=1).max()], tol)
@@ -166,14 +168,13 @@ def projective_equivalence(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Proj
     """
     if not m.fine_grained:
         raise NotFineGrainedError("projective equivalence is defined for fine-grained measurements")
-    ops = [group[0] for group in m.outcomes]
-    s = sum(ops)
+    s = m.kraus.sum(axis=0)
     eye = np.eye(m.d_in)
     isometry_residual = fro(dagger(s) @ s - eye) / fro(eye)
     wide = np.hstack(m.elements)  # P_0 | P_1 | ...
     projector_residual = 0.0
     for k, pk in enumerate(m.elements):
-        row = (pk @ wide).reshape(m.d_in, len(ops), m.d_in)  # P_k P_k' for every k'
+        row = (pk @ wide).reshape(m.d_in, m.n_outcomes, m.d_in)  # P_k P_k' for every k'
         row[:, k] -= pk
         projector_residual = max(projector_residual, float(np.linalg.norm(row, axis=(0, 2)).max()))
     if not check_perfect(m, tol).retrodictable:

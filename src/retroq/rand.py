@@ -62,20 +62,16 @@ def random_projective_povm(d: int, n: int, rng, tol: Tolerance = DEFAULT_TOL) ->
     # every part nonempty: seed one column each, assign the rest at random
     owner = np.concatenate([np.arange(n), rng.integers(0, n, d - n)])
     rng.shuffle(owner)
-    elements = []
-    for k in range(n):
-        cols = u[:, owner == k]
-        elements.append(cols @ dagger(cols))
-    return Povm(d, elements, tol)
+    return Povm(d, [(cols := u[:, owner == k]) @ dagger(cols) for k in range(n)], tol)
 
 
 def random_fine_grained(d_in: int, d_out: int, n: int, rng,
                         tol: Tolerance = DEFAULT_TOL) -> Measurement:
     """Generic fine-grained measurement (Kraus operators normalised to completeness)."""
     rng = _rng(rng)
-    gs = [ginibre(d_out, d_in, rng) for _ in range(n)]
+    gs = np.array([ginibre(d_out, d_in, rng) for _ in range(n)])
     root = psd_inv_sqrt(sum(dagger(g) @ g for g in gs), tol)
-    return Measurement(d_in, d_out, [[g @ root] for g in gs], tol)
+    return Measurement.from_stack(d_in, d_out, gs @ root, [1] * n, tol)
 
 
 def random_nonsingular_independent(d: int, n: int, rng,
@@ -86,8 +82,7 @@ def random_nonsingular_independent(d: int, n: int, rng,
     rng = _rng(rng)
     while True:
         m = random_fine_grained(d, d, n, rng, tol)
-        ops = m.all_kraus()
-        if all(numeric_rank(a, tol) == d for a in ops) and check_linear_independence(ops, tol)[0]:
+        if np.all(numeric_rank(m.kraus, tol) == d) and check_linear_independence(m.kraus, tol)[0]:
             return m
 
 
@@ -100,13 +95,13 @@ def random_nonsingular_dependent(d: int, n: int, rng,
     while True:
         gs = [ginibre(d, d, rng) for _ in range(n - 1)]
         coeffs = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-        gs.append(sum(c * g for c, g in zip(coeffs, gs)))
-        if any(numeric_rank(g, tol) < d for g in gs):
+        gs = np.array([*gs, sum(c * g for c, g in zip(coeffs, gs))])
+        if np.any(numeric_rank(gs, tol) < d):
             continue
         root = psd_inv_sqrt(sum(dagger(g) @ g for g in gs), tol)
-        ops = [g @ root for g in gs]
-        if all(numeric_rank(a, tol) == d for a in ops):
-            return Measurement(d, d, [[a] for a in ops], tol)
+        ops = gs @ root
+        if np.all(numeric_rank(ops, tol) == d):
+            return Measurement.from_stack(d, d, ops, [1] * n, tol)
 
 
 def random_nonsingular_pair(d: int, rng, max_cond: float = 1e4) -> tuple[np.ndarray, np.ndarray]:

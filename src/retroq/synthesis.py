@@ -6,8 +6,8 @@ each element, route all of its eigenvector weights onto one member ``x_k``
 of an orthonormal reference family in the output space.  Distinct outcomes
 then write into orthogonal one-dimensional slots.  All elements are
 diagonalised in one batched decomposition, and every kept eigen-term
-``sqrt(w) |x_k><v|`` is written straight into one Kraus stack, split into
-the outcome groups.
+``sqrt(w) |x_k><v|`` is written straight into one Kraus stack, which the
+measurement takes as it is, with the number of terms of each outcome.
 
 The same spectral data also yields single-operator factors
 ``B_k = sum_r sqrt(w_kr) |x_r><pi_kr|`` with ``B_k^dag B_k`` equal to the
@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import (BadBasisError, InvalidOperatorSetError, NotHermitianError, NotPsdError,
                      TooManyOutcomesError)
-from .linalg import (DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, eigh_descending, finite,
-                     fro, psd_eig)
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, eigh_descending, finite
 from .measurement import Measurement, Povm
 
 
@@ -95,8 +94,7 @@ def synthesize(p: Povm, d_out: int, x_basis=None,
     # sqrt(w_r) |x_k><v_r| for every kept eigen-term of every element at once
     kraus = np.sqrt(w[ks, rs])[:, None, None] * (np.array(basis[:n])[ks][:, :, None]
                                                  * np.conj(v[ks, :, rs])[:, None, :])
-    sizes = keep.sum(axis=1)
-    measurement = Measurement(p.d, d_out, np.split(kraus, np.cumsum(sizes)[:-1]), tol)
+    measurement = Measurement.from_stack(p.d, d_out, kraus, keep.sum(axis=1), tol)
     spectral = [[(float(w[k, r]), v[k, :, r]) for r in np.flatnonzero(keep[k])] for k in range(n)]
     return SynthesisResult(measurement, basis, spectral)
 
@@ -108,7 +106,8 @@ def b_factor(p: Povm, d_out: int | None = None, x_basis=None,
     Each factor carries the eigenbasis of its element onto the reference
     family, so the family needs ``max(n_outcomes, p.d)`` vectors; by default
     the first that many standard basis vectors of a ``max(n, p.d)``
-    dimensional output space are used.
+    dimensional output space are used.  The elements were checked when ``p`` was made,
+    so they are diagonalised in one batched decomposition without further checks.
     """
     n = p.n_outcomes
     need = max(n, p.d)
@@ -118,15 +117,9 @@ def b_factor(p: Povm, d_out: int | None = None, x_basis=None,
         raise TooManyOutcomesError(f"{n} outcomes exceed output dimension {d_out}")
     if d_out < need:
         raise BadBasisError(f"output dimension {d_out} cannot hold {need} orthonormal vectors")
-    basis = _checked_basis(x_basis, need, d_out, tol)
-    factors = []
-    for element in p.elements:
-        w, v = psd_eig(element, tol, scale=1.0)
-        b = np.zeros((d_out, p.d), dtype=complex)
-        for r in range(p.d):
-            b += np.sqrt(max(float(w[r]), 0.0)) * np.outer(basis[r], np.conj(v[:, r]))
-        factors.append(b)
-    return factors
+    x = np.array(_checked_basis(x_basis, need, d_out, tol)[:p.d]).T  # columns x_r
+    w, v = eigh_descending(np.array(p.elements))
+    return list(x @ (np.sqrt(np.maximum(w, 0.0))[:, :, None] * dagger(v)))  # X sqrt(w) V^dag
 
 
 def dilated_kraus(factors: list[np.ndarray], x_basis,
@@ -139,17 +132,11 @@ def dilated_kraus(factors: list[np.ndarray], x_basis,
     """
     if not len(factors):
         raise InvalidOperatorSetError("need at least one factor")
-    factors = [as_matrix(b) for b in factors]
-    n = len(factors)
-    d_in = factors[0].shape[1]
-    d_out = factors[0].shape[0]
-    need = max(n, d_in)
-    basis = _checked_basis(x_basis, need, d_out, tol)
-    outcomes = []
-    for k, b in enumerate(factors):
-        candidates = [np.outer(basis[k], np.conj(basis[r]) @ b) for r in range(d_in)]
-        weights = [fro(a) ** 2 for a in candidates]
-        top = max(weights)
-        group = [a for a, w in zip(candidates, weights) if w > tol.rank_rel * top]
-        outcomes.append(group)
-    return Measurement(d_in, d_out, outcomes, tol)
+    b = np.array([as_matrix(f) for f in factors])
+    n, d_out, d_in = b.shape
+    x = np.array(_checked_basis(x_basis, max(n, d_in), d_out, tol))  # rows x_j
+    rows = np.conj(x[:d_in]) @ b  # rows[k, r] = x_r^dag B_k
+    weights = np.linalg.norm(rows, axis=2) ** 2  # ||x_k x_r^dag B_k||_F^2, x_k being a unit vector
+    keep = weights > tol.rank_rel * weights.max(axis=1, keepdims=True)
+    kraus = x[:n, None, :, None] * rows[:, :, None, :]  # |x_k><x_r| B_k for every k and r
+    return Measurement.from_stack(d_in, d_out, kraus[keep], keep.sum(axis=1), tol)

@@ -184,6 +184,7 @@ def discriminate_unitaries(unitaries, priors, s: QuantumState,
     for k, u in enumerate(mats):
         if u.shape != (d, d) or fro(dagger(u) @ u - eye) > tol.eq_residual * fro(eye):
             raise NonUnitaryInputError(f"operator {k} is not unitary within tolerance")
-    m = Measurement(d, d, [[np.sqrt(pk) * u] for pk, u in zip(priors, mats)], tol)
+    m = Measurement.from_stack(d, d, np.sqrt(priors)[:, None, None] * np.array(mats),
+                               [1] * len(mats), tol)
     retro, p_inc = retrodict_unambiguously(m, s, tol)
     return retro, 1.0 - p_inc

@@ -199,6 +199,19 @@ def test_lli_search_reaches_pinned_minimum(seed, d_in, d_out, want):
     assert min_sigma == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize("seed,n,d_in,d_out,want", [
+    (5, 2, 2, 4, "yes_probabilistic"),  # sigma = 0.888 at scale 1
+    (7, 3, 2, 3, "no"),  # sigma ~ 1e-16 at scale 1: every such set has a product kernel vector
+])
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e11])  # an absolute floor flips 1e-7 and 1e11
+def test_lli_verdict_does_not_depend_on_the_scale_of_the_operators(seed, n, d_in, d_out, want, scale):
+    rng = np.random.default_rng(seed)
+    ops = [ginibre(d_out, d_in, rng) for _ in range(n)]
+    verdict, min_sigma, _ = check_lli([scale * a for a in ops])
+    assert verdict == want
+    assert min_sigma == pytest.approx(scale * check_lli(ops)[1], rel=1e-6, abs=1e-12 * scale)
+
+
 def test_lli_search_is_exact_on_two_to_four():
     _, min_sigma, _ = check_lli(two_to_four().measurement.all_kraus())
     assert min_sigma == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)

@@ -68,10 +68,16 @@ def test_measurement_rejects_shape_mismatch():
         Measurement(2, 2, [[np.eye(3)]])
 
 
-def test_kraus_operators_are_read_only_and_owned_by_the_measurement():
+@pytest.mark.parametrize("stacked", [False, True])
+def test_kraus_operators_are_read_only_and_owned_by_the_measurement(stacked):
     a0, a1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
     reference = Measurement(2, 2, [[a0.copy()], [a1.copy()]])
-    m = Measurement(2, 2, [[a0], [a1]])
+    if stacked:  # the caller's own arrays are then views of the caller's stack
+        given = np.array([a0, a1])
+        a0, a1 = given
+        m = Measurement.from_stack(2, 2, given, [1, 1])
+    else:
+        m = Measurement(2, 2, [[a0], [a1]])
     for k in range(2):
         assert np.shares_memory(m.outcomes[k][0], m.kraus)
         with pytest.raises(ValueError):
@@ -116,11 +122,29 @@ HALF_2 = np.diag([1.0, 1.0j]) / np.sqrt(2)
      "outcome 1 has a vanishing POVM element"),
     ([[HALF, HALF_2], [0.0 * E2] * 5], InvalidOperatorSetError, "outcome 1 has a vanishing POVM element"),
     ([[HALF, HALF_2], [0.1 * E2]], InvalidOperatorSetError, "Kraus operators do not resolve the identity"),
+    # a stack and its group sizes, through from_stack alone
+    ((np.array([HALF, HALF_2]), [1, 0, 1]), InvalidOperatorSetError, "outcome 1 has no Kraus operators"),
+    ((np.array([HALF, HALF_2]), [1, 2]), InvalidOperatorSetError,
+     "group sizes sum to 3, not 2"),
+    ((np.array([HALF, HALF_2])[:, :, :1], [1, 1]), DimensionMismatchError,
+     "operator of shape (2, 1) in outcome 0; expected (2, 2)"),
+    ((np.array([HALF, np.where(E2 == 1, np.nan, 0) + HALF_2]), [1, 1]), ValueError,
+     "matrix entries must be finite"),
 ])
 def test_construction_errors_keep_their_type_and_message(outcomes, error, message):
-    with pytest.raises(error, match=re.escape(message)) as info:
-        Measurement(2, 2, outcomes)
-    assert type(info.value) is error
+    """Groups go through ``Measurement`` and, where they stack, through ``from_stack`` too; a
+    ``(stack, sizes)`` pair through ``from_stack`` alone.  Both raise the same error."""
+    if isinstance(outcomes, tuple):
+        builds = [lambda: Measurement.from_stack(2, 2, *outcomes)]
+    else:
+        ops = [np.asarray(a) for group in outcomes for a in group]
+        builds = [lambda: Measurement(2, 2, outcomes)]
+        if len({a.shape for a in ops}) == 1:
+            builds.append(lambda: Measurement.from_stack(2, 2, ops, [len(g) for g in outcomes]))
+    for build in builds:
+        with pytest.raises(error, match=re.escape(message)) as info:
+            build()
+        assert type(info.value) is error
 
 
 def test_ragged_groups_resolve_the_identity_group_by_group(rng):
@@ -190,6 +214,12 @@ def test_group_elements_match_the_per_operator_products(rng):
         want = _per_operator_elements(m)
         error = np.linalg.norm(m.elements - want, axis=(1, 2))
         assert np.all(error <= 1e-15 * np.linalg.norm(want, axis=(1, 2)))
+        # the same operators as groups and as a stack make the same measurement
+        groups = Measurement(m.d_in, m.d_out, m.outcomes)
+        stacked = Measurement.from_stack(m.d_in, m.d_out, m.kraus, np.diff(m.starts))
+        for name in ("kraus", "starts", "elements", "nonzero_rows"):
+            assert np.array_equal(getattr(groups, name), getattr(stacked, name))
+            assert np.array_equal(getattr(groups, name), getattr(m, name))
 
 
 def test_the_perfect_check_reads_the_stored_row_mask():
@@ -205,6 +235,19 @@ def test_fine_grained_flag():
     half = np.eye(2) / np.sqrt(2)
     coarse = Measurement(2, 2, [[half, half]])
     assert not coarse.fine_grained
+
+
+@pytest.mark.parametrize("build", [
+    pauli_measurement,
+    lambda: Measurement.from_stack(2, 2, np.array([HALF, HALF_2]), [2]),
+    lambda: Povm(2, [E2 / 2.0, E2 / 2.0]),
+    lambda: QuantumState.pure(PLUS, (2, 1)),
+    lambda: QuantumState.mixed(E2 / 2.0),
+], ids=["measurement", "stacked measurement", "povm", "pure state", "mixed state"])
+def test_equal_contents_compare_by_identity_and_hash(build):
+    a, b = build(), build()
+    assert a == a and a != b and not (a == b)  # an array field is never compared
+    assert len({a, b, a}) == 2
 
 
 def test_povm_validation():

@@ -182,10 +182,29 @@ def test_round_trip_and_support_markers(rng):
 
 # ------------------------------------------------------------------ b_factor
 
+def _b_factor_reference(povm: Povm, d_out: int) -> list[np.ndarray]:
+    """``B_k = sum_r sqrt(w_r) |e_r><v_r|`` one element and one eigen-term at a time."""
+    factors = []
+    for element in povm.elements:
+        w, v = psd_eig(element, scale=1.0)
+        b = np.zeros((d_out, povm.d), dtype=complex)
+        for r in range(povm.d):
+            b += np.sqrt(max(float(w[r]), 0.0)) * np.outer(np.eye(d_out)[r], np.conj(v[:, r]))
+        factors.append(b)
+    return factors
+
+
 def test_b_factor_reproduces_elements(rng):
-    povm = trine_povm().povm
-    for b, element in zip(b_factor(povm), povm.elements):
-        assert np.linalg.norm(dag(b) @ b - element) < 1e-12
+    povms = [trine_povm().povm]
+    for d, n in [(2, 2), (3, 3), (3, 2), (4, 5), (5, 3)]:
+        povms += [random_povm(d, n, rng), random_projective_povm(d, min(n, d), rng)]
+    for povm in povms:
+        d_out = max(povm.n_outcomes, povm.d) + 1
+        factors = b_factor(povm, d_out)
+        # the same values as the per-term sums; np.array_equal ignores the sign of zero
+        assert np.array_equal(factors, _b_factor_reference(povm, d_out))
+        for b, element in zip(factors, povm.elements):
+            assert np.linalg.norm(dag(b) @ b - element) < 1e-12
 
 
 def test_b_factor_projective_is_partial_isometry():
@@ -212,15 +231,28 @@ def test_b_factor_short_basis_is_rejected():
 
 # -------------------------------------------------------------- dilated_kraus
 
+def _dilated_reference(factors, basis) -> list[list[np.ndarray]]:
+    """The groups ``|x_k><x_r| B_k`` one candidate at a time, the vanishing ones dropped."""
+    groups = []
+    for k, b in enumerate(factors):
+        candidates = [np.outer(basis[k], np.conj(basis[r]) @ b) for r in range(b.shape[1])]
+        weights = [np.linalg.norm(a) ** 2 for a in candidates]
+        groups.append([a for a, w in zip(candidates, weights) if w > DEFAULT_TOL.rank_rel * max(weights)])
+    return groups
+
+
 def test_dilated_kraus_matches_synthesis(rng):
-    for _ in range(5):
+    for i in range(10):
         d = int(rng.integers(2, 4))
         n = int(rng.integers(1, d + 1))
-        povm = random_povm(d, n, rng)
+        povm = (random_povm if i % 2 else random_projective_povm)(d, n, rng)
         d_out = max(n, d)
         basis = standard_basis(d_out, d_out)
         factors = b_factor(povm, d_out=d_out, x_basis=basis)
         m = dilated_kraus(factors, basis)
+        want = _dilated_reference(factors, basis)
+        assert [len(g) for g in m.outcomes] == [len(g) for g in want]
+        assert np.array_equal(m.kraus, [a for g in want for a in g])
         result = synthesize(povm, d_out=d_out, x_basis=basis[:n])
         assert check_perfect(m).retrodictable
         # identical nonzero Kraus operators up to ordering within each group
