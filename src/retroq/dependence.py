@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMuError, ShapeMismatchError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, numeric_rank, support_projector
+from .errors import BadMuError
+from .linalg import (DEFAULT_TOL, Tolerance, as_matrix, fro, numeric_rank, operator_stack,
+                     support_projector)
 
 # Smallest image singular value regarded as genuinely positive, relative to the largest
 # operator norm, so that scaling a set keeps its verdict; values below are indistinguishable
@@ -67,17 +68,6 @@ class DependenceVerdict:
     lld_reason: str | None = None
 
 
-def _checked_ops(ops) -> np.ndarray:
-    mats = [as_matrix(a) for a in ops]
-    if not mats:
-        raise ShapeMismatchError("need at least one operator")
-    shape = mats[0].shape
-    for a in mats[1:]:
-        if a.shape != shape:
-            raise ShapeMismatchError(f"mixed operator shapes {shape} and {a.shape}")
-    return np.array(mats)
-
-
 def _image_matrix(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((ops @ psi).T)  # C order: _eigen_witness's residuals depend on it
 
@@ -94,7 +84,7 @@ def check_linear_independence(ops, tol: Tolerance = DEFAULT_TOL
     Returns ``(True, None)`` when independent, otherwise ``(False, beta)``
     with a unit coefficient vector satisfying ``sum_k beta_k ops[k] ~ 0``.
     """
-    mats = _checked_ops(ops)
+    mats = operator_stack(ops)
     stack = mats.reshape(len(mats), -1)
     if numeric_rank(stack, tol) == len(mats):
         return True, None
@@ -112,7 +102,7 @@ def check_lld(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> tuple[str, np
     rank; otherwise ``("yes_probabilistic", None)`` after all ``_N_SAMPLES``
     sampled points came out rank-deficient.
     """
-    mats = _checked_ops(ops)
+    mats = operator_stack(ops)
     n, d_out, d_in = mats.shape
     if n > d_out:
         return "yes", None
@@ -210,7 +200,7 @@ def check_lli(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0
     Returns ``(verdict, min_sigma, witness)`` with witness ``(psi, alpha)``
     normalised to unit length when the verdict is ``"no"``.
     """
-    mats = _checked_ops(ops)
+    mats = operator_stack(ops)
     n, d_out, d_in = mats.shape
     singular = np.flatnonzero(numeric_rank(mats, tol) < d_in)
     if singular.size:
@@ -235,7 +225,7 @@ def check_lli(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0
 
 def classify_operators(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> DependenceVerdict:
     """Full dependence classification with exact criteria overriding sampling."""
-    mats = _checked_ops(ops)
+    mats = operator_stack(ops)
     n, d_out, _ = mats.shape
     independent, beta = check_linear_independence(mats, tol)
 

@@ -14,8 +14,9 @@ import json
 import numpy as np
 
 from .catalog import NamedExample
-from .dependence import DependenceVerdict, _checked_ops
+from .dependence import DependenceVerdict
 from .errors import DimensionMismatchError, InvalidOperatorSetError
+from .linalg import operator_stack
 from .measurement import Measurement, Povm, QuantumState
 from .perfect import PerfectCheckReport, ProjectiveRetrodictor
 from .simulation import TrialReport
@@ -129,8 +130,8 @@ def operators_to_obj(ops) -> dict:
 
 def operators_from_obj(obj) -> list[np.ndarray]:
     """At least one operator, all of one shape and with finite entries."""
-    return list(_checked_ops([array_from_obj(a, 2)
-                              for a in _typed(obj["operators"], list, "operators")]))
+    return list(operator_stack([array_from_obj(a, 2)
+                                for a in _typed(obj["operators"], list, "operators")]))
 
 
 def perfect_report_to_obj(report: PerfectCheckReport) -> dict:

@@ -54,6 +54,18 @@ def as_matrix(a) -> np.ndarray:
     return finite(as_2d(a))
 
 
+def operator_stack(ops) -> np.ndarray:
+    """``ops`` as one new ``(n, d_out, d_in)`` complex stack.  No operator, a non-matrix or
+    mixed shapes raise ``ShapeMismatchError``; a NaN or Inf entry ``ValueError``."""
+    mats = [as_2d(a) for a in ops]
+    if not mats:
+        raise ShapeMismatchError("need at least one operator")
+    other = next((a.shape for a in mats if a.shape != mats[0].shape), None)
+    if other is not None:
+        raise ShapeMismatchError(f"mixed operator shapes {mats[0].shape} and {other}")
+    return finite(np.array(mats))
+
+
 def as_vector(a) -> np.ndarray:
     """Coerce to a 1-D complex128 array, rejecting NaN/Inf entries."""
     v = np.asarray(a, dtype=complex)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-
 import numpy as np
 
 from .errors import (
@@ -17,7 +15,6 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Tolerance, as_2d, as_matrix, as_vector, dagger, finite, fro, psd_eig
 
 
-@dataclass(eq=False)
 class Measurement:
     """A generalised measurement described by groups of Kraus operators.
 
@@ -28,8 +25,8 @@ class Measurement:
     operator families are unrepresentable: the summed products over all
     groups must resolve the identity on the input space and no group may be
     numerically zero.  The measurement owns a read-only copy of its operators,
-    the stack ``kraus`` of shape ``(N, d_out, d_in)`` in ``all_kraus()`` order,
-    and ``outcomes[k]`` holds views of its rows.  It also stores, read-only:
+    the stack ``kraus`` of shape ``(N, d_out, d_in)`` in ``all_kraus()`` order;
+    ``outcomes`` groups views of its rows afresh on each read.  It also stores, read-only:
     ``starts``, the ``n + 1`` offsets of the groups in that order;
     ``nonzero_rows``, the ``(N, d_out)`` mask of the output rows each operator
     writes, which the perfect check reads; and ``elements``, the group elements
@@ -38,25 +35,17 @@ class Measurement:
     Outside groups enter here, library-built stacks through ``from_stack``.
     """
 
-    d_in: int
-    d_out: int
-    outcomes: list[list[np.ndarray]]
-    tol: InitVar[Tolerance | None] = None
-    kraus: np.ndarray = field(init=False, repr=False)
-    starts: np.ndarray = field(init=False, repr=False)
-    elements: np.ndarray = field(init=False, repr=False)
-    nonzero_rows: np.ndarray = field(init=False, repr=False)
-    _cross_residual: tuple | None = field(default=None, init=False, repr=False)
+    _cross_residual: tuple | None = None  # set by the first perfect check
 
-    def __post_init__(self, tol: Tolerance | None) -> None:
-        ops = [as_2d(a) for group in self.outcomes for a in group]
-        sizes = [len(group) for group in self.outcomes]
+    def __init__(self, d_in: int, d_out: int, outcomes, tol: Tolerance | None = None) -> None:
+        ops = [as_2d(a) for group in outcomes for a in group]
+        sizes = [len(group) for group in outcomes]
         if len({a.shape for a in ops}) > 1:  # no stack: name the first operator of another shape
-            i = next(i for i, a in enumerate(ops) if a.shape != (self.d_out, self.d_in))
+            i = next(i for i, a in enumerate(ops) if a.shape != (d_out, d_in))
             raise DimensionMismatchError(f"operator of shape {ops[i].shape} in outcome "
                                          f"{np.searchsorted(np.cumsum(sizes), i, 'right')}; "
-                                         f"expected ({self.d_out}, {self.d_in})")
-        self._hold(self.d_in, self.d_out, np.array(ops, dtype=complex), sizes, tol)
+                                         f"expected ({d_out}, {d_in})")
+        self._hold(d_in, d_out, np.array(ops, dtype=complex), sizes, tol)
 
     @classmethod
     def from_stack(cls, d_in: int, d_out: int, kraus, sizes,
@@ -83,7 +72,6 @@ class Measurement:
             raise InvalidOperatorSetError(f"group sizes sum to {self.starts[-1]}, not {len(stack)}")
         self.kraus = finite(stack)
         stack.setflags(write=False)  # before slicing, so that every view is read-only too
-        self.outcomes = [list(stack[a:b]) for a, b in zip(self.starts[:-1], self.starts[1:])]
         rows = self.nonzero_rows = (stack.view(float) != 0).any(axis=2)  # re or im nonzero
         x = stack[rows]  # E_k = X_k^dag X_k, one product over the nonzero rows X_k of group k
         ends = np.cumsum(np.add.reduceat(rows.sum(axis=1), self.starts[:-1]))
@@ -95,6 +83,11 @@ class Measurement:
             raise InvalidOperatorSetError(f"outcome {vanishing[0]} has a vanishing POVM element")
         _check_identity(self.elements.sum(axis=0), tol, "Kraus operators do not resolve the identity")
         return self
+
+    @property
+    def outcomes(self) -> list[list[np.ndarray]]:
+        """Read-only views of the operators of each outcome, grouped anew on each read."""
+        return [list(self.kraus[a:b]) for a, b in zip(self.starts[:-1], self.starts[1:])]
 
     @property
     def n_outcomes(self) -> int:
@@ -151,18 +144,13 @@ def povm_elements(elements, d: int, tol: Tolerance) -> list[np.ndarray]:
     return list(stack)
 
 
-@dataclass(eq=False)
 class Povm:
     """Positive operators on a ``d``-dimensional space summing to the identity."""
 
-    d: int
-    elements: list[np.ndarray]
-    tol: InitVar[Tolerance | None] = None
-
-    def __post_init__(self, tol: Tolerance | None) -> None:
-        if not len(self.elements):
+    def __init__(self, d: int, elements, tol: Tolerance | None = None) -> None:
+        if not len(elements):
             raise InvalidOperatorSetError("a POVM needs at least one element")
-        self.elements = povm_elements(self.elements, self.d, tol or DEFAULT_TOL)
+        self.d, self.elements = d, povm_elements(elements, d, tol or DEFAULT_TOL)
 
     @property
     def n_outcomes(self) -> int:
@@ -240,7 +228,6 @@ class Retrodictor:
         return [e for i, e in enumerate(self.elements) if i != self.inconclusive_index]
 
 
-@dataclass(eq=False)
 class QuantumState:
     """A pure vector or density matrix, optionally split as system x ancilla.
 
@@ -248,40 +235,35 @@ class QuantumState:
     measurements always act on the first factor.
     """
 
-    kind: str
-    data: np.ndarray
-    factor_dims: tuple[int, int] | None = None
-    tol: InitVar[Tolerance | None] = None
-
-    def __post_init__(self, tol: Tolerance | None) -> None:
+    def __init__(self, kind: str, data, factor_dims: tuple[int, int] | None = None,
+                 tol: Tolerance | None = None) -> None:
         tol = tol or DEFAULT_TOL
-        if self.kind == "pure":
-            self.data = as_vector(self.data)
-            nrm = float(np.linalg.norm(self.data))
+        if kind == "pure":
+            data = as_vector(data)
+            nrm = float(np.linalg.norm(data))
             if abs(nrm - 1.0) > tol.eq_residual:
                 raise InvalidOperatorSetError(f"pure state must have unit norm, got {nrm!r}")
-        elif self.kind == "mixed":
-            self.data = as_matrix(self.data)
-            if self.data.shape[0] != self.data.shape[1]:
+        elif kind == "mixed":
+            data = as_matrix(data)
+            if data.shape[0] != data.shape[1]:
                 raise DimensionMismatchError("density matrix must be square")
             try:
-                psd_eig(self.data, tol, scale=1.0)
+                psd_eig(data, tol, scale=1.0)
             except NotPsdError as exc:
                 raise InvalidOperatorSetError(f"density matrix is not PSD: {exc}") from exc
-            tr = float(np.trace(self.data).real)
+            tr = float(np.trace(data).real)
             if abs(tr - 1.0) > tol.eq_residual:
                 raise InvalidOperatorSetError(f"density matrix must have unit trace, got {tr!r}")
         else:
-            raise ValueError(f"kind must be 'pure' or 'mixed', got {self.kind!r}")
-        if self.factor_dims is not None:
-            d_sys, d_anc = self.factor_dims
+            raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
+        if factor_dims is not None:
+            d_sys, d_anc = factor_dims
             if min(d_sys, d_anc) < 1:
-                raise DimensionMismatchError(f"factor dims {self.factor_dims} must be positive")
-            if d_sys * d_anc != self.dim:
-                raise DimensionMismatchError(
-                    f"factor dims {self.factor_dims} do not multiply to {self.dim}"
-                )
-            self.factor_dims = (int(d_sys), int(d_anc))
+                raise DimensionMismatchError(f"factor dims {factor_dims} must be positive")
+            if d_sys * d_anc != len(data):
+                raise DimensionMismatchError(f"factor dims {factor_dims} do not multiply to {len(data)}")
+            factor_dims = (int(d_sys), int(d_anc))
+        self.kind, self.data, self.factor_dims = kind, data, factor_dims
 
     @classmethod
     def pure(cls, vec, factor_dims: tuple[int, int] | None = None,

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import (BadBasisError, InvalidOperatorSetError, NotHermitianError, NotPsdError,
                      TooManyOutcomesError)
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, eigh_descending, finite
+from .linalg import (DEFAULT_TOL, Tolerance, as_vector, dagger, eigh_descending, finite,
+                     operator_stack)
 from .measurement import Measurement, Povm
 
 
@@ -132,7 +133,7 @@ def dilated_kraus(factors: list[np.ndarray], x_basis,
     """
     if not len(factors):
         raise InvalidOperatorSetError("need at least one factor")
-    b = np.array([as_matrix(f) for f in factors])
+    b = operator_stack(factors)
     n, d_out, d_in = b.shape
     x = np.array(_checked_basis(x_basis, max(n, d_in), d_out, tol))  # rows x_j
     rows = np.conj(x[:d_in]) @ b  # rows[k, r] = x_r^dag B_k

@@ -29,7 +29,7 @@ from .errors import (
     NotFineGrainedError,
     ZeroProbabilityOutcomeError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, fro, numeric_rank
+from .linalg import DEFAULT_TOL, Tolerance, as_vector, dagger, fro, numeric_rank, operator_stack
 from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, _split_dims, images
 
 
@@ -173,7 +173,7 @@ def discriminate_unitaries(unitaries, priors, s: QuantumState,
     when the unitaries are linearly independent.  Returns the retrodictor
     and the success probability ``1 - p_inconclusive`` under the priors.
     """
-    mats = [as_matrix(u) for u in unitaries]
+    mats = operator_stack(unitaries)
     priors = np.asarray(priors, dtype=float)
     if len(mats) != priors.size:
         raise ValueError("need one prior per unitary")
@@ -184,7 +184,7 @@ def discriminate_unitaries(unitaries, priors, s: QuantumState,
     for k, u in enumerate(mats):
         if u.shape != (d, d) or fro(dagger(u) @ u - eye) > tol.eq_residual * fro(eye):
             raise NonUnitaryInputError(f"operator {k} is not unitary within tolerance")
-    m = Measurement.from_stack(d, d, np.sqrt(priors)[:, None, None] * np.array(mats),
+    m = Measurement.from_stack(d, d, np.sqrt(priors)[:, None, None] * mats,
                                [1] * len(mats), tol)
     retro, p_inc = retrodict_unambiguously(m, s, tol)
     return retro, 1.0 - p_inc

@@ -27,7 +27,7 @@ from retroq import (
     synthesize,
 )
 from retroq.catalog import PAULI, counterexample_3d, two_to_four
-from retroq.jsonio import ud_from_obj, ud_to_obj
+from retroq.jsonio import dumps, measurement_to_obj, ud_from_obj, ud_to_obj
 from retroq.linalg import DEFAULT_TOL
 from retroq.measurement import Retrodictor, images
 from retroq.rand import (
@@ -228,6 +228,20 @@ def test_the_perfect_check_reads_the_stored_row_mask():
     assert perfect._cross_products(m)[0] > 0.0
     m.nonzero_rows = np.zeros_like(m.nonzero_rows)  # as if no operator wrote any row
     assert perfect._cross_products(m) == (0.0, None)
+
+
+@pytest.mark.parametrize("build", [
+    pauli_measurement,
+    lambda: Measurement.from_stack(2, 2, np.array([HALF, HALF_2]), [2]),
+], ids=["measurement", "stacked measurement"])
+def test_assigning_into_an_outcome_group_leaves_the_measurement_as_it_was(build):
+    m = build()
+    kraus, dumped = m.kraus.copy(), dumps(measurement_to_obj(m))
+    m.outcomes[0][0] = np.zeros((2, 2))
+    assert np.array_equal(m.kraus, kraus) and np.array_equal(m.outcomes[0][0], kraus[0])
+    assert dumps(measurement_to_obj(m)) == dumped
+    with pytest.raises(AttributeError):
+        m.outcomes = [[np.zeros((2, 2))]]
 
 
 def test_fine_grained_flag():

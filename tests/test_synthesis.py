@@ -11,6 +11,7 @@ from retroq import (
     NotHermitianError,
     NotPsdError,
     Povm,
+    ShapeMismatchError,
     TooManyOutcomesError,
     b_factor,
     build_retrodictor,
@@ -268,6 +269,8 @@ def test_dilated_kraus_coerces_its_factors():
     factors = b_factor(povm, x_basis=basis)
     for given in ([b.tolist() for b in factors], np.array(factors)):  # nested lists, one stack
         assert np.array_equal(dilated_kraus(given, basis).kraus, dilated_kraus(factors, basis).kraus)
+    with pytest.raises(ShapeMismatchError, match="mixed operator shapes"):
+        dilated_kraus([np.eye(2), np.eye(3)], None)
     factors[1][0, 0] = np.nan
     with pytest.raises(ValueError, match="entries must be finite"):
         dilated_kraus(factors, basis)

@@ -15,6 +15,7 @@ from retroq import (
     NonUnitaryInputError,
     NotFineGrainedError,
     QuantumState,
+    ShapeMismatchError,
     Tolerance,
     UnambiguousRetrodictor,
     assess_measurement,
@@ -389,6 +390,11 @@ def test_non_unitary_input_is_rejected():
     with pytest.raises(NonUnitaryInputError):
         discriminate_unitaries([PAULI["I"], PAULI["X"], bad], [1 / 3] * 3,
                                maximally_entangled_state(2))
+
+
+def test_unitaries_of_mixed_shapes_are_rejected_as_such():
+    with pytest.raises(ShapeMismatchError, match="mixed operator shapes"):
+        discriminate_unitaries([np.eye(2), np.eye(3)], [0.5, 0.5], maximally_entangled_state(2))
 
 
 def test_identity_and_flip_depend_on_the_probe_state(rng):
