@@ -67,7 +67,7 @@ def measurement_from_obj(obj, tol=None) -> Measurement:
 
 
 def povm_to_obj(p: Povm) -> dict:
-    return {"d": p.d, "elements": [array_to_obj(e) for e in p.elements]}
+    return {"d": p.d, "elements": array_to_obj(p.elements)}
 
 
 def povm_from_obj(obj, tol=None) -> Povm:
@@ -96,7 +96,7 @@ def state_from_obj(obj, tol=None) -> QuantumState:
 
 
 def projective_to_obj(r: ProjectiveRetrodictor) -> dict:
-    return {"d_out": r.d_out, "projectors": [array_to_obj(p) for p in r.projectors]}
+    return {"d_out": r.d_out, "projectors": array_to_obj(r.projectors)}
 
 
 def projective_from_obj(obj, tol=None) -> ProjectiveRetrodictor:
@@ -107,7 +107,7 @@ def projective_from_obj(obj, tol=None) -> ProjectiveRetrodictor:
 def ud_to_obj(r: UnambiguousRetrodictor) -> dict:
     return {
         "d": r.d,
-        "elements": [array_to_obj(e) for e in r.elements],
+        "elements": array_to_obj(r.elements),
         "inconclusive_index": r.inconclusive_index,
     }
 

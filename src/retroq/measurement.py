@@ -123,13 +123,13 @@ def square_matrices(ops, d: int, what: str) -> np.ndarray:
     return stack
 
 
-def povm_elements(elements, d: int, tol: Tolerance) -> list[np.ndarray]:
+def povm_elements(elements, d: int, tol: Tolerance) -> np.ndarray:
     """Check that ``elements`` are Hermitian, PSD ``d x d`` matrices summing to the identity.
 
     Every element of such a set is bounded by the identity, so positivity is
     decided against ``tol.psd_floor`` at scale 1, by one batched eigenvalue
     computation over the Hermitian parts, which also names the first element
-    that fails.  Returns views of the read-only copy ``square_matrices`` makes.
+    that fails.  Returns the read-only ``(n, d, d)`` copy ``square_matrices`` makes.
     """
     stack = square_matrices(elements, d, "element")
     for k, e in enumerate(stack):
@@ -141,11 +141,12 @@ def povm_elements(elements, d: int, tol: Tolerance) -> list[np.ndarray]:
         raise InvalidOperatorSetError(f"element {bad[0]} is not PSD: most negative eigenvalue "
                                       f"{lowest[bad[0]]:.3e} below the admissible floor")
     _check_identity(sum(stack), tol, "elements do not sum to the identity")
-    return list(stack)
+    return stack
 
 
 class Povm:
-    """Positive operators on a ``d``-dimensional space summing to the identity."""
+    """Positive operators on a ``d``-dimensional space summing to the identity, held as
+    the read-only ``(n, d, d)`` stack ``elements``."""
 
     def __init__(self, d: int, elements, tol: Tolerance | None = None) -> None:
         if not len(elements):
@@ -180,7 +181,7 @@ class Retrodictor:
     once.  What the library builds enters through ``from_factor``.
     """
 
-    _elements: list[np.ndarray] | None = None  # from a factor: formed on first read
+    _elements: np.ndarray | None = None  # from a factor: formed on first read
 
     def __init__(self, elements, inconclusive_index: int = 0, tol: Tolerance | None = None) -> None:
         if not len(elements):
@@ -215,13 +216,14 @@ class Retrodictor:
         return self
 
     @property
-    def elements(self) -> list[np.ndarray]:
+    def elements(self) -> np.ndarray:
+        """The read-only ``(N + 1, d, d)`` stack of all elements."""
         if self._elements is None:  # threads racing here form the same elements
             stack = np.empty((self.n_outcomes + 1, self.d, self.d), dtype=complex)
             np.matmul(self.factor, dagger(self.factor), out=stack[1:])
             stack[0] = _completed(stack[1:], self.d)[0]
             stack.setflags(write=False)
-            self._elements = list(stack)
+            self._elements = stack
         return self._elements
 
     def conclusive_elements(self) -> list[np.ndarray]:
@@ -231,19 +233,23 @@ class Retrodictor:
 class QuantumState:
     """A pure vector or density matrix, optionally split as system x ancilla.
 
-    ``factor_dims`` records an explicit tensor factorisation ``(d_sys, d_anc)``;
-    measurements always act on the first factor.
+    ``data`` is a read-only copy of the vector or matrix given.  ``factor_dims`` records
+    an explicit tensor factorisation ``(d_sys, d_anc)``; measurements always act on the
+    first factor.
     """
 
     def __init__(self, kind: str, data, factor_dims: tuple[int, int] | None = None,
                  tol: Tolerance | None = None) -> None:
         tol = tol or DEFAULT_TOL
+        if kind not in ("pure", "mixed"):
+            raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
+        data = np.array(data, dtype=complex)  # owned, and read-only once checked
         if kind == "pure":
             data = as_vector(data)
             nrm = float(np.linalg.norm(data))
             if abs(nrm - 1.0) > tol.eq_residual:
                 raise InvalidOperatorSetError(f"pure state must have unit norm, got {nrm!r}")
-        elif kind == "mixed":
+        else:
             data = as_matrix(data)
             if data.shape[0] != data.shape[1]:
                 raise DimensionMismatchError("density matrix must be square")
@@ -254,15 +260,16 @@ class QuantumState:
             tr = float(np.trace(data).real)
             if abs(tr - 1.0) > tol.eq_residual:
                 raise InvalidOperatorSetError(f"density matrix must have unit trace, got {tr!r}")
-        else:
-            raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
         if factor_dims is not None:
             d_sys, d_anc = factor_dims
             if min(d_sys, d_anc) < 1:
                 raise DimensionMismatchError(f"factor dims {factor_dims} must be positive")
             if d_sys * d_anc != len(data):
                 raise DimensionMismatchError(f"factor dims {factor_dims} do not multiply to {len(data)}")
+            if (int(d_sys), int(d_anc)) != (d_sys, d_anc):
+                raise DimensionMismatchError(f"factor dims {factor_dims} must be integers")
             factor_dims = (int(d_sys), int(d_anc))
+        data.setflags(write=False)
         self.kind, self.data, self.factor_dims = kind, data, factor_dims
 
     @classmethod

@@ -66,7 +66,7 @@ class ProjectiveRetrodictor(Retrodictor):
         return self.d
 
     @property
-    def projectors(self) -> list[np.ndarray]:
+    def projectors(self) -> np.ndarray:
         return self.elements[1:]
 
 

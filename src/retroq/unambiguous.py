@@ -177,7 +177,7 @@ def discriminate_unitaries(unitaries, priors, s: QuantumState,
     priors = np.asarray(priors, dtype=float)
     if len(mats) != priors.size:
         raise ValueError("need one prior per unitary")
-    if np.any(priors <= 0.0) or abs(float(priors.sum()) - 1.0) > tol.eq_residual:
+    if not np.all(priors > 0.0) or abs(float(priors.sum()) - 1.0) > tol.eq_residual:
         raise ValueError("priors must be positive and sum to one")
     d = mats[0].shape[0]
     eye = np.eye(d)

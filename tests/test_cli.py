@@ -276,6 +276,14 @@ def test_synthesize_too_many_outcomes(files, capsys):
     assert "TooManyOutcomes" in err
 
 
+def test_synthesize_reports_an_outcome_left_without_kraus_operators(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(dumps(povm_to_obj(retroq.Povm(2, [np.eye(2), np.zeros((2, 2))]))))
+    code, _, err = run_cli(["synthesize", path, "--d-out", "2"], capsys)
+    assert code == 1
+    assert "outcome 1 has no Kraus operators" in err
+
+
 @pytest.mark.parametrize("d_out", ["0", "-3"])
 def test_synthesize_d_out_must_be_positive(files, capsys, d_out):
     with pytest.raises(SystemExit) as exc:

@@ -351,7 +351,7 @@ def test_validated_elements_are_read_only_copies_owned_by_their_objects():
         return out
 
     before = snapshot()
-    for stored in povm.elements + retro.elements + ud.elements + proj.elements:
+    for stored in [*povm.elements, *retro.elements, *ud.elements, *proj.elements]:
         with pytest.raises(ValueError, match="read-only"):
             stored[1, 1] = -3
         with pytest.raises(ValueError, match="read-only"):
@@ -359,10 +359,24 @@ def test_validated_elements_are_read_only_copies_owned_by_their_objects():
         assert not any(np.shares_memory(stored, own) for own in elements + projectors)
     with pytest.raises(ValueError, match="read-only"):
         proj.projectors[0][0, 0] = 0.5
-    assert proj.projectors[0] is proj.elements[1]
+    assert np.shares_memory(proj.projectors[0], proj.elements[1])
     for own in elements + projectors:
         own[:] = 5.0
     assert all(np.array_equal(a, b) for a, b in zip(snapshot(), before))
+
+
+def test_element_stacks_refuse_item_assignment():
+    # the stack itself is read-only, so no matrix can be swapped in after validation
+    elements = [0.2 * E2, np.diag([0.8, 0.0 + 0j]), np.diag([0.0, 0.8 + 0j])]
+    factor_built = perfect.build_retrodictor(PROJ_Z)
+    for stack in (Povm(2, elements).elements, Retrodictor(elements).elements,
+                  factor_built.elements, factor_built.elements):
+        assert stack.shape == (3, 2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0] = np.diag([5.0, -3.0])
+    assert factor_built.elements is factor_built.elements  # formed once, on first read
+    with pytest.raises(ValueError, match="read-only"):
+        factor_built.projectors[1] = 9.0 * np.ones((2, 2))
 
 
 def test_each_retrodictor_origin_has_its_own_entry_point():
@@ -491,6 +505,23 @@ def test_state_validation():
 def test_state_factor_dims_must_be_positive(kind, data, factor_dims):
     with pytest.raises(DimensionMismatchError, match=r"factor dims .* must be positive"):
         QuantumState(kind, data, factor_dims)
+
+
+@pytest.mark.parametrize("factor_dims", [(1.5, 4), (4, 1.5)])
+def test_state_factor_dims_must_be_integers(factor_dims):
+    with pytest.raises(DimensionMismatchError, match=r"factor dims .* must be integers"):
+        QuantumState.pure(np.ones(6) / 6 ** 0.5, factor_dims)
+    assert QuantumState.pure(np.ones(6) / 6 ** 0.5, (2.0, 3.0)).factor_dims == (2, 3)
+
+
+@pytest.mark.parametrize("kind, data", [("pure", PLUS), ("mixed", np.outer(PLUS, PLUS))])
+def test_state_data_is_a_read_only_copy(kind, data):
+    own = np.array(data, dtype=complex)
+    s = QuantumState(kind, own)
+    own[0] = 5.0
+    assert np.array_equal(s.data, data)
+    with pytest.raises(ValueError, match="read-only"):
+        s.data[0] = 5.0
 
 
 # ----------------------------------------------------------------- povm_of

@@ -273,7 +273,7 @@ def test_factored_rows_match_the_element_reference(rng):
             # The factored rows read the inconclusive entry as the complement of the others,
             # so the generic POVM's inconclusive element is the complement of its others too.
             conclusive = random_povm(d_out * d_s, n + 1, rng).elements[1:]
-            joint = UnambiguousRetrodictor([np.eye(d_out * d_s) - sum(conclusive)] + conclusive)
+            joint = UnambiguousRetrodictor([np.eye(d_out * d_s) - sum(conclusive), *conclusive])
             lifted = UnambiguousRetrodictor([np.kron(e, np.eye(d_s)) for e in proj.elements])
             cases += [(m, r, s) for r in (proj, joint, lifted, always_inconclusive(d_out, n))]
     entangled = maximally_entangled_state(2)
@@ -341,7 +341,7 @@ def test_the_largest_draw_never_lands_on_a_zero_probability_entry(monkeypatch):
         pytest.fail("no state whose outcome CDF stops short of 1")
     for _ in range(2000):
         # a zero inconclusive element never answers
-        retro = UnambiguousRetrodictor([np.zeros((4, 4), dtype=complex)] + random_povm(4, 4, rng).elements)
+        retro = UnambiguousRetrodictor([np.zeros((4, 4), dtype=complex), *random_povm(4, 4, rng).elements])
         row = _retrodictor_rows(retro, m, s, images(m.outcomes[2], s), [2], DEFAULT_TOL)[0]
         if np.cumsum(row)[3] < top:
             break

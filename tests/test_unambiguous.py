@@ -416,6 +416,12 @@ def test_priors_are_validated():
                                maximally_entangled_state(2))
 
 
+@pytest.mark.parametrize("priors", [[np.nan, np.nan], [0.5, np.nan], [np.nan, 0.5]])
+def test_nan_priors_are_refused_as_priors(priors):
+    with pytest.raises(ValueError, match="^priors must be positive and sum to one$"):
+        discriminate_unitaries([PAULI["I"], PAULI["X"]], priors, maximally_entangled_state(2))
+
+
 def test_priors_are_checked_at_the_callers_tolerance():
     us, priors = [PAULI["I"], PAULI["X"]], [0.5, 0.5 + 1e-7]
     _, success = discriminate_unitaries(us, priors, maximally_entangled_state(2),
