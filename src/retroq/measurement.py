@@ -31,7 +31,8 @@ class Measurement:
     ``nonzero_rows``, the ``(N, d_out)`` mask of the output rows each operator
     writes, which the perfect check reads; and ``elements``, the group elements
     ``E_k = sum_r A_kr^dag A_kr`` as one ``(n, d_in, d_in)`` stack, formed as
-    ``X_k^dag X_k``, one product over the nonzero rows ``X_k`` of group ``k``.
+    ``X_k^dag X_k`` over the nonzero rows ``X_k`` of group ``k``, in one batched
+    product per distinct row count (one product for a dense fine-grained set).
     Outside groups enter here, library-built stacks through ``from_stack``.
     """
 
@@ -73,9 +74,14 @@ class Measurement:
         self.kraus = finite(stack)
         stack.setflags(write=False)  # before slicing, so that every view is read-only too
         rows = self.nonzero_rows = (stack.view(float) != 0).any(axis=2)  # re or im nonzero
-        x = stack[rows]  # E_k = X_k^dag X_k, one product over the nonzero rows X_k of group k
-        ends = np.cumsum(np.add.reduceat(rows.sum(axis=1), self.starts[:-1]))
-        self.elements = np.array([dagger(x[a:b]) @ x[a:b] for a, b in zip([0, *ends[:-1]], ends)])
+        x = stack[rows]  # E_k = X_k^dag X_k over the nonzero rows X_k of group k
+        counts = np.add.reduceat(rows.sum(axis=1), self.starts[:-1])
+        firsts = np.cumsum(counts) - counts
+        self.elements = np.zeros((len(sizes), d_in, d_in), dtype=complex)
+        for c in set(counts.tolist()) - {0}:  # np.unique would import numpy.ma
+            ks = np.flatnonzero(counts == c)
+            xs = x[firsts[ks, None] + np.arange(c)]
+            self.elements[ks] = dagger(xs) @ xs
         for a in (self.starts, rows, self.elements):
             a.setflags(write=False)
         vanishing = np.flatnonzero(np.linalg.norm(self.elements, axis=(1, 2)) <= tol.eq_residual)
@@ -126,15 +132,17 @@ def square_matrices(ops, d: int, what: str) -> np.ndarray:
 def povm_elements(elements, d: int, tol: Tolerance) -> np.ndarray:
     """Check that ``elements`` are Hermitian, PSD ``d x d`` matrices summing to the identity.
 
-    Every element of such a set is bounded by the identity, so positivity is
+    Hermiticity is decided by one batched norm of the anti-Hermitian parts.  Every
+    element of such a set is bounded by the identity, so positivity is
     decided against ``tol.psd_floor`` at scale 1, by one batched eigenvalue
-    computation over the Hermitian parts, which also names the first element
+    computation over the Hermitian parts.  Each check names the first element
     that fails.  Returns the read-only ``(n, d, d)`` copy ``square_matrices`` makes.
     """
     stack = square_matrices(elements, d, "element")
-    for k, e in enumerate(stack):
-        if fro(e - dagger(e)) > tol.eq_residual * fro(e):
-            raise NotHermitianError(f"element {k} is not Hermitian within tolerance")
+    skew = np.flatnonzero(np.linalg.norm(stack - dagger(stack), axis=(1, 2))
+                          > tol.eq_residual * np.linalg.norm(stack, axis=(1, 2)))
+    if skew.size:
+        raise NotHermitianError(f"element {skew[0]} is not Hermitian within tolerance")
     lowest = np.linalg.eigvalsh((stack + dagger(stack)) / 2.0)[:, 0]
     bad = np.flatnonzero(lowest < -tol.psd_floor)
     if bad.size:
@@ -336,9 +344,13 @@ def images(stack, s: QuantumState) -> np.ndarray:
 def _probabilities(stack: np.ndarray, starts, tol: Tolerance) -> np.ndarray:
     """Outcome probabilities ``p_k = sum_r ||S_r||^2`` over the images ``S_r`` of ``images``,
     outcome ``k`` owning ``stack[starts[k]:starts[k + 1]]``; pure and mixed inputs alike.
+    Each ``||S_r||^2`` is one batched 1 x L by L x 1 product, which numpy hands to the BLAS
+    dot that ``np.vdot`` uses, and each group is summed by Python's ``sum`` in row order, so
+    the bits are those of ``sum(np.vdot(S, S).real for S in group)``.
     Entries below ``tol.rank_rel`` are zeroed and the vector is clamped to [0, 1]."""
-    p = np.array([sum(float(np.vdot(phi, phi).real) for phi in stack[a:b])
-                  for a, b in zip(starts[:-1], starts[1:])])
+    flat = stack.reshape(len(stack), 1, -1)
+    sq = (np.conj(flat) @ flat.swapaxes(1, 2)).real.ravel().tolist()
+    p = np.array([sum(sq[a:b]) for a, b in zip(starts[:-1], starts[1:])])
     p[p < tol.rank_rel] = 0.0
     return np.clip(p, 0.0, 1.0)
 

@@ -46,9 +46,11 @@ def standard_basis(n: int, dim: int) -> list[np.ndarray]:
     return [eye[:, j].copy() for j in range(n)]
 
 
-def _checked_basis(x_basis, n: int, dim: int, tol: Tolerance) -> list[np.ndarray]:
+def _checked_basis(x_basis, n: int, dim: int, tol: Tolerance) -> np.ndarray:
+    """The reference vectors as the rows of one array: the first ``n`` standard basis
+    vectors by default, else ``x_basis`` once checked to hold ``n`` orthonormal vectors."""
     if x_basis is None:
-        return standard_basis(n, dim)
+        return np.array(standard_basis(n, dim))
     basis = [as_vector(x) for x in x_basis]
     if len(basis) < n:
         raise BadBasisError(f"need {n} reference vectors, got {len(basis)}")
@@ -59,7 +61,7 @@ def _checked_basis(x_basis, n: int, dim: int, tol: Tolerance) -> list[np.ndarray
     gram = np.conj(stacked) @ stacked.T  # entry (i, j) is <x_i|x_j>
     if np.linalg.norm(gram - np.eye(len(basis))) > tol.eq_residual * len(basis):
         raise BadBasisError("reference vectors are not orthonormal")
-    return basis
+    return stacked
 
 
 def synthesize(p: Povm, d_out: int, x_basis=None,
@@ -80,12 +82,14 @@ def synthesize(p: Povm, d_out: int, x_basis=None,
     w, v = eigh_descending(p.elements)
     keep = w > tol.rank_rel * w[:, :1]
     ks, rs = np.nonzero(keep)
+    vt = v.swapaxes(1, 2)  # row r of vt[k] is eigenvector r of element k
     # sqrt(w_r) |x_k><v_r| for every kept eigen-term of every element at once
-    kraus = np.sqrt(w[ks, rs])[:, None, None] * (np.array(basis[:n])[ks][:, :, None]
-                                                 * np.conj(v[ks, :, rs])[:, None, :])
+    kraus = basis[ks][:, :, None] * np.conj(vt[ks, rs])[:, None, :]
+    np.multiply(np.sqrt(w[ks, rs])[:, None, None], kraus, out=kraus)
     measurement = Measurement.from_stack(p.d, d_out, kraus, keep.sum(axis=1), tol)
-    spectral = [[(float(w[k, r]), v[k, :, r]) for r in np.flatnonzero(keep[k])] for k in range(n)]
-    return SynthesisResult(measurement, basis, spectral)
+    # w descends, so each element's kept terms lead its rows and zip stops after them
+    spectral = [list(zip(w[k, keep[k]].tolist(), vt[k])) for k in range(n)]
+    return SynthesisResult(measurement, list(basis), spectral)
 
 
 def b_factor(p: Povm, d_out: int | None = None, x_basis=None,
@@ -106,7 +110,7 @@ def b_factor(p: Povm, d_out: int | None = None, x_basis=None,
         raise TooManyOutcomesError(f"{n} outcomes exceed output dimension {d_out}")
     if d_out < need:
         raise BadBasisError(f"output dimension {d_out} cannot hold {need} orthonormal vectors")
-    x = np.array(_checked_basis(x_basis, need, d_out, tol)[:p.d]).T  # columns x_r
+    x = _checked_basis(x_basis, need, d_out, tol)[:p.d].T  # columns x_r
     w, v = eigh_descending(p.elements)
     return list(x @ (np.sqrt(np.maximum(w, 0.0))[:, :, None] * dagger(v)))  # X sqrt(w) V^dag
 
@@ -123,7 +127,7 @@ def dilated_kraus(factors: list[np.ndarray], x_basis,
         raise InvalidOperatorSetError("need at least one factor")
     b = operator_stack(factors)
     n, d_out, d_in = b.shape
-    x = np.array(_checked_basis(x_basis, max(n, d_in), d_out, tol))  # rows x_j
+    x = _checked_basis(x_basis, max(n, d_in), d_out, tol)  # rows x_j
     rows = np.conj(x[:d_in]) @ b  # rows[k, r] = x_r^dag B_k
     weights = np.linalg.norm(rows, axis=2) ** 2  # ||x_k x_r^dag B_k||_F^2, x_k being a unit vector
     keep = weights > tol.rank_rel * weights.max(axis=1, keepdims=True)

@@ -55,7 +55,7 @@ class RetrodictionAssessment:
     p_inconclusive: float | None = None
 
 
-def _dual_family(states: list[np.ndarray], tol: Tolerance) -> tuple[np.ndarray, np.ndarray, float]:
+def _dual_family(states, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, float]:
     """Duals ``S G^-1 = U Sigma^-1 V^dag`` of unit vectors ``S = U Sigma V^dag`` (thin SVD,
     ``G = S^dag S``), ``||dual_k||^2 = sum_j |V_kj|^2 / sigma_j^2`` and the scale
     ``min(min_k ||dual_k||^2, 1 / ||N^1/2 V Sigma^-1||_2^2)``, where ``N = diag(1 / ||dual_k||^2)``:
@@ -120,7 +120,10 @@ def _final_family(m: Measurement, s: QuantumState, tol: Tolerance) -> tuple:
     if zero.size:
         raise ZeroProbabilityOutcomeError(
             f"outcome {zero[0]} has zero probability for the supplied state")
-    finals = [phi / np.linalg.norm(phi) for phi in phis]
+    # np.linalg.norm's own formula, re.re + im.im, batched: each norm keeps its bits
+    re, im = (part[:, None, :] for part in (phis.real, phis.imag))
+    norms = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel())
+    finals = phis / norms[:, None]
     try:
         duals, norms2, c = _dual_family(finals, tol)
     except LinearlyDependentStatesError as exc:
@@ -179,11 +182,14 @@ def discriminate_unitaries(unitaries, priors, s: QuantumState,
         raise ValueError("need one prior per unitary")
     if not np.all(priors > 0.0) or abs(float(priors.sum()) - 1.0) > tol.eq_residual:
         raise ValueError("priors must be positive and sum to one")
-    d = mats[0].shape[0]
+    _, d, d_in = mats.shape
     eye = np.eye(d)
-    for k, u in enumerate(mats):
-        if u.shape != (d, d) or fro(dagger(u) @ u - eye) > tol.eq_residual * fro(eye):
-            raise NonUnitaryInputError(f"operator {k} is not unitary within tolerance")
+    if d != d_in:  # every operator has this shape, so operator 0 is the first to fail
+        raise NonUnitaryInputError("operator 0 is not unitary within tolerance")
+    bad = np.flatnonzero(np.linalg.norm(dagger(mats) @ mats - eye, axis=(1, 2))
+                         > tol.eq_residual * fro(eye))
+    if bad.size:
+        raise NonUnitaryInputError(f"operator {bad[0]} is not unitary within tolerance")
     m = Measurement.from_stack(d, d, np.sqrt(priors)[:, None, None] * mats,
                                [1] * len(mats), tol)
     retro, p_inc = retrodict_unambiguously(m, s, tol)

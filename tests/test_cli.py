@@ -495,6 +495,30 @@ def test_readme_walkthrough_exits_as_documented(tmp_path):
         assert proc.returncode == (int(documented[1]) if documented else 0), (line, proc.stderr)
 
 
+def test_one_pass_over_the_library_loads_no_numpy_ma():
+    # numpy.ma costs milliseconds on first import (np.unique imports it, for one)
+    code = """
+import sys
+import numpy as np
+import retroq as rq
+from retroq.catalog import PAULI
+povm = rq.Povm(2, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+m = rq.synthesize(povm, 2).measurement
+rq.check_perfect(m)
+retro = rq.build_retrodictor(m)
+rq.run_trials(m, retro, rq.QuantumState.pure([0.6, 0.8]), 100, 1)
+paulis = [PAULI[s] for s in "IXYZ"]
+a = rq.assess_measurement(rq.Measurement(2, 2, [[p / 2] for p in paulis]))
+rq.retrodict_unambiguously(rq.Measurement(2, 2, [[p / 2] for p in paulis]), a.recommended_state)
+rq.discriminate_unitaries(paulis, [0.25] * 4, rq.maximally_entangled_state(2))
+rq.classify_operators([np.eye(2), PAULI["X"]], seed=1)
+print("numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import retroq.cli, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

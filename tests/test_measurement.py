@@ -9,6 +9,7 @@ import pytest
 
 import retroq.measurement as measurement
 import retroq.perfect as perfect
+import retroq.unambiguous as unambiguous
 from retroq import (
     DimensionMismatchError,
     InvalidOperatorSetError,
@@ -28,7 +29,7 @@ from retroq import (
 )
 from retroq.catalog import PAULI, counterexample_3d, two_to_four
 from retroq.jsonio import dumps, measurement_to_obj, ud_from_obj, ud_to_obj
-from retroq.linalg import DEFAULT_TOL
+from retroq.linalg import DEFAULT_TOL, dagger
 from retroq.measurement import Retrodictor, images
 from retroq.rand import (
     ginibre,
@@ -220,6 +221,59 @@ def test_group_elements_match_the_per_operator_products(rng):
         for name in ("kraus", "starts", "elements", "nonzero_rows"):
             assert np.array_equal(getattr(groups, name), getattr(stacked, name))
             assert np.array_equal(getattr(groups, name), getattr(m, name))
+
+
+def _per_group_elements(m):
+    """The group elements one group at a time: ``X_k^dag X_k`` over the slice of
+    ``kraus[nonzero_rows]`` that holds group k's nonzero rows."""
+    x = m.kraus[m.nonzero_rows]
+    ends = np.cumsum(np.add.reduceat(m.nonzero_rows.sum(axis=1), m.starts[:-1]))
+    return np.array([dagger(x[a:b]) @ x[a:b] for a, b in zip([0, *ends[:-1]], ends)])
+
+
+def _per_image_probabilities(stack, starts):
+    """``p_k`` as one ``np.vdot`` per image summed per group by Python's ``sum``, clamped as
+    ``_probabilities`` clamps."""
+    p = np.array([sum(float(np.vdot(phi, phi).real) for phi in stack[a:b])
+                  for a, b in zip(starts[:-1], starts[1:])])
+    p[p < DEFAULT_TOL.rank_rel] = 0.0
+    return np.clip(p, 0.0, 1.0)
+
+
+def test_batched_statistics_equal_their_per_row_loops_bit_for_bit(rng):
+    # probabilities, final-state normalisation and group elements are batched; each must give
+    # the bits of its one-row-at-a-time form, for any row length (BLAS kernels unroll by length)
+    ops = _zero_rows([ginibre(6, 4, rng) for _ in range(24)], rng)
+    ops[5] = np.zeros((6, 4))  # an all-zero operator inside a coarse group
+    cases = [random_fine_grained(8, 8, 32, rng), random_fine_grained(3, 5, 7, rng),
+             Measurement(4, 6, _normalised_groups(ops, [12, 1, 9, 2])),  # groups of 9 and 12
+             synthesize(random_povm(5, 4, rng), 6).measurement]
+    for m in cases:
+        assert np.array_equal(m.elements, _per_group_elements(m))
+        d = m.d_in
+        v, rho = random_pure_state(d, rng), random_psd(2 * d, rng)
+        states = [QuantumState.pure(v), QuantumState.mixed(0.7 * np.outer(v, v.conj()) + 0.3 * np.eye(d) / d),
+                  QuantumState.pure(random_pure_state(3 * d, rng), (d, 3)),
+                  QuantumState.mixed(rho / np.trace(rho).real, (d, 2))]
+        for s in states:
+            stack = images(m.kraus, s)
+            assert np.array_equal(measurement._probabilities(stack, m.starts, DEFAULT_TOL),
+                                  _per_image_probabilities(stack, m.starts))
+    for length in range(1, 300):  # one image per outcome, rows of every length up to 299
+        stack = ginibre(6, length, rng).reshape(6, length, 1) / np.sqrt(12 * length)
+        starts = [0, 1, 3, 6]
+        assert np.array_equal(measurement._probabilities(stack, starts, DEFAULT_TOL),
+                              _per_image_probabilities(stack, starts))
+    # final states of length d_out * d_anc: d_in = 1 sweeps the length, d_anc > 1 is bipartite
+    finals = [(random_fine_grained(1, length, min(length, 3), rng), QuantumState.pure([1.0]))
+              for length in range(1, 130)]
+    finals += [(random_fine_grained(d, d, n, rng), QuantumState.pure(random_pure_state(d * d, rng), (d, d)))
+               for d, n in [(2, 4), (3, 5), (8, 32)]]
+    for m, s in finals:
+        phis = images(m.kraus, s).reshape(m.n_outcomes, -1)
+        want = unambiguous._dual_family([phi / np.linalg.norm(phi) for phi in phis], DEFAULT_TOL)
+        got = unambiguous._final_family(m, s, DEFAULT_TOL)[:3]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_the_perfect_check_reads_the_stored_row_mask():

@@ -392,6 +392,20 @@ def test_non_unitary_input_is_rejected():
                                maximally_entangled_state(2))
 
 
+BAD = (PAULI["I"] + PAULI["X"]) / np.sqrt(2)  # singular, not unitary
+
+
+@pytest.mark.parametrize("ops, first", [
+    ([PAULI["I"], BAD, PAULI["Z"], 2 * PAULI["Y"]], 1),
+    ([PAULI["Z"], PAULI["I"], 1.5 * PAULI["X"], BAD], 2),
+    ([np.eye(3)[:, :2]] * 2, 0),  # non-square isometries: U^dag U = I, but no unitary
+    ([np.eye(3)[:2]] * 2, 0),
+])
+def test_the_first_non_unitary_operator_is_named(ops, first):
+    with pytest.raises(NonUnitaryInputError, match=f"^operator {first} is not unitary within tolerance$"):
+        discriminate_unitaries(ops, [1 / len(ops)] * len(ops), maximally_entangled_state(2))
+
+
 def test_unitaries_of_mixed_shapes_are_rejected_as_such():
     with pytest.raises(ShapeMismatchError, match="mixed operator shapes"):
         discriminate_unitaries([np.eye(2), np.eye(3)], [0.5, 0.5], maximally_entangled_state(2))
