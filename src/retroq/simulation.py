@@ -7,15 +7,16 @@ post-measurement state, whose statistics are read from the Kraus images of
 the input without forming the state.  Trials are partitioned into fixed-size
 blocks with independently spawned PCG64 substreams; block results merge by
 summation, making the report independent of execution order and reproducible
-from the seed alone.  A block's confusion counts come from sorted integer
-keys (actual outcome, rank of the answer draw), located by ``searchsorted``
-at every CDF entry, rather than from each draw compared with its CDF row;
-the counts are the same.  The actual outcomes, likewise, come from the
-outcome draws sorted once and the outcome CDF located among them.
+from the seed alone.  Each draw is located in its CDF row by a guide table
+(Chen and Asau, 1974), the count of the row's entries at or below each of
+1,024 equal bucket edges: only draws whose bucket holds an entry are bisected
+within it, none is sorted, and the answers are those of ``searchsorted``, ties
+included.  One ``bincount`` of (outcome, answer) counts a block.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .linalg import DEFAULT_TOL, Tolerance, dagger
 from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, _split_dims, images
 
 _BLOCK = 8192
+_BUCKETS = 1024  # guide-table buckets over [0, 1); a power of two keeps u * _BUCKETS exact
 
 
 @dataclass
@@ -94,16 +96,28 @@ def _retrodictor_rows(r: Retrodictor, m: Measurement, s: QuantumState, stack: np
     return _clean_probs(rows / rows.sum(axis=1, keepdims=True), tol.rank_rel)
 
 
-def _outcomes(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Outcome of each draw ``u``: the number of ``cdf`` entries at or below it, at most
-    ``len(cdf) - 1``.  Of the sorted draws, outcome ``k`` takes those below ``cdf[k]`` that
-    no earlier outcome took."""
-    by_outcome = np.argsort(u)
-    bounds = np.searchsorted(u[by_outcome], cdf, side="left")
-    bounds[-1] = u.size
-    ks = np.empty(u.size, dtype=np.intp)
-    ks[by_outcome] = np.repeat(np.arange(cdf.size), np.diff(bounds, prepend=0))
-    return ks
+def _guide(cdfs: np.ndarray) -> np.ndarray:
+    """Per ascending row of ``cdfs``, the count of its entries but the last at or below
+    ``b / _BUCKETS``, for b = 0.._BUCKETS + 1: those with ``ceil(c * _BUCKETS) <= b``, exactly."""
+    width = _BUCKETS + 2
+    edges = np.ceil(cdfs[:, :-1] * _BUCKETS).astype(np.intp) + np.arange(len(cdfs))[:, None] * width
+    return np.cumsum(np.bincount(edges.ravel(), minlength=len(cdfs) * width).reshape(-1, width), axis=1)
+
+
+def _located(u: np.ndarray, cdfs: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each draw ``u[i]`` in [0, 1], the first index of ``cdfs[rows[i]]`` whose entry exceeds
+    it, else the last.  In bucket ``b`` of its row the answer lies in ``table[row, b:b + 2]``;
+    draws where those two differ are bisected, and only they."""
+    at = rows * table.shape[1] + (u * _BUCKETS).astype(np.intp)  # flat index of (row, b)
+    lo, hi = table.ravel()[at], table.ravel()[at + 1]
+    open_ = np.flatnonzero(lo < hi)
+    while open_.size:
+        mid = (lo[open_] + hi[open_]) // 2
+        below = cdfs[rows[open_], mid] <= u[open_]
+        lo[open_[below]] = mid[below] + 1
+        hi[open_[~below]] = mid[~below]
+        open_ = open_[lo[open_] < hi[open_]]
+    return lo
 
 
 def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, seed: int,
@@ -116,6 +130,9 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
     operator applied once, for pure and mixed inputs alike.  Identical inputs
     and seed give an identical report.
     """
+    if any(isinstance(v, (bool, np.bool_)) for v in (n_trials, seed)):
+        raise TypeError("n_trials and seed must be integers, not booleans")
+    n_trials, seed = operator.index(n_trials), operator.index(seed)
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
     n = m.n_outcomes
@@ -130,11 +147,13 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
     row_cdfs = np.ones((n, n + 1))
     row_cdfs[live] = np.cumsum(_retrodictor_rows(r, m, s, stack, live, tol), axis=1)
     row_cdfs[row_cdfs >= row_cdfs[:, -1:]] = 1.0
-    outcome_cdf = np.cumsum(p)
-    outcome_cdf[outcome_cdf >= outcome_cdf[-1]] = 1.0
+    outcome_cdf = np.cumsum(p)[None, :]  # one row
+    outcome_cdf[outcome_cdf >= outcome_cdf[:, -1:]] = 1.0
+    outcome_table, row_table = _guide(outcome_cdf), _guide(row_cdfs)
 
-    counts = np.zeros((n, n + 1), dtype=np.int64)  # [actual outcome, answer]
-    firsts = np.arange(n)[:, None] * _BLOCK  # key of outcome k's first possible trial
+    # A trial of outcome k answers j iff cdf[k, j-1] <= u < cdf[k, j]: j entries of row k
+    # lie at or below u, and every CDF ends at 1 > u; so too for the outcome itself.
+    counts = np.zeros(n * (n + 1), dtype=np.int64)  # [actual outcome, answer], flattened
     n_blocks = -(-n_trials // _BLOCK) if n_trials else 0
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     done = 0
@@ -142,27 +161,16 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
         size = min(_BLOCK, n_trials - done)
         done += size
         rng = np.random.Generator(np.random.PCG64(child))
-        ks = _outcomes(rng.random(size), outcome_cdf)
-        u_retro = rng.random(size)
-        # A trial of outcome k answers j iff cdf[k, j-1] <= u < cdf[k, j], and every CDF
-        # ends at 1 > u.  With rank the trial's place among the sorted draws, u < cdf[k, j]
-        # iff rank < below[k, j], ties included; so the trials of outcome k with
-        # u < cdf[k, j] are the sorted keys k * _BLOCK + rank below k * _BLOCK + below[k, j].
-        # As rank < _BLOCK and below <= _BLOCK, no key of outcome k reaches outcome k + 1's.
-        order = np.argsort(u_retro)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(size)
-        below = np.searchsorted(u_retro[order], row_cdfs, side="left")
-        keys = np.sort(ks * _BLOCK + rank)
-        cumulative = np.searchsorted(keys, firsts + below)
-        counts += np.diff(cumulative, axis=1, prepend=np.searchsorted(keys, firsts))
-    confusion = np.ascontiguousarray(counts.T)
+        ks = _located(rng.random(size), outcome_cdf, outcome_table, np.zeros(size, dtype=np.intp))
+        js = _located(rng.random(size), row_cdfs, row_table, ks)
+        counts += np.bincount(ks * (n + 1) + js, minlength=counts.size)
+    confusion = np.ascontiguousarray(counts.reshape(n, n + 1).T)
 
     conclusive = int(confusion[:-1, :].sum())
     agreed = int(np.trace(confusion[:-1, :]))
     agreement = agreed / conclusive if conclusive else 1.0
     inconclusive_rate = float(confusion[-1, :].sum()) / n_trials if n_trials else 0.0
-    return TrialReport(n_trials, confusion, agreement, inconclusive_rate, int(seed))
+    return TrialReport(n_trials, confusion, agreement, inconclusive_rate, seed)
 
 
 def always_inconclusive(d: int, n_outcomes: int) -> Retrodictor:

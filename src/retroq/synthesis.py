@@ -46,9 +46,14 @@ def standard_basis(n: int, dim: int) -> list[np.ndarray]:
     return [eye[:, j].copy() for j in range(n)]
 
 
-def _checked_basis(x_basis, n: int, dim: int, tol: Tolerance) -> np.ndarray:
-    """The reference vectors as the rows of one array: the first ``n`` standard basis
+def _checked_basis(x_basis, n_outcomes: int, n: int, dim: int, tol: Tolerance) -> np.ndarray:
+    """``n`` reference vectors for ``n_outcomes`` outcomes in dimension ``dim``, as the rows of
+    one array, after refusing a ``dim`` below either count: the first ``n`` standard basis
     vectors by default, else ``x_basis`` once checked to hold ``n`` orthonormal vectors."""
+    if n_outcomes > dim:
+        raise TooManyOutcomesError(f"{n_outcomes} outcomes exceed output dimension {dim}")
+    if n > dim:
+        raise BadBasisError(f"output dimension {dim} cannot hold {n} orthonormal vectors")
     if x_basis is None:
         return np.array(standard_basis(n, dim))
     basis = [as_vector(x) for x in x_basis]
@@ -76,9 +81,7 @@ def synthesize(p: Povm, d_out: int, x_basis=None,
     ``Measurement.from_stack`` checks the Kraus stack that is left.
     """
     n = p.n_outcomes
-    if n > d_out:
-        raise TooManyOutcomesError(f"{n} outcomes exceed output dimension {d_out}")
-    basis = _checked_basis(x_basis, n, d_out, tol)
+    basis = _checked_basis(x_basis, n, n, d_out, tol)
     w, v = eigh_descending(p.elements)
     keep = w > tol.rank_rel * w[:, :1]
     ks, rs = np.nonzero(keep)
@@ -104,13 +107,7 @@ def b_factor(p: Povm, d_out: int | None = None, x_basis=None,
     """
     n = p.n_outcomes
     need = max(n, p.d)
-    if d_out is None:
-        d_out = need
-    if n > d_out:
-        raise TooManyOutcomesError(f"{n} outcomes exceed output dimension {d_out}")
-    if d_out < need:
-        raise BadBasisError(f"output dimension {d_out} cannot hold {need} orthonormal vectors")
-    x = _checked_basis(x_basis, need, d_out, tol)[:p.d].T  # columns x_r
+    x = _checked_basis(x_basis, n, need, need if d_out is None else d_out, tol)[:p.d].T  # columns x_r
     w, v = eigh_descending(p.elements)
     return list(x @ (np.sqrt(np.maximum(w, 0.0))[:, :, None] * dagger(v)))  # X sqrt(w) V^dag
 
@@ -127,7 +124,7 @@ def dilated_kraus(factors: list[np.ndarray], x_basis,
         raise InvalidOperatorSetError("need at least one factor")
     b = operator_stack(factors)
     n, d_out, d_in = b.shape
-    x = _checked_basis(x_basis, max(n, d_in), d_out, tol)  # rows x_j
+    x = _checked_basis(x_basis, n, max(n, d_in), d_out, tol)  # rows x_j
     rows = np.conj(x[:d_in]) @ b  # rows[k, r] = x_r^dag B_k
     weights = np.linalg.norm(rows, axis=2) ** 2  # ||x_k x_r^dag B_k||_F^2, x_k being a unit vector
     keep = weights > tol.rank_rel * weights.max(axis=1, keepdims=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,12 @@ from retroq import (
     run_trials,
     synthesize,
 )
+from retroq import simulation
 from retroq.catalog import PAULI, counterexample_3d
 from retroq.jsonio import trial_report_to_obj, dumps
 from retroq.linalg import DEFAULT_TOL
 from retroq.measurement import images
-from retroq.simulation import _outcomes, _retrodictor_rows
+from retroq.simulation import _BLOCK, _guide, _located, _retrodictor_rows
 from retroq.rand import random_fine_grained, random_povm, random_psd, random_pure_state
 
 
@@ -362,7 +365,7 @@ def test_the_largest_draw_never_lands_on_a_zero_probability_entry(monkeypatch):
     assert report.confusion[3, 2] == report.confusion.sum() == 10
 
 
-# --------------------------------------------- the sorted-key counter against the old loop
+# -------------------------------------------- the guide-table counter against the old loop
 
 def _replay(monkeypatch, outcome_draws, answer_draws):
     """Make every block draw its outcomes cycling through ``outcome_draws`` and its
@@ -433,7 +436,7 @@ def test_counter_has_no_outcome_limit():
     assert np.count_nonzero(got.sum(axis=0)) > n // 2
 
 
-# ------------------------------------- outcomes from sorted draws against the searched ones
+# ------------------------------------------- the guide-table locator against searchsorted
 
 def _searched_outcomes(u, cdf):
     return np.clip(np.searchsorted(cdf, u, side="right"), 0, len(cdf) - 1)
@@ -450,8 +453,70 @@ def test_outcomes_of_sorted_draws_are_the_searched_outcomes(n_trials):
     for cdf in cdfs:
         ties = np.resize(np.r_[cdf, 0.0, top, cdf / 2.0, 0.3], n_trials)  # on entries, tied
         for u in (ties, np.sort(ties), rng.random(n_trials), np.full(n_trials, cdf[0])):
-            got = _outcomes(u, cdf)
+            got = _located(u, cdf[None, :], _guide(cdf[None, :]), np.zeros(u.size, dtype=np.intp))
             assert got.dtype == np.intp and np.array_equal(got, _searched_outcomes(u, cdf))
+
+
+def test_located_answers_are_the_searched_answers_on_bucket_edges_and_plateaus():
+    # rows of 1,101 entries, each different, ending at 1 as run_trials forces; draws on every
+    # bucket edge b / 1024 and an ulp below it, 0, the largest double below 1, and on every
+    # entry and an ulp either side of it
+    top = np.nextafter(1.0, 0.0)
+    edges = np.arange(1024) / 1024
+    rng = np.random.default_rng(41)
+    some = edges[1::4]
+    on_edges = np.sort(np.r_[0.0, some, np.nextafter(some, 0.0), np.nextafter(some, 1.0)])
+    crowded = np.sort(np.r_[0.5 + rng.random(1000) / 2048, rng.random(99)])  # 1,000 in one bucket
+    plateau = np.sort(np.r_[np.full(600, 0.3), np.full(300, 0.0), rng.random(199)])
+    spread = np.sort(rng.random(1100))
+    rows = (on_edges, crowded, plateau, spread)
+    cdfs = np.array([np.r_[row, np.ones(1101 - row.size)] for row in rows])
+    table = _guide(cdfs)
+    assert table[1, 513] - table[1, 512] >= 1000  # the crowded bucket takes ten bisection steps
+    entries = np.unique(cdfs[cdfs < 1.0])
+    u = np.r_[0.0, top, edges, np.nextafter(edges[1:], 0.0), entries,
+              np.nextafter(entries, 0.0), np.nextafter(entries, 1.0), rng.random(4096)]
+    # every draw against every row at once
+    got = _located(np.tile(u, len(cdfs)), cdfs, table, np.repeat(np.arange(len(cdfs)), u.size))
+    assert np.array_equal(got, np.concatenate([_searched_outcomes(u, cdf) for cdf in cdfs]))
+
+
+def test_locating_draws_takes_memory_per_draw_not_per_draw_and_entry(monkeypatch):
+    # 1,100 outcomes of 1,101 answers: most draws of a block fall where the guide table does not
+    # decide, and comparing each of them with its whole row would take tens of MB
+    n = 1100
+    m, s = _scalar_measurement(n, n ** -0.5), QuantumState.pure([1.0])
+    weights = np.random.default_rng(8).random(n + 1)
+    r = _scalar_retrodictor(list(weights[:n] / weights.sum()))
+    peaks, located = [], simulation._located
+
+    def measured(u, cdfs, table, rows):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        got = located(u, cdfs, table, rows)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        return got
+
+    monkeypatch.setattr(simulation, "_located", measured)
+    tracemalloc.start()
+    try:
+        report = run_trials(m, r, s, 8193, seed=1)
+    finally:
+        tracemalloc.stop()
+    assert report.confusion.sum() == 8193 and len(peaks) == 4
+    assert max(peaks) < 32 * _BLOCK * 8  # a few arrays of one entry per draw, under 2.1 MB
+
+
+def test_trial_counts_and_seeds_are_integers(rng):
+    m = pauli_measurement()
+    s = QuantumState.pure(random_pure_state(2, rng))
+    r = always_inconclusive(2, 4)
+    report = run_trials(m, r, s, np.int64(2), seed=np.uint8(3))
+    assert type(report.n_trials) is int and type(report.seed) is int
+    assert dumps(trial_report_to_obj(report)) == dumps(trial_report_to_obj(run_trials(m, r, s, 2, 3)))
+    for n_trials, seed in ((True, 3), (2, False), (np.True_, 3), (3.0, 3), (2, 3.0), ("2", 3)):
+        with pytest.raises(TypeError):
+            run_trials(m, r, s, n_trials, seed)
 
 
 @pytest.mark.parametrize("n_trials", [0, 1, 8191, 8192, 8193])

@@ -260,6 +260,17 @@ def test_dilated_kraus_coerces_its_factors():
         dilated_kraus(factors, basis)
 
 
+def test_dilated_kraus_refuses_factors_the_output_cannot_hold():
+    # as b_factor does: more factors than output dimensions, or an input wider than the output
+    with pytest.raises(TooManyOutcomesError, match="3 outcomes exceed output dimension 2"):
+        dilated_kraus([np.eye(2) / np.sqrt(3)] * 3, None)
+    wide = [np.eye(2, 3) / np.sqrt(2), np.eye(2, 3) / np.sqrt(2)]
+    with pytest.raises(BadBasisError, match="output dimension 2 cannot hold 3 orthonormal vectors"):
+        dilated_kraus(wide, None)
+    with pytest.raises(BadBasisError, match="output dimension 2 cannot hold 3 orthonormal vectors"):
+        dilated_kraus(wide, standard_basis(2, 2))
+
+
 def test_dilated_kraus_identity_povm():
     povm = Povm(2, [np.eye(2, dtype=complex)])
     basis = standard_basis(2, 2)
