@@ -33,7 +33,7 @@ from .errors import (
     TooManyOutcomesError,
     ZeroProbabilityOutcomeError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, herm_eig, numeric_rank, support_projector
+from .linalg import DEFAULT_TOL, Tolerance, numeric_rank, support_projector
 from .measurement import Measurement, Povm, QuantumState, apply_outcome, outcome_probabilities, povm_of
 from .perfect import (
     PerfectCheckReport,
@@ -105,7 +105,6 @@ __all__ = [
     "discriminate_unitaries",
     "fock_shift_example",
     "get_example",
-    "herm_eig",
     "maximally_entangled_state",
     "numeric_rank",
     "outcome_probabilities",

@@ -195,7 +195,7 @@ def _cmd_synthesize(args, tol: Tolerance) -> int:
 def _cmd_classify(args, tol: Tolerance) -> int:
     loaded = _load(args.file, tol)
     if isinstance(loaded, Measurement):
-        ops = loaded.all_kraus()
+        ops = loaded.kraus
     elif isinstance(loaded, list):
         ops = loaded
     else:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadMuError
-from .linalg import (DEFAULT_TOL, Tolerance, as_matrix, fro, numeric_rank, operator_stack,
-                     support_projector)
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, numeric_rank, operator_stack
 
 # Smallest image singular value regarded as genuinely positive, relative to the largest
 # operator norm, so that scaling a set keeps its verdict; values below are indistinguishable
@@ -118,18 +117,18 @@ def check_lld_n2_exact(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, str]
     """Exact two-operator local linear dependence criterion.
 
     Two operators are LLD precisely when they are linearly dependent or
-    both have rank one with the same range.  The reason string is one of
+    both have rank one with the same range, that is when ``[A_1 | A_2]`` has
+    rank one; each is divided by its Frobenius norm first, so that scaling
+    either keeps the verdict.  The reason string is one of
     ``"linearly_dependent"``, ``"shared_rank_one_range"``, ``"not_lld"``.
     """
     a1, a2 = as_matrix(a1), as_matrix(a2)
     independent, _ = check_linear_independence([a1, a2], tol)
     if not independent:
         return True, "linearly_dependent"
-    if numeric_rank(a1, tol) == 1 and numeric_rank(a2, tol) == 1:
-        p1 = support_projector(a1 @ np.conj(a1).T, tol)
-        p2 = support_projector(a2 @ np.conj(a2).T, tol)
-        if fro(p1 - p2) <= tol.eq_residual * max(fro(p1), 1.0):
-            return True, "shared_rank_one_range"
+    # independent, so neither is zero
+    if numeric_rank(np.hstack([a1 / np.linalg.norm(a1), a2 / np.linalg.norm(a2)]), tol) == 1:
+        return True, "shared_rank_one_range"
     return False, "not_lld"
 
 

@@ -1,6 +1,7 @@
 """Dense complex linear-algebra kernel: tolerances, coercion, Hermitian eigendecompositions,
-supports and numerical ranks, consumed by every other module; ``dagger``,
-``eigh_descending`` and ``numeric_rank`` also take a stack of matrices."""
+supports and numerical ranks, consumed by every other module.  ``psd_eig`` is the one checked
+eigen entry point (square, Hermitian, positive) and ``eigh_descending`` the one unchecked;
+``dagger``, ``eigh_descending`` and ``numeric_rank`` also take a stack of matrices."""
 
 from __future__ import annotations
 
@@ -83,25 +84,6 @@ def fro(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix with eigenvalues descending.
-
-    Returns ``(w, v)`` such that ``m ~ v @ diag(w) @ v.conj().T`` with
-    orthonormal eigenvector columns.  The matrix is symmetrised before the
-    decomposition, which removes representation noise but rejects inputs
-    whose anti-Hermitian part exceeds ``tol.eq_residual`` relative to the
-    norm of the matrix.
-    """
-    m = as_matrix(m)
-    rows, cols = m.shape
-    if rows != cols:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    scale = fro(m)
-    if scale > 0.0 and fro(m - dagger(m)) > tol.eq_residual * scale:
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    return eigh_descending(m)
-
-
 def eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked ``eigh`` of the Hermitian part(s) of ``m``, descending, ties in ``eigh``'s order."""
     w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
@@ -111,13 +93,18 @@ def eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def psd_eig(m, tol: Tolerance = DEFAULT_TOL,
             scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """herm_eig plus a positivity check against ``tol.psd_floor``.
-
-    The floor is relative to ``scale`` when given (use 1.0 for operators
-    bounded by the identity, such as POVM elements and density matrices),
-    otherwise to the matrix's own spectral magnitude.
-    """
-    w, v = herm_eig(m, tol)
+    """``eigh_descending`` of a square matrix, checked Hermitian to ``tol.eq_residual`` relative
+    to its norm and PSD to ``tol.psd_floor`` relative to ``scale`` when given (1.0 for operators
+    bounded by the identity, such as POVM elements and density matrices), else to its own
+    spectral magnitude."""
+    m = as_matrix(m)
+    rows, cols = m.shape
+    if rows != cols:
+        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+    norm = fro(m)
+    if norm > 0.0 and fro(m - dagger(m)) > tol.eq_residual * norm:
+        raise NotHermitianError("matrix is not Hermitian within tolerance")
+    w, v = eigh_descending(m)
     if w.size:
         ref = scale if scale is not None else max(float(w[0]), -float(w[-1]))
         if float(w[-1]) < -tol.psd_floor * ref:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import (
@@ -25,7 +27,7 @@ class Measurement:
     operator families are unrepresentable: the summed products over all
     groups must resolve the identity on the input space and no group may be
     numerically zero.  The measurement owns a read-only copy of its operators,
-    the stack ``kraus`` of shape ``(N, d_out, d_in)`` in ``all_kraus()`` order;
+    the stack ``kraus`` of shape ``(N, d_out, d_in)`` in outcome order;
     ``outcomes`` groups views of its rows afresh on each read.  It also stores, read-only:
     ``starts``, the ``n + 1`` offsets of the groups in that order;
     ``nonzero_rows``, the ``(N, d_out)`` mask of the output rows each operator
@@ -53,7 +55,11 @@ class Measurement:
                    tol: Tolerance | None = None) -> "Measurement":
         """The measurement whose outcome ``k`` holds the next ``sizes[k]`` operators of the
         ``(N, d_out, d_in)`` stack ``kraus``, held as a read-only copy and checked as outside
-        groups are; a stack of another shape raises ``DimensionMismatchError``."""
+        groups are; a stack of another shape raises ``DimensionMismatchError``, a boolean or
+        non-integral size ``TypeError``."""
+        if any(isinstance(k, (bool, np.bool_)) for k in sizes):
+            raise TypeError("group sizes must be integers, not booleans")
+        sizes = [operator.index(k) for k in sizes]
         return cls.__new__(cls)._hold(d_in, d_out, np.array(kraus, dtype=complex), sizes, tol)
 
     def _hold(self, d_in: int, d_out: int, stack: np.ndarray, sizes, tol: Tolerance | None) -> "Measurement":
@@ -102,10 +108,6 @@ class Measurement:
     @property
     def fine_grained(self) -> bool:
         return len(self.kraus) == self.n_outcomes  # no group is empty
-
-    def all_kraus(self) -> list[np.ndarray]:
-        """All Kraus operators, flattened in outcome order."""
-        return list(self.kraus)
 
 
 def _check_identity(total: np.ndarray, tol: Tolerance, message: str) -> None:
@@ -233,9 +235,6 @@ class Retrodictor:
             stack.setflags(write=False)
             self._elements = stack
         return self._elements
-
-    def conclusive_elements(self) -> list[np.ndarray]:
-        return [e for i, e in enumerate(self.elements) if i != self.inconclusive_index]
 
 
 class QuantumState:

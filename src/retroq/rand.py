@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dependence import check_linear_independence
-from .linalg import DEFAULT_TOL, Tolerance, dagger, herm_eig, numeric_rank
+from .linalg import DEFAULT_TOL, Tolerance, dagger, numeric_rank, psd_eig
 from .measurement import Measurement, Povm
 
 
@@ -39,7 +39,7 @@ def random_psd(d: int, rng) -> np.ndarray:
 
 def psd_inv_sqrt(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Inverse square root of a positive definite matrix."""
-    w, v = herm_eig(m, tol)
+    w, v = psd_eig(m, tol)
     if float(w[-1]) <= 0.0:
         raise ValueError("matrix must be positive definite")
     return (v * (1.0 / np.sqrt(w))) @ dagger(v)

@@ -35,20 +35,27 @@ class TrialReport:
 
     ``confusion`` has one row per retrodicted outcome plus a final
     inconclusive row; columns are actual outcomes, so column sums are the
-    per-outcome trial counts.  ``agreement_rate`` is the fraction of
-    conclusive trials whose retrodiction matched the actual outcome
-    (defined as 1.0 when every trial was inconclusive).
+    per-outcome trial counts.  The rates are read from it.
     """
 
     n_trials: int
     confusion: np.ndarray
-    agreement_rate: float
-    inconclusive_rate: float
     seed: int
 
     @property
     def n_outcomes(self) -> int:
         return self.confusion.shape[1]
+
+    @property
+    def agreement_rate(self) -> float:
+        """Fraction of conclusive trials whose retrodiction matched the actual outcome
+        (1.0 when every trial was inconclusive)."""
+        conclusive = int(self.confusion[:-1, :].sum())
+        return int(np.trace(self.confusion[:-1, :])) / conclusive if conclusive else 1.0
+
+    @property
+    def inconclusive_rate(self) -> float:
+        return float(self.confusion[-1, :].sum()) / self.n_trials if self.n_trials else 0.0
 
     @property
     def mismatches(self) -> int:
@@ -164,13 +171,7 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
         ks = _located(rng.random(size), outcome_cdf, outcome_table, np.zeros(size, dtype=np.intp))
         js = _located(rng.random(size), row_cdfs, row_table, ks)
         counts += np.bincount(ks * (n + 1) + js, minlength=counts.size)
-    confusion = np.ascontiguousarray(counts.reshape(n, n + 1).T)
-
-    conclusive = int(confusion[:-1, :].sum())
-    agreed = int(np.trace(confusion[:-1, :]))
-    agreement = agreed / conclusive if conclusive else 1.0
-    inconclusive_rate = float(confusion[-1, :].sum()) / n_trials if n_trials else 0.0
-    return TrialReport(n_trials, confusion, agreement, inconclusive_rate, seed)
+    return TrialReport(n_trials, np.ascontiguousarray(counts.reshape(n, n + 1).T), seed)
 
 
 def always_inconclusive(d: int, n_outcomes: int) -> Retrodictor:

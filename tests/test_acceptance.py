@@ -157,13 +157,13 @@ def test_criterion_4_synthesis_contract():
 def test_criterion_5_bundled_examples():
     def body():
         pq = pauli_quarter()
-        v = classify_operators(pq.measurement.all_kraus())
+        v = classify_operators(pq.measurement.kraus)
         assert v.linearly_independent is True
         assert v.lld == "yes"
         assert check_perfect(pq.measurement).retrodictable is False
 
         ce = counterexample_3d()
-        v = classify_operators(ce.measurement.all_kraus())
+        v = classify_operators(ce.measurement.kraus)
         assert v.linearly_independent is False
         z = np.zeros(3, dtype=complex)
         z[2] = 1.0
@@ -172,12 +172,12 @@ def test_criterion_5_bundled_examples():
 
         tf = two_to_four()
         assert check_perfect(tf.measurement).retrodictable is True
-        verdict, min_sigma, _ = check_lli(tf.measurement.all_kraus())
+        verdict, min_sigma, _ = check_lli(tf.measurement.kraus)
         assert verdict == "yes_probabilistic"
         assert abs(min_sigma - 0.7071) <= 1e-3
 
         rp = rank_one_pair()
-        a1, a2 = rp.measurement.all_kraus()
+        a1, a2 = rp.measurement.kraus
         assert check_lld_n2_exact(a1, a2) == (True, "shared_rank_one_range")
 
         fs = fock_shift(8, 0.5)

@@ -22,7 +22,7 @@ def _operators(ex):
     if ex.operators is not None:
         return ex.operators
     if ex.measurement is not None:
-        return ex.measurement.all_kraus()
+        return ex.measurement.kraus
     return None
 
 

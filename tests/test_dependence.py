@@ -16,7 +16,7 @@ from retroq import (
     fock_shift_example,
 )
 from retroq.catalog import PAULI, counterexample_3d, rank_one_pair, two_to_four
-from retroq.rand import ginibre, random_nonsingular_pair
+from retroq.rand import ginibre, random_nonsingular_pair, random_pure_state
 
 PAULI_OPS = [PAULI[s] for s in ("I", "X", "Y", "Z")]
 
@@ -29,7 +29,7 @@ def test_pauli_operators_are_independent():
 
 
 def test_counterexample_set_dependence_certificate():
-    ops = counterexample_3d().measurement.all_kraus()
+    ops = counterexample_3d().measurement.kraus
     independent, beta = check_linear_independence(ops)
     assert not independent
     # the fourth operator is the sum of the first two
@@ -57,12 +57,12 @@ def test_pauli_set_is_lld_by_pigeonhole():
 
 
 def test_rank_one_pair_is_lld_probabilistically():
-    verdict, _ = check_lld(rank_one_pair().measurement.all_kraus())
+    verdict, _ = check_lld(rank_one_pair().measurement.kraus)
     assert verdict == "yes_probabilistic"
 
 
 def test_two_to_four_pair_is_not_lld():
-    ops = two_to_four().measurement.all_kraus()
+    ops = two_to_four().measurement.kraus
     verdict, psi = check_lld(ops)
     assert verdict == "no"
     images = np.column_stack([a @ psi for a in ops])
@@ -78,8 +78,26 @@ def test_n2_scalar_multiple_is_dependent():
 
 
 def test_n2_shared_rank_one_range():
-    ops = rank_one_pair().measurement.all_kraus()
+    ops = rank_one_pair().measurement.kraus
     assert check_lld_n2_exact(ops[0], ops[1]) == (True, "shared_rank_one_range")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_n2_shared_range_verdict_survives_scaling_either_member(d):
+    # rank-one A_k = u_k x_k^dag with ranges eps apart (the sine of the angle between them):
+    # each divided by its norm, [A_1 | A_2] has singular values about sqrt(2) and eps / sqrt(2)
+    rng = np.random.default_rng(d)
+    u, w, x1, x2 = (random_pure_state(d, rng) for _ in range(4))
+    w -= np.vdot(u, w) * u
+    w /= np.linalg.norm(w)
+    first = np.outer(u, np.conj(x1))
+    pairs = [(first, np.outer(u + 1e-12 * w, np.conj(x2)), (True, "shared_rank_one_range")),
+             (first, np.outer(u + 1e-8 * w, np.conj(x2)), (False, "not_lld"))]
+    if d == 2:
+        pairs.append((*rank_one_pair().measurement.kraus, (True, "shared_rank_one_range")))
+    for a1, a2, want in pairs:
+        for s1, s2 in ((1.0, 1.0), (1e-6, 1.0), (1e6, 1.0), (1.0, 1e-6), (1.0, 1e6)):
+            assert check_lld_n2_exact(s1 * a1, s2 * a2) == want, (s1, s2)
 
 
 def test_n2_identity_and_flip_are_not_lld():
@@ -112,7 +130,7 @@ def test_n2_agrees_with_sampling_on_random_pairs(rng):
 # ---------------------------------------------------------------- check_lli
 
 def test_two_to_four_is_lli_with_constant_sigma():
-    ops = two_to_four().measurement.all_kraus()
+    ops = two_to_four().measurement.kraus
     verdict, min_sigma, witness = check_lli(ops)
     assert verdict == "yes_probabilistic" and witness is None
     # both image columns have norm 1/sqrt(2) and stay orthogonal for every input
@@ -213,7 +231,7 @@ def test_lli_verdict_does_not_depend_on_the_scale_of_the_operators(seed, n, d_in
 
 
 def test_lli_search_is_exact_on_two_to_four():
-    _, min_sigma, _ = check_lli(two_to_four().measurement.all_kraus())
+    _, min_sigma, _ = check_lli(two_to_four().measurement.kraus)
     assert min_sigma == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
 
 
@@ -243,14 +261,14 @@ def test_classify_pauli_set():
 
 
 def test_classify_rank_one_pair_uses_exact_criterion():
-    v = classify_operators(rank_one_pair().measurement.all_kraus())
+    v = classify_operators(rank_one_pair().measurement.kraus)
     assert v.linearly_independent
     assert v.lld == "yes" and v.lld_reason == "shared_rank_one_range"
     assert v.lli == "no"
 
 
 def test_classify_two_to_four_chain():
-    v = classify_operators(two_to_four().measurement.all_kraus())
+    v = classify_operators(two_to_four().measurement.kraus)
     # strict implication chain: LLI => not LLD => linearly independent
     assert v.lli == "yes_probabilistic"
     assert v.lld == "no"
@@ -259,7 +277,7 @@ def test_classify_two_to_four_chain():
 
 
 def test_classify_dependent_set_is_exactly_lld():
-    v = classify_operators(counterexample_3d().measurement.all_kraus())
+    v = classify_operators(counterexample_3d().measurement.kraus)
     assert not v.linearly_independent
     assert v.lld == "yes" and v.lld_reason == "linear_dependence"
     assert v.dependence is not None

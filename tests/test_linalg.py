@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,11 +15,10 @@ from retroq import (
     NotPsdError,
     NotSquareError,
     Tolerance,
-    herm_eig,
     numeric_rank,
     support_projector,
 )
-from retroq.linalg import dagger, eigh_descending
+from retroq.linalg import dagger, eigh_descending, psd_eig
 from retroq.rand import ginibre, random_psd, random_unitary
 
 PAULI = [
@@ -30,21 +33,23 @@ def dag(m):
     return np.conj(m).T
 
 
-# ---------------------------------------------------------------- herm_eig
+# ------------------------------------------------ psd_eig and eigh_descending
 
 def test_herm_eig_diagonal():
-    w, v = herm_eig(np.diag([2.0, 1.0]))
-    assert np.allclose(w, [2.0, 1.0])
+    w, v = psd_eig(np.diag([2.0, 1.0]))
+    assert w.tolist() == [2.0, 1.0]  # descending
     assert np.allclose(np.abs(v), np.eye(2))
 
 
 def test_herm_eig_pauli_x_spectrum():
-    w, v = herm_eig(PAULI[1])
+    w, v = eigh_descending(PAULI[1])
     assert np.allclose(w, [1.0, -1.0])
     # eigenvectors (1, +-1)/sqrt(2) up to phase
     for col, expect in zip(v.T, [np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)]):
         overlap = abs(np.vdot(expect, col))
         assert overlap == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NotPsdError):
+        psd_eig(PAULI[1])
 
 
 def test_herm_eig_matches_known_spectrum(rng):
@@ -52,7 +57,7 @@ def test_herm_eig_matches_known_spectrum(rng):
     spectrum = np.sort(rng.standard_normal(4))[::-1]
     w0 = random_unitary(4, rng)
     h = (w0 * spectrum) @ dag(w0)
-    w, v = herm_eig(h)
+    w, v = eigh_descending(h)
     assert np.allclose(w, spectrum, atol=1e-12)
     recon = (v * w) @ dag(v)
     assert np.linalg.norm(recon - h) / np.linalg.norm(h) < 1e-12
@@ -62,20 +67,22 @@ def test_herm_eig_matches_known_spectrum(rng):
 def test_herm_eig_reconstruction_over_scales(rng):
     for scale in (1e-3, 1.0, 1e3):
         g = ginibre(5, 5, rng)
-        h = (g + dag(g)) * scale
-        w, v = herm_eig(h)
-        resid = np.linalg.norm((v * w) @ dag(v) - h)
-        assert resid <= DEFAULT_TOL.eq_residual * max(np.linalg.norm(h), 1.0)
+        hermitian, psd = (g + dag(g)) * scale, random_psd(5, rng) * scale
+        for decompose, h in ((eigh_descending, hermitian), (psd_eig, psd)):
+            w, v = decompose(h)
+            assert np.all(np.diff(w) <= 0.0)
+            resid = np.linalg.norm((v * w) @ dag(v) - h)
+            assert resid <= DEFAULT_TOL.eq_residual * max(np.linalg.norm(h), 1.0)
 
 
 def test_herm_eig_rejects_non_square():
     with pytest.raises(NotSquareError):
-        herm_eig(np.ones((2, 3)))
+        psd_eig(np.ones((2, 3)))
 
 
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
-        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        psd_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ------------------------------------------------------- support_projector
@@ -166,7 +173,7 @@ def test_eigh_descending_of_a_stack_matches_herm_eig_of_each_matrix(rng):
         mats.append(g + dag(g))
     w, v = eigh_descending(np.stack(mats))
     for k, m in enumerate(mats):
-        wk, vk = herm_eig(m)
+        wk, vk = eigh_descending(np.asarray(m, dtype=complex))  # a real matrix takes eigh's real path
         assert w[k].tobytes() == wk.tobytes() and v[k].tobytes() == np.ascontiguousarray(vk).tobytes()
         # descending, and exact ties (the identity, the diagonal projector) in eigh's order
         w0, v0 = np.linalg.eigh((m + dag(m)) / 2.0)
@@ -207,10 +214,26 @@ def test_tolerance_defaults_and_validation():
         Tolerance(rank_rel=1.5)
 
 
+def test_every_traced_name_exists_in_its_layer():
+    # the benchmark's tracer wraps these by name; read its two tables without importing it
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text())
+    tables = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("FUNCTIONS", "CLASSES")}
+    assert sorted(tables) == ["CLASSES", "FUNCTIONS"]
+    traced = [(layer, name) for table in tables.values() for layer, names in table.items()
+              for name in names]
+    assert traced
+    assert [(layer, name) for layer, name in traced
+            if not hasattr(importlib.import_module(f"retroq.{layer}"), name)] == []
+
+
 def test_public_surface_resolves_without_the_removed_helpers():
     import retroq
     import retroq.linalg
 
     assert [name for name in retroq.__all__ if not hasattr(retroq, name)] == []
-    for gone in ("partial_trace", "schmidt", "schmidt_rank"):
+    for gone in ("partial_trace", "schmidt", "schmidt_rank", "herm_eig"):
         assert not hasattr(retroq, gone) and not hasattr(retroq.linalg, gone)
+    assert not hasattr(retroq.Measurement, "all_kraus")
+    assert not hasattr(retroq.UnambiguousRetrodictor, "conclusive_elements")

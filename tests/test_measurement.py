@@ -131,6 +131,12 @@ HALF_2 = np.diag([1.0, 1.0j]) / np.sqrt(2)
      "operator of shape (2, 1) in outcome 0; expected (2, 2)"),
     ((np.array([HALF, np.where(E2 == 1, np.nan, 0) + HALF_2]), [1, 1]), ValueError,
      "matrix entries must be finite"),
+    ((np.array([HALF, HALF_2]), [True, True]), TypeError,
+     "group sizes must be integers, not booleans"),
+    ((np.array([HALF, HALF_2]), np.array([True, True])), TypeError,
+     "group sizes must be integers, not booleans"),
+    ((np.array([HALF, HALF_2]), [1.0, 1.0]), TypeError,
+     "'float' object cannot be interpreted as an integer"),
 ])
 def test_construction_errors_keep_their_type_and_message(outcomes, error, message):
     """Groups go through ``Measurement`` and, where they stack, through ``from_stack`` too; a
@@ -149,7 +155,7 @@ def test_construction_errors_keep_their_type_and_message(outcomes, error, messag
 
 
 def test_ragged_groups_resolve_the_identity_group_by_group(rng):
-    ops = random_fine_grained(3, 4, 6, rng).all_kraus()
+    ops = random_fine_grained(3, 4, 6, rng).kraus
     sizes = [3, 1, 2]
     groups = np.split(np.array(ops), np.cumsum(sizes)[:-1])
     m = Measurement(3, 4, [list(g) for g in groups])
@@ -164,7 +170,7 @@ def test_ragged_groups_resolve_the_identity_group_by_group(rng):
 
 
 def test_group_offsets_and_elements_are_stored_read_only(rng):
-    ops = random_fine_grained(3, 4, 6, rng).all_kraus()
+    ops = random_fine_grained(3, 4, 6, rng).kraus
     groups = [ops[:3], ops[3:4], ops[4:]]
     m = Measurement(3, 4, groups)
     assert m.starts.tolist() == [0, 3, 4, 6]
@@ -472,7 +478,7 @@ def test_projective_retrodictor_is_completed_by_its_remainder():
     retro = ProjectiveRetrodictor(2, [P0])
     assert retro.d == 2 and retro.n_outcomes == 1 and retro.inconclusive_index == 0
     assert np.allclose(retro.elements[0], np.diag([0.0, 1.0]), atol=1e-15)
-    assert np.array_equal(retro.conclusive_elements()[0], P0)
+    assert np.array_equal(np.delete(retro.elements, retro.inconclusive_index, 0)[0], P0)
 
 
 def test_outside_sets_are_copied_once_per_check(monkeypatch):
@@ -653,7 +659,7 @@ def test_mixed_probabilities_read_the_clipped_factor_of_the_kraus_images(rng):
     # an admissible negative eigenvalue (-5e-10 > -psd_floor) is clipped out of the factor
     # F = V sqrt(max(w, 0)) that the images and the retrodiction rows of run_trials use;
     # the outcome probabilities must come from the same F
-    ops = random_fine_grained(2, 3, 6, rng).all_kraus()
+    ops = random_fine_grained(2, 3, 6, rng).kraus
     m = Measurement(2, 3, [ops[:1], ops[1:3], ops[3:]])
     u = random_unitary(4, rng)
     rho = u @ np.diag([0.5, 0.3, 0.2 + 5e-10, -5e-10]) @ u.conj().T
@@ -745,7 +751,7 @@ def test_apply_outcome_bipartite_acts_on_first_factor(rng):
 
 
 def test_apply_outcome_density_matches_the_kron_lift(rng):
-    ops = random_fine_grained(2, 3, 6, rng).all_kraus()
+    ops = random_fine_grained(2, 3, 6, rng).kraus
     coarse = Measurement(2, 3, [ops[:1], ops[1:3], ops[3:]])
     for d_anc in (1, 2, 3):
         g = random_psd(2 * d_anc, rng)

@@ -119,7 +119,7 @@ def seeded_measurement(kind: str, seed: int) -> Measurement:
     if kind == "standard":
         return synthesize(random_povm(d_in, n, rng), max(d_out, n)).measurement
     if kind == "zero":
-        return regrouped(random_fine_grained(d_in, d_out, n, rng).all_kraus(), rng, zero_member=True)
+        return regrouped(random_fine_grained(d_in, d_out, n, rng).kraus, rng, zero_member=True)
     if kind == "blocks":
         # every operator keeps a random nonempty set of output rows; the rest are exactly zero
         d_out = d_in + 3
@@ -154,7 +154,7 @@ def test_standard_synthesis_has_exactly_vanishing_cross_products():
 def per_operator_reference(m: Measurement):
     """The row-restricted pass with one span search per operator, including the
     operators that meet no later outcome."""
-    ops = m.all_kraus()
+    ops = m.kraus
     labels = [(k, r) for k, group in enumerate(m.outcomes) for r in range(len(group))]
     norms = np.array([np.linalg.norm(a) for a in ops])
     adjoints = dag(np.hstack(ops))
@@ -215,7 +215,7 @@ def test_standard_synthesis_forms_no_adjoint(monkeypatch):
 def span_cases(m: Measurement) -> set[str]:
     """How the later operators meeting each operator in an output row lie:
     none at all, the first beyond the next outcome, or a gap inside the span."""
-    touched = [np.any(a != 0, axis=1) for a in m.all_kraus()]
+    touched = [np.any(a != 0, axis=1) for a in m.kraus]
     starts = np.cumsum([0] + [len(group) for group in m.outcomes])
     cases = set()
     for k in range(m.n_outcomes - 1):
@@ -284,7 +284,7 @@ def test_cross_product_pass_runs_once_per_measurement(rng, monkeypatch):
     assert projective_equivalence(m).equivalent
     assert check_perfect(m, Tolerance(eq_residual=1e-3)).retrodictable
     assert passes == [m]
-    other = Measurement(4, 4, [[a.copy()] for a in m.all_kraus()])
+    other = Measurement(4, 4, [[a.copy()] for a in m.kraus])
     check_perfect(other)
     assert len(passes) == 2 and passes[1] is other
 

@@ -148,7 +148,7 @@ def _old_post_state(m, s, k):
     """Normalised post-measurement vector or density, formed as the state-building path did:
     a pure fine-grained image, else the ``kron(A, I)``-lifted density."""
     d_anc = s.factor_dims[1] if s.factor_dims is not None else 1
-    group = m.outcomes[k]
+    group = m.kraus[m.starts[k]:m.starts[k + 1]]
     if s.kind == "pure" and len(group) == 1:
         a = group[0]
         phi = a @ s.data if d_anc == 1 else (a @ s.data.reshape(m.d_in, d_anc)).reshape(-1)
@@ -170,19 +170,19 @@ def _old_clean(p, floor):
 
 def _old_confusion(m, r, s, n_trials, seed, floor=1e-10):
     """Confusion matrix of the state-building path: one post-measurement state per live
-    outcome, one expectation per element, ``kron(E, I)`` for a first-factor retrodictor."""
+    outcome, the expectations of all elements in one product with it, ``kron(E, I)`` for a
+    first-factor retrodictor."""
     n = m.n_outcomes
     p = _old_clean(outcome_probabilities(m, s), floor)
+    dim = m.d_out * (s.factor_dims[1] if s.factor_dims is not None else 1)
+    elements = r.elements if r.d == dim else np.kron(r.elements, np.eye(dim // r.d))
     row_cdfs = {}
     for k in np.flatnonzero(p > 0.0):
         post = _old_post_state(m, s, int(k))
-        elements = r.elements
-        if r.d != post.shape[0]:
-            elements = [np.kron(e, np.eye(post.shape[0] // r.d)) for e in elements]
-        if post.ndim == 1:
-            rows = [float(np.vdot(post, e @ post).real) for e in elements]
-        else:
-            rows = [float(np.trace(e @ post).real) for e in elements]
+        if post.ndim == 1:  # <post|E|post>
+            rows = ((elements @ post) @ np.conj(post)).real.tolist()
+        else:  # tr(E rho) = sum_ij E_ij rho_ji
+            rows = (elements.reshape(len(elements), -1) @ post.T.ravel()).real.tolist()
         rows.append(rows.pop(r.inconclusive_index))
         cdf = np.cumsum(_old_clean(rows, floor))
         cdf[-1] = 1.0
@@ -212,7 +212,7 @@ def _mixed(d, rng):
 def test_run_trials_matches_the_state_building_path(rng):
     d_in, d_out, n, d_anc = 2, 3, 3, 2
     fine = random_fine_grained(d_in, d_out, n, rng)
-    ops = random_fine_grained(d_in, d_out, 2 * n, rng).all_kraus()
+    ops = random_fine_grained(d_in, d_out, 2 * n, rng).kraus
     coarse = Measurement(d_in, d_out, [[ops[2 * k], ops[2 * k + 1]] for k in range(n)])
     synthesised = synthesize(random_povm(d_in, n, rng), d_out=d_out).measurement
     assert not synthesised.fine_grained
@@ -245,7 +245,7 @@ def _element_rows(r, m, s):
     else:
         w, v = np.linalg.eigh(s.data)
         f = (v * np.sqrt(np.maximum(w, 0.0))).reshape(m.d_in, -1)
-    elements = r.conclusive_elements() + [r.elements[r.inconclusive_index]]
+    elements = [*np.delete(r.elements, r.inconclusive_index, 0), r.elements[r.inconclusive_index]]
     rows = []
     for group in m.outcomes:
         images = [(a @ f).reshape(r.d, -1) for a in group]
@@ -257,7 +257,7 @@ def _element_rows(r, m, s):
 def test_factored_rows_match_the_element_reference(rng):
     d_in, d_out, n, d_anc = 2, 3, 3, 2
     fine = random_fine_grained(d_in, d_out, n, rng)
-    ops = random_fine_grained(d_in, d_out, 2 * n, rng).all_kraus()
+    ops = random_fine_grained(d_in, d_out, 2 * n, rng).kraus
     coarse = Measurement(d_in, d_out, [[ops[2 * k], ops[2 * k + 1]] for k in range(n)])
     synthesised = synthesize(random_povm(d_in, n, rng), d_out=d_out).measurement
     proj = build_retrodictor(synthesize(random_povm(d_in, n, rng), d_out=d_out).measurement)

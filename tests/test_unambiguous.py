@@ -50,7 +50,7 @@ def pauli_measurement() -> Measurement:
 
 def _detection_matrix(ud, states) -> np.ndarray:
     """detection[k', k] = probability that element k'+1 fires on state k."""
-    conclusive = ud.conclusive_elements()
+    conclusive = np.delete(ud.elements, ud.inconclusive_index, 0)
     return np.array([[float(np.vdot(s, e @ s).real) for s in states] for e in conclusive])
 
 
@@ -215,7 +215,7 @@ def test_singular_member_is_decided_as_numeric_rank_decides(rng):
         root = psd_inv_sqrt(sum(np.conj(g).T @ g for g in gs))
         m = Measurement(2, d_out, [[g @ root] for g in gs])
         for tol, want in zip((DEFAULT_TOL, Tolerance(rank_rel=1e-3)), expected):
-            singular = any(numeric_rank(a, tol) < 2 for a in m.all_kraus())
+            singular = any(numeric_rank(a, tol) < 2 for a in m.kraus)
             assert assess_measurement(m, tol).feasible == want == ("undecided" if singular else "no")
 
 
