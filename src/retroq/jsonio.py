@@ -186,18 +186,7 @@ def trial_report_to_obj(t: TrialReport) -> dict:
 
 
 def example_to_obj(ex: NamedExample) -> dict:
-    out: dict = {"name": ex.name, "description": ex.description}
-    expected = {}
-    for key, value in ex.expected.items():
-        if isinstance(value, (np.floating, float)):
-            expected[key] = float(value)
-        elif isinstance(value, (np.integer, int)) and not isinstance(value, bool):
-            expected[key] = int(value)
-        elif isinstance(value, complex):
-            expected[key] = array_to_obj(value)
-        else:
-            expected[key] = value
-    out["expected"] = expected
+    out: dict = {"name": ex.name, "description": ex.description, "expected": dict(ex.expected)}
     if ex.measurement is not None:
         out["measurement"] = measurement_to_obj(ex.measurement)
     if ex.povm is not None:

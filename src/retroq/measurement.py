@@ -98,7 +98,10 @@ class Measurement:
 
     @property
     def outcomes(self) -> list[list[np.ndarray]]:
-        """Read-only views of the operators of each outcome, grouped anew on each read."""
+        """Read-only views of the operators of each outcome, grouped anew on each read.
+
+        Every read regroups every outcome, so a caller that wants one group reads
+        ``kraus[starts[k]:starts[k + 1]]``."""
         return [list(self.kraus[a:b]) for a, b in zip(self.starts[:-1], self.starts[1:])]
 
     @property

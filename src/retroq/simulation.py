@@ -1,17 +1,14 @@
 """Seeded Monte Carlo validation of measurement plus retrodiction round trips.
 
-Outcome and retrodiction distributions are fixed once the inputs are fixed,
-so each trial reduces to two inverse-CDF draws: one picks the actual
-outcome, the other picks what the retrodictor reports on the corresponding
+Outcome and retrodiction distributions are fixed once the inputs are fixed:
+the probability of each (actual outcome, answer) pair is the outcome's
+probability times the retrodictor's answer probability on the corresponding
 post-measurement state, whose statistics are read from the Kraus images of
-the input without forming the state.  Trials are partitioned into fixed-size
-blocks with independently spawned PCG64 substreams; block results merge by
-summation, making the report independent of execution order and reproducible
-from the seed alone.  Each draw is located in its CDF row by a guide table
-(Chen and Asau, 1974), the count of the row's entries at or below each of
-1,024 equal bucket edges: only draws whose bucket holds an entry are bisected
-within it, none is sorted, and the answers are those of ``searchsorted``, ties
-included.  One ``bincount`` of (outcome, answer) counts a block.
+the input without forming the state.  Trials are independent, so the
+confusion matrix of ``n_trials`` of them is one multinomial draw over that
+joint table, at a cost that does not grow with ``n_trials``.  The counts are
+numpy's multinomial stream for the seed, reproducible for a fixed seed and
+numpy version.
 """
 
 from __future__ import annotations
@@ -24,9 +21,6 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOL, Tolerance, dagger
 from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, _split_dims, images
-
-_BLOCK = 8192
-_BUCKETS = 1024  # guide-table buckets over [0, 1); a power of two keeps u * _BUCKETS exact
 
 
 @dataclass
@@ -41,10 +35,6 @@ class TrialReport:
     n_trials: int
     confusion: np.ndarray
     seed: int
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.confusion.shape[1]
 
     @property
     def agreement_rate(self) -> float:
@@ -103,30 +93,6 @@ def _retrodictor_rows(r: Retrodictor, m: Measurement, s: QuantumState, stack: np
     return _clean_probs(rows / rows.sum(axis=1, keepdims=True), tol.rank_rel)
 
 
-def _guide(cdfs: np.ndarray) -> np.ndarray:
-    """Per ascending row of ``cdfs``, the count of its entries but the last at or below
-    ``b / _BUCKETS``, for b = 0.._BUCKETS + 1: those with ``ceil(c * _BUCKETS) <= b``, exactly."""
-    width = _BUCKETS + 2
-    edges = np.ceil(cdfs[:, :-1] * _BUCKETS).astype(np.intp) + np.arange(len(cdfs))[:, None] * width
-    return np.cumsum(np.bincount(edges.ravel(), minlength=len(cdfs) * width).reshape(-1, width), axis=1)
-
-
-def _located(u: np.ndarray, cdfs: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """For each draw ``u[i]`` in [0, 1], the first index of ``cdfs[rows[i]]`` whose entry exceeds
-    it, else the last.  In bucket ``b`` of its row the answer lies in ``table[row, b:b + 2]``;
-    draws where those two differ are bisected, and only they."""
-    at = rows * table.shape[1] + (u * _BUCKETS).astype(np.intp)  # flat index of (row, b)
-    lo, hi = table.ravel()[at], table.ravel()[at + 1]
-    open_ = np.flatnonzero(lo < hi)
-    while open_.size:
-        mid = (lo[open_] + hi[open_]) // 2
-        below = cdfs[rows[open_], mid] <= u[open_]
-        lo[open_[below]] = mid[below] + 1
-        hi[open_[~below]] = mid[~below]
-        open_ = open_[lo[open_] < hi[open_]]
-    return lo
-
-
 def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, seed: int,
                tol: Tolerance = DEFAULT_TOL) -> TrialReport:
     """Simulate ``n_trials`` measurement + retrodiction rounds.
@@ -134,7 +100,8 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
     Each trial samples the actual outcome from the measurement statistics,
     then the retrodictor's answer from its statistics on the post-measurement
     state.  Both are read from one stack of Kraus images of ``s``, each
-    operator applied once, for pure and mixed inputs alike.  Identical inputs
+    operator applied once, for pure and mixed inputs alike, and the trials'
+    confusion matrix is drawn at once from their joint law.  Identical inputs
     and seed give an identical report.
     """
     if any(isinstance(v, (bool, np.bool_)) for v in (n_trials, seed)):
@@ -149,29 +116,16 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
     live = [k for k in range(n) if p[k] > 0.0]
     stack = stack[np.repeat(p > 0.0, np.diff(m.starts))]
 
-    # row k is the CDF over the answers to outcome k; rows of outcomes never drawn stay at 1.
-    # A CDF reaches 1 at its last positive entry, which may have summed to an ulp less.
-    row_cdfs = np.ones((n, n + 1))
-    row_cdfs[live] = np.cumsum(_retrodictor_rows(r, m, s, stack, live, tol), axis=1)
-    row_cdfs[row_cdfs >= row_cdfs[:, -1:]] = 1.0
-    outcome_cdf = np.cumsum(p)[None, :]  # one row
-    outcome_cdf[outcome_cdf >= outcome_cdf[:, -1:]] = 1.0
-    outcome_table, row_table = _guide(outcome_cdf), _guide(row_cdfs)
-
-    # A trial of outcome k answers j iff cdf[k, j-1] <= u < cdf[k, j]: j entries of row k
-    # lie at or below u, and every CDF ends at 1 > u; so too for the outcome itself.
-    counts = np.zeros(n * (n + 1), dtype=np.int64)  # [actual outcome, answer], flattened
-    n_blocks = -(-n_trials // _BLOCK) if n_trials else 0
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
-    done = 0
-    for child in children:
-        size = min(_BLOCK, n_trials - done)
-        done += size
-        rng = np.random.Generator(np.random.PCG64(child))
-        ks = _located(rng.random(size), outcome_cdf, outcome_table, np.zeros(size, dtype=np.intp))
-        js = _located(rng.random(size), row_cdfs, row_table, ks)
-        counts += np.bincount(ks * (n + 1) + js, minlength=counts.size)
-    return TrialReport(n_trials, np.ascontiguousarray(counts.reshape(n, n + 1).T), seed)
+    # joint[j, k]: probability that outcome k occurs and the retrodictor answers j.  numpy
+    # gives a rounding remainder to the last cell it is passed, so the draw stops at the
+    # last positive cell and every zero-probability cell stays at 0.
+    joint = np.zeros((n + 1, n))
+    joint[:, live] = (p[live, None] * _retrodictor_rows(r, m, s, stack, live, tol)).T
+    flat = joint.ravel()
+    end = np.flatnonzero(flat)[-1] + 1
+    counts = np.zeros(flat.size, dtype=np.int64)
+    counts[:end] = np.random.default_rng(seed).multinomial(n_trials, flat[:end])
+    return TrialReport(n_trials, counts.reshape(n + 1, n), seed)
 
 
 def always_inconclusive(d: int, n_outcomes: int) -> Retrodictor:

@@ -23,6 +23,7 @@ from retroq.jsonio import (
     array_to_obj,
     dumps,
     measurement_to_obj,
+    operators_to_obj,
     povm_to_obj,
     projective_to_obj,
     state_to_obj,
@@ -82,6 +83,30 @@ def test_validate_measurement_ok(files, capsys):
     code, out, _ = run_cli(["validate", files["pauli"]], capsys)
     assert code == 0
     assert "valid measurement" in out
+
+
+def test_validate_reports_the_type_of_every_kind_of_file(files, capsys, tmp_path):
+    from retroq import maximally_entangled_state, retrodict_unambiguously
+    from retroq.jsonio import ud_to_obj
+
+    code, out, _ = run_cli(["build-retrodictor", files["synth"], "--format", "json"], capsys)
+    assert code == 0
+    built = tmp_path / "built.json"
+    built.write_text(out)
+    ud = tmp_path / "ud.json"
+    ud.write_text(dumps(ud_to_obj(retrodict_unambiguously(pauli_measurement(),
+                                                          maximally_entangled_state(2))[0])))
+    ops = tmp_path / "ops.json"
+    ops.write_text(dumps(operators_to_obj(pauli_measurement().kraus)))
+    cases = [(files["plus"], "state", "kind=pure dim=2 factors=None"),
+             (built, "projective_retrodictor", "d_out=3 outcomes=3"),
+             (ud, "unambiguous_retrodictor", "d=4 outcomes=4"),
+             (ops, "operators", "count=4")]
+    for path, kind, detail in cases:
+        code, out, _ = run_cli(["validate", path], capsys)
+        assert (code, out) == (0, f"valid {kind}: {detail}\n")
+        code, out, _ = run_cli(["validate", path, "--format", "json"], capsys)
+        assert code == 0 and json.loads(out) == {"valid": True, "type": kind}
 
 
 def test_validate_rejects_incomplete_measurement(files, capsys):
@@ -244,6 +269,27 @@ def test_check_perfect_false_verdict_reports_witness(files, capsys):
     assert "witness" in out and "max residual" in out
 
 
+def test_check_perfect_honours_tol_eq(files, capsys, tmp_path):
+    # a residual of 1.2e-6 is refused at the default eq_residual and accepted at 1e-5
+    obj = json.loads(files["synth"].read_text())
+    obj["outcomes"][0][0][1][0][0] += 1e-6
+    path = tmp_path / "bumped.json"
+    path.write_text(dumps(obj))
+    code, out, _ = run_cli(["check-perfect", path], capsys)
+    assert code == 1 and "retrodictable: false" in out
+    code, out, _ = run_cli(["check-perfect", path, "--tol-eq", "1e-5"], capsys)
+    assert code == 0 and "retrodictable: true" in out
+    code, _, err = run_cli(["check-perfect", path, "--tol-eq", "2"], capsys)
+    assert (code, err) == (2, "error: eq_residual must lie strictly between 0 and 1, got 2.0\n")
+
+
+def test_measurement_commands_refuse_a_povm_file(files, capsys):
+    code, _, err = run_cli(["classify", files["trine"]], capsys)
+    assert (code, err) == (2, "error: classify expects a measurement or operator-list file\n")
+    code, _, err = run_cli(["check-perfect", files["trine"]], capsys)
+    assert (code, err) == (2, "error: check-perfect expects a measurement file\n")
+
+
 # ---------------------------------------------------------- build-retrodictor
 
 def test_build_retrodictor_round_trip(files, capsys, tmp_path):
@@ -301,6 +347,28 @@ def test_classify_pauli_json(files, capsys):
     assert payload["linearly_independent"] is True
     assert payload["lld"] == "yes"
     assert payload["lli"] == "no"
+
+
+def test_classify_honours_tol_rank(capsys, tmp_path):
+    # B = A (1 + 1e-8) but for B[0, 1] = 1e-8: independent at rank_rel 1e-10, not at 1e-6
+    a = np.diag([1.0, 0.5])
+    b = a * (1 + 1e-8)
+    b[0, 1] = 1e-8
+    path = tmp_path / "near.json"
+    path.write_text(dumps(operators_to_obj([a, b])))
+    code, out, _ = run_cli(["classify", path, "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["linearly_independent"] is True
+    code, out, _ = run_cli(["classify", path, "--format", "json", "--tol-rank", "1e-6"], capsys)
+    assert code == 0 and json.loads(out)["linearly_independent"] is False
+
+
+def test_classify_reads_an_operator_list_as_its_measurement(files, capsys, tmp_path):
+    path = tmp_path / "ops.json"
+    path.write_text(dumps(operators_to_obj(pauli_measurement().kraus)))
+    code, from_ops, _ = run_cli(["classify", path, "--format", "json"], capsys)
+    assert code == 0
+    code, from_measurement, _ = run_cli(["classify", files["pauli"], "--format", "json"], capsys)
+    assert code == 0 and from_ops == from_measurement
 
 
 # ---------------------------------------------------------------------- assess

@@ -16,6 +16,7 @@ from retroq import (
     fock_shift_example,
 )
 from retroq.catalog import PAULI, counterexample_3d, rank_one_pair, two_to_four
+from retroq.dependence import LLI_SIGMA_FLOOR
 from retroq.rand import ginibre, random_nonsingular_pair, random_pure_state
 
 PAULI_OPS = [PAULI[s] for s in ("I", "X", "Y", "Z")]
@@ -329,3 +330,14 @@ def test_fock_shift_bad_mu():
         fock_shift_example(8, 1.0)
     with pytest.raises(BadMuError):
         fock_shift_example(8, 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ill_conditioned_square_pair_is_decided_by_the_search(seed):
+    # cond(A_1) = 1e9 is past the eigen-witness's limit of 1e8, so the descent decides, and its
+    # witness leaves a residual far below the floor
+    mats = np.array([np.diag([1.0, 1e-9]).astype(complex), ginibre(2, 2, seed)])
+    verdict, _, (psi, alpha) = check_lli(mats)
+    assert verdict == "no"
+    residual = np.linalg.norm(np.einsum("k,kij,j->i", alpha, mats, psi))
+    assert residual <= LLI_SIGMA_FLOOR * np.linalg.norm(mats, 2, axis=(1, 2)).max()

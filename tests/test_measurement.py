@@ -796,3 +796,30 @@ def test_state_and_povm_json_round_trip(rng):
     back_p = jsonio.povm_from_obj(jsonio.povm_to_obj(p))
     for e1, e2 in zip(p.elements, back_p.elements):
         assert np.array_equal(e1, e2)
+
+
+def test_apply_outcome_and_a_state_of_other_factors_are_refused():
+    m = pauli_measurement()
+    with pytest.raises(IndexError, match="^outcome index 4 out of range$"):
+        apply_outcome(m, QuantumState.pure([1.0, 0.0]), 4)
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^measurement expects input dimension 2, state factors as \(3, 2\)$"):
+        outcome_probabilities(m, QuantumState.pure(np.ones(6) / np.sqrt(6), (3, 2)))
+
+
+def test_quantum_state_refuses_an_unknown_kind_and_a_bad_density():
+    with pytest.raises(ValueError, match="^kind must be 'pure' or 'mixed', got 'other'$"):
+        QuantumState("other", [1.0])
+    with pytest.raises(DimensionMismatchError, match="^density matrix must be square$"):
+        QuantumState.mixed(np.ones((2, 3)) / 2.0)
+    with pytest.raises(InvalidOperatorSetError, match="^density matrix is not PSD: "):
+        QuantumState.mixed(np.diag([1.5, -0.5]))
+
+
+def test_payloads_of_no_known_format_are_refused():
+    from retroq.jsonio import detect_and_load
+
+    with pytest.raises(ValueError, match="^top-level payload must be a JSON object$"):
+        detect_and_load([1, 2])
+    with pytest.raises(ValueError, match="^payload does not match any known format$"):
+        detect_and_load({"foo": 1})

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -21,12 +19,11 @@ from retroq import (
     run_trials,
     synthesize,
 )
-from retroq import simulation
 from retroq.catalog import PAULI, counterexample_3d
 from retroq.jsonio import trial_report_to_obj, dumps
 from retroq.linalg import DEFAULT_TOL
-from retroq.measurement import images
-from retroq.simulation import _BLOCK, _guide, _located, _retrodictor_rows
+from retroq.measurement import _probabilities, images
+from retroq.simulation import _clean_probs, _retrodictor_rows
 from retroq.rand import random_fine_grained, random_povm, random_psd, random_pure_state
 
 
@@ -171,12 +168,12 @@ def _old_clean(p, floor):
 def _old_confusion(m, r, s, n_trials, seed, floor=1e-10):
     """Confusion matrix of the state-building path: one post-measurement state per live
     outcome, the expectations of all elements in one product with it, ``kron(E, I)`` for a
-    first-factor retrodictor."""
+    first-factor retrodictor; the trials are drawn at once from the joint table."""
     n = m.n_outcomes
     p = _old_clean(outcome_probabilities(m, s), floor)
     dim = m.d_out * (s.factor_dims[1] if s.factor_dims is not None else 1)
     elements = r.elements if r.d == dim else np.kron(r.elements, np.eye(dim // r.d))
-    row_cdfs = {}
+    joint = np.zeros((n + 1, n))  # [answer, actual outcome]
     for k in np.flatnonzero(p > 0.0):
         post = _old_post_state(m, s, int(k))
         if post.ndim == 1:  # <post|E|post>
@@ -184,24 +181,13 @@ def _old_confusion(m, r, s, n_trials, seed, floor=1e-10):
         else:  # tr(E rho) = sum_ij E_ij rho_ji
             rows = (elements.reshape(len(elements), -1) @ post.T.ravel()).real.tolist()
         rows.append(rows.pop(r.inconclusive_index))
-        cdf = np.cumsum(_old_clean(rows, floor))
-        cdf[-1] = 1.0
-        row_cdfs[int(k)] = cdf
-    outcome_cdf = np.cumsum(p)
-    outcome_cdf[-1] = 1.0
-    confusion = np.zeros((n + 1, n), dtype=np.int64)
-    children = np.random.SeedSequence(seed).spawn(-(-n_trials // 8192))
-    done = 0
-    for child in children:
-        size = min(8192, n_trials - done)
-        done += size
-        rng = np.random.Generator(np.random.PCG64(child))
-        u_outcome, u_retro = rng.random(size), rng.random(size)
-        ks = np.clip(np.searchsorted(outcome_cdf, u_outcome, side="right"), 0, n - 1)
-        for k in np.unique(ks):
-            rows = np.clip(np.searchsorted(row_cdfs[int(k)], u_retro[ks == k], side="right"), 0, n)
-            confusion[:, int(k)] += np.bincount(rows, minlength=n + 1)
-    return confusion
+        joint[:, k] = p[k] * _old_clean(rows, floor)
+    # one multinomial over the table, up to its last positive cell
+    flat = joint.ravel()
+    end = np.flatnonzero(flat)[-1] + 1
+    confusion = np.zeros(flat.size, dtype=np.int64)
+    confusion[:end] = np.random.default_rng(seed).multinomial(n_trials, flat[:end])
+    return confusion.reshape(n + 1, n)
 
 
 def _mixed(d, rng):
@@ -309,7 +295,8 @@ def test_run_trials_builds_no_state(rng, monkeypatch):
 
 @pytest.mark.parametrize("n_trials", [0, 1, 8191, 8192, 8193, 20000])
 def test_sampling_matches_the_per_outcome_loop(n_trials, rng):
-    # one table lookup for all outcomes against one searchsorted per drawn outcome
+    # the joint table from Kraus images against the one from post-measurement states, on inputs
+    # where some outcomes never occur
     m = synthesize(Povm(3, [np.diag(e).astype(complex) for e in np.eye(3)]), d_out=4).measurement
     proj = build_retrodictor(m)
     generic = UnambiguousRetrodictor(random_povm(4, 4, rng).elements)
@@ -328,58 +315,38 @@ def test_sampling_matches_the_per_outcome_loop(n_trials, rng):
             assert got.sum() == n_trials
 
 
-def test_the_largest_draw_never_lands_on_a_zero_probability_entry(monkeypatch):
-    # a normalised CDF can stop an ulp short of 1 at its last positive entry; the largest
-    # draw must land there, not on a zero-probability outcome or answer after it
-    top = np.nextafter(1.0, 0.0)
+def test_the_largest_draw_never_lands_on_a_zero_probability_entry():
+    # the positive cells of a normalised table can sum to an ulp short of 1, so numpy's running
+    # remainder exceeds the last positive cell; drawn over the whole table, that remainder
+    # would land on the final cell, here of an outcome that never occurs
     m = Measurement(4, 4, [[np.diag(e).astype(complex)] for e in np.eye(4)])
     rng = np.random.default_rng(0)
     for _ in range(2000):
         psi = np.r_[rng.random(3), 0.0]  # outcome 3 never occurs
         s = QuantumState.pure(psi / np.linalg.norm(psi))
-        p = outcome_probabilities(m, s)
-        if np.cumsum(p / p.sum())[2] < top:
-            break
-    else:
-        pytest.fail("no state whose outcome CDF stops short of 1")
-    for _ in range(2000):
         # a zero inconclusive element never answers
         retro = UnambiguousRetrodictor([np.zeros((4, 4), dtype=complex), *random_povm(4, 4, rng).elements])
-        row = _retrodictor_rows(retro, m, s, images(m.outcomes[2], s), [2], DEFAULT_TOL)[0]
-        if np.cumsum(row)[3] < top:
+        stack = images(m.kraus, s)
+        p = _clean_probs(_probabilities(stack, m.starts, DEFAULT_TOL), DEFAULT_TOL.rank_rel)
+        rows = _retrodictor_rows(retro, m, s, stack[:3], [0, 1, 2], DEFAULT_TOL)
+        cells = (p[:3, None] * rows).T.ravel()  # [answer, outcome] order, as the table's
+        positive = cells[cells > 0.0]
+        remainder = 1.0
+        for c in positive[:-1]:
+            remainder -= c  # as numpy's multinomial keeps it
+        if remainder > positive[-1] and positive.sum() < 1.0:
             break
     else:
-        pytest.fail("no retrodictor whose answer CDF stops short of 1")
-
-    class Top:
-        """Draws nothing but the largest double below 1."""
-
-        def __init__(self, bit_generator):
-            pass
-
-        def random(self, size):
-            return np.full(size, top)
-
-    monkeypatch.setattr(np.random, "Generator", Top)
-    report = run_trials(m, retro, s, 10, seed=0)
-    assert report.confusion[3, 2] == report.confusion.sum() == 10
+        pytest.fail("no table whose positive mass stops short of 1")
+    zero = np.ones((5, 4), dtype=bool)
+    zero[:4, :3] = False
+    for seed in range(10):
+        report = run_trials(m, retro, s, 2**60, seed=seed)
+        assert report.confusion.sum() == 2**60
+        assert not report.confusion[zero].any()
 
 
-# -------------------------------------------- the guide-table counter against the old loop
-
-def _replay(monkeypatch, outcome_draws, answer_draws):
-    """Make every block draw its outcomes cycling through ``outcome_draws`` and its
-    answers through ``answer_draws``, in place of ``np.random.Generator``."""
-
-    class Replayed:
-        def __init__(self, bit_generator):
-            self.draws = iter((outcome_draws, answer_draws))
-
-        def random(self, size):
-            return np.resize(np.array(next(self.draws)), size)
-
-    monkeypatch.setattr(np.random, "Generator", Replayed)
-
+# ---------------------------------------------- the joint-table draw against the old path
 
 def _scalar_measurement(n, amplitude):
     return Measurement(1, 1, [[np.full((1, 1), amplitude, dtype=complex)] for _ in range(n)])
@@ -391,41 +358,9 @@ def _scalar_retrodictor(conclusive):
                                   + [np.full((1, 1), e) for e in conclusive])
 
 
-@pytest.mark.parametrize("n_trials", [0, 1, 8191, 8192, 8193])
-def test_counter_places_draws_on_cdf_entries_and_ties_as_the_loop_does(n_trials, monkeypatch):
-    # dyadic amplitudes and elements make every CDF exact on both paths, so the draws can
-    # equal CDF entries: outcome CDF (1/4, 1/2, 3/4, 1), answer CDF (1/4, 1/2, 1/2, 3/4, 1)
-    # with an entry repeated by the zero element; the cycles' lengths are coprime, so every
-    # outcome draw meets every answer draw, and each value recurs as ties
-    top = np.nextafter(1.0, 0.0)
-    _replay(monkeypatch, [0.0, 0.25, 0.5, 0.75, top], [0.25, 0.0, 0.25, 0.5, 0.75, top, 0.5])
-    m, s = _scalar_measurement(4, 0.5), QuantumState.pure([1.0])
-    for r in (_scalar_retrodictor([0.25, 0.25, 0.0, 0.25]), always_inconclusive(1, 4)):
-        got = run_trials(m, r, s, n_trials, seed=0).confusion
-        assert got.tobytes() == _old_confusion(m, r, s, n_trials, seed=0).tobytes()
-        assert got.sum() == n_trials
-    # one outcome, whose answer CDF is (1/4, 1): the draws sit on, below and above 1/4
-    m, r = _scalar_measurement(1, 1.0), _scalar_retrodictor([0.25])
-    got = run_trials(m, r, s, n_trials, seed=0).confusion
-    assert got.tobytes() == _old_confusion(m, r, s, n_trials, seed=0).tobytes()
-    if n_trials == 1:  # the one draw, u = 1/4, equals the CDF's first entry: it answers past it
-        assert got[:, 0].tolist() == [0, 1]
-
-
-@pytest.mark.parametrize("n_trials", [0, 1, 8191, 8192, 8193])
-def test_counter_leaves_outcomes_without_draws_empty(n_trials, monkeypatch):
-    # every outcome draw lands on outcome 3 of 4: the other outcomes hold no key at all
-    _replay(monkeypatch, [0.75, 0.9, np.nextafter(1.0, 0.0)], [0.0, 0.3, 0.5, 0.6, 0.99])
-    m, s = _scalar_measurement(4, 0.5), QuantumState.pure([1.0])
-    r = _scalar_retrodictor([0.25, 0.25, 0.0, 0.25])
-    got = run_trials(m, r, s, n_trials, seed=0).confusion
-    assert got.tobytes() == _old_confusion(m, r, s, n_trials, seed=0).tobytes()
-    assert got[:, :3].sum() == 0 and got[:, 3].sum() == n_trials
-
-
 def test_counter_has_no_outcome_limit():
-    # 1,100 outcomes on C^1, A_k = n^-1/2, each answered from a 1,101-entry CDF: keys reach
-    # 1099 * 8192 + 8191, far beyond 16 bits, and most outcomes are drawn
+    # 1,100 outcomes on C^1, A_k = n^-1/2, each answered with 1,101 odds: a table of 1,211,100
+    # cells, most of whose outcomes are drawn
     n = 1100
     m, s = _scalar_measurement(n, n ** -0.5), QuantumState.pure([1.0])
     weights = np.random.default_rng(8).random(n + 1)
@@ -434,77 +369,6 @@ def test_counter_has_no_outcome_limit():
     assert got.shape == (n + 1, n)
     assert got.tobytes() == _old_confusion(m, r, s, 8193, seed=1).tobytes()
     assert np.count_nonzero(got.sum(axis=0)) > n // 2
-
-
-# ------------------------------------------- the guide-table locator against searchsorted
-
-def _searched_outcomes(u, cdf):
-    return np.clip(np.searchsorted(cdf, u, side="right"), 0, len(cdf) - 1)
-
-
-@pytest.mark.parametrize("n_trials", [0, 1, 8191, 8192, 8193])
-def test_outcomes_of_sorted_draws_are_the_searched_outcomes(n_trials):
-    # exact CDFs, so draws can equal their entries; a repeated entry is an outcome of zero
-    # probability, and run_trials forces the final plateau to 1
-    top = np.nextafter(1.0, 0.0)
-    cdfs = [np.array([1.0]), np.array([0.25, 0.5, 0.75, 1.0]), np.array([0.0, 0.5, 1.0]),
-            np.array([0.25, 0.25, 0.5, 0.75, 0.75, 1.0, 1.0, 1.0])]
-    rng = np.random.default_rng(n_trials)
-    for cdf in cdfs:
-        ties = np.resize(np.r_[cdf, 0.0, top, cdf / 2.0, 0.3], n_trials)  # on entries, tied
-        for u in (ties, np.sort(ties), rng.random(n_trials), np.full(n_trials, cdf[0])):
-            got = _located(u, cdf[None, :], _guide(cdf[None, :]), np.zeros(u.size, dtype=np.intp))
-            assert got.dtype == np.intp and np.array_equal(got, _searched_outcomes(u, cdf))
-
-
-def test_located_answers_are_the_searched_answers_on_bucket_edges_and_plateaus():
-    # rows of 1,101 entries, each different, ending at 1 as run_trials forces; draws on every
-    # bucket edge b / 1024 and an ulp below it, 0, the largest double below 1, and on every
-    # entry and an ulp either side of it
-    top = np.nextafter(1.0, 0.0)
-    edges = np.arange(1024) / 1024
-    rng = np.random.default_rng(41)
-    some = edges[1::4]
-    on_edges = np.sort(np.r_[0.0, some, np.nextafter(some, 0.0), np.nextafter(some, 1.0)])
-    crowded = np.sort(np.r_[0.5 + rng.random(1000) / 2048, rng.random(99)])  # 1,000 in one bucket
-    plateau = np.sort(np.r_[np.full(600, 0.3), np.full(300, 0.0), rng.random(199)])
-    spread = np.sort(rng.random(1100))
-    rows = (on_edges, crowded, plateau, spread)
-    cdfs = np.array([np.r_[row, np.ones(1101 - row.size)] for row in rows])
-    table = _guide(cdfs)
-    assert table[1, 513] - table[1, 512] >= 1000  # the crowded bucket takes ten bisection steps
-    entries = np.unique(cdfs[cdfs < 1.0])
-    u = np.r_[0.0, top, edges, np.nextafter(edges[1:], 0.0), entries,
-              np.nextafter(entries, 0.0), np.nextafter(entries, 1.0), rng.random(4096)]
-    # every draw against every row at once
-    got = _located(np.tile(u, len(cdfs)), cdfs, table, np.repeat(np.arange(len(cdfs)), u.size))
-    assert np.array_equal(got, np.concatenate([_searched_outcomes(u, cdf) for cdf in cdfs]))
-
-
-def test_locating_draws_takes_memory_per_draw_not_per_draw_and_entry(monkeypatch):
-    # 1,100 outcomes of 1,101 answers: most draws of a block fall where the guide table does not
-    # decide, and comparing each of them with its whole row would take tens of MB
-    n = 1100
-    m, s = _scalar_measurement(n, n ** -0.5), QuantumState.pure([1.0])
-    weights = np.random.default_rng(8).random(n + 1)
-    r = _scalar_retrodictor(list(weights[:n] / weights.sum()))
-    peaks, located = [], simulation._located
-
-    def measured(u, cdfs, table, rows):
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        got = located(u, cdfs, table, rows)
-        peaks.append(tracemalloc.get_traced_memory()[1] - held)
-        return got
-
-    monkeypatch.setattr(simulation, "_located", measured)
-    tracemalloc.start()
-    try:
-        report = run_trials(m, r, s, 8193, seed=1)
-    finally:
-        tracemalloc.stop()
-    assert report.confusion.sum() == 8193 and len(peaks) == 4
-    assert max(peaks) < 32 * _BLOCK * 8  # a few arrays of one entry per draw, under 2.1 MB
 
 
 def test_trial_counts_and_seeds_are_integers(rng):
@@ -520,14 +384,33 @@ def test_trial_counts_and_seeds_are_integers(rng):
 
 
 @pytest.mark.parametrize("n_trials", [0, 1, 8191, 8192, 8193])
-def test_replayed_draws_skip_outcomes_of_zero_probability_as_the_loop_does(n_trials, monkeypatch):
-    # probabilities (1/4, 0, 1/4, 1/4, 0, 1/4, 0, 0), CDF (1/4, 1/4, 1/2, 3/4, 3/4, 1, 1, 1):
-    # the draws sit on every entry and tie; the cycles' lengths are coprime
-    top = np.nextafter(1.0, 0.0)
-    _replay(monkeypatch, [0.25, 0.0, 0.5, 0.75, top, 0.25, 0.6], [0.5, 0.1, top, 0.0, 0.3])
+def test_replayed_draws_skip_outcomes_of_zero_probability_as_the_loop_does(n_trials):
+    # probabilities (1/4, 0, 1/4, 1/4, 0, 1/4, 0, 0): outcomes of zero probability sit between,
+    # beside and after the others, and the table's last cells are theirs
     m = Measurement(8, 8, [[np.diag(e).astype(complex)] for e in np.eye(8)])
     s = QuantumState.pure(np.array([0.5, 0.0, 0.5, 0.5, 0.0, 0.5, 0.0, 0.0]))
     for r in (build_retrodictor(m), always_inconclusive(8, 8)):
-        got = run_trials(m, r, s, n_trials, seed=0).confusion
-        assert got.tobytes() == _old_confusion(m, r, s, n_trials, seed=0).tobytes()
-        assert got.sum() == n_trials and got[:, [1, 4, 6, 7]].sum() == 0
+        for seed in (0, 5, 977):
+            got = run_trials(m, r, s, n_trials, seed=seed).confusion
+            assert got.tobytes() == _old_confusion(m, r, s, n_trials, seed=seed).tobytes()
+            assert got.sum() == n_trials and got[:, [1, 4, 6, 7]].sum() == 0
+
+
+def test_a_trillion_trials_take_one_draw():
+    # the cost of a call does not grow with n_trials: every trial of 10^12 is counted
+    m = random_fine_grained(8, 8, 32, np.random.default_rng(3))
+    s = maximally_entangled_state(8)
+    r, _ = retrodict_unambiguously(m, s)
+    report = run_trials(m, r, s, 10**12, seed=1)
+    assert report.confusion.sum() == 10**12
+    assert report.mismatches == 0
+
+
+def test_run_trials_refuses_a_negative_count_and_a_retrodictor_of_other_outcomes(rng):
+    m = pauli_measurement()
+    s = QuantumState.pure(random_pure_state(2, rng))
+    with pytest.raises(ValueError, match="^n_trials must be nonnegative$"):
+        run_trials(m, always_inconclusive(2, 4), s, -1, seed=0)
+    with pytest.raises(DimensionMismatchError,
+                       match="^retrodictor outcome count differs from measurement$"):
+        run_trials(m, always_inconclusive(2, 3), s, 10, seed=0)

@@ -291,3 +291,8 @@ def test_projective_round_trip_through_dilation(rng):
     basis = standard_basis(3, 3)
     m = dilated_kraus(b_factor(povm, x_basis=basis), basis)
     assert _povm_distance(povm_of(m), povm) < 1e-10
+
+
+def test_dilated_kraus_needs_a_factor():
+    with pytest.raises(InvalidOperatorSetError, match="^need at least one factor$"):
+        dilated_kraus([], None)

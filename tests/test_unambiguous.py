@@ -18,6 +18,7 @@ from retroq import (
     ShapeMismatchError,
     Tolerance,
     UnambiguousRetrodictor,
+    ZeroProbabilityOutcomeError,
     assess_measurement,
     build_retrodictor,
     build_ud_povm,
@@ -443,3 +444,27 @@ def test_priors_are_checked_at_the_callers_tolerance():
     assert success == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError, match="sum to one"):
         discriminate_unitaries(us, priors, maximally_entangled_state(2))
+
+
+def test_retrodict_unambiguously_refuses_inputs_it_cannot_serve():
+    pauli = Measurement(2, 2, [[PAULI[s] / 2.0] for s in ("I", "X", "Y", "Z")])
+    entangled = maximally_entangled_state(2)
+    with pytest.raises(ValueError, match="^retrodiction input must be a pure state$"):
+        retrodict_unambiguously(pauli, QuantumState.mixed(entangled.density(), (2, 2)))
+    coarse = Measurement(2, 2, [[PAULI["I"] / 2.0, PAULI["X"] / 2.0],
+                                [PAULI["Y"] / 2.0, PAULI["Z"] / 2.0]])
+    with pytest.raises(NotFineGrainedError,
+                       match="^retrodiction POVM is built for fine-grained measurements$"):
+        retrodict_unambiguously(coarse, entangled)
+    computational = Measurement(2, 2, [[np.diag([1.0, 0.0])], [np.diag([0.0, 1.0])]])
+    product = QuantumState.pure(np.kron([1.0, 0.0], [1.0, 0.0]), (2, 2))
+    with pytest.raises(ZeroProbabilityOutcomeError,
+                       match="^outcome 1 has zero probability for the supplied state$"):
+        retrodict_unambiguously(computational, product)
+
+
+def test_one_prior_too_few_and_a_state_off_the_unit_sphere_are_refused():
+    with pytest.raises(ValueError, match="^need one prior per unitary$"):
+        discriminate_unitaries([PAULI["I"], PAULI["X"]], [1.0], maximally_entangled_state(2))
+    with pytest.raises(ValueError, match=r"^state 1 must be a unit vector, got norm 2\.0$"):
+        build_ud_povm([[1.0, 0.0], [0.0, 2.0]])
