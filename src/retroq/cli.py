@@ -38,21 +38,29 @@ EXIT_INPUT = 2
 _DEFAULT_TRIALS = 10_000
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("RETROQ_SEED", "0"))
-
-
-def _positive(kind: type):
-    """Argparse type for a positive ``kind``; its errors name ``kind``, as argparse's own do."""
+def _number(kind: type, sign: str = "positive"):
+    """Argparse type for a ``sign`` ("positive" or "nonnegative") ``kind``; its errors name
+    ``kind``, as argparse's own do."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if value < 0 or (value == 0 and sign == "positive"):
+            raise argparse.ArgumentTypeError(f"must be {sign}, got {text}")
         return value
     return parse
+
+
+_seed = _number(int, "nonnegative")
+
+
+def _default_seed() -> int:
+    """``RETROQ_SEED``, 0 when unset; a value that is no seed is an input error naming it."""
+    try:
+        return _seed(os.environ.get("RETROQ_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"RETROQ_SEED: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,9 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
-    common.add_argument("--tol-eq", type=_positive(float), default=None,
+    common.add_argument("--tol-eq", type=_number(float), default=None,
                         help="relative residual threshold for matrix equations")
-    common.add_argument("--tol-rank", type=_positive(float), default=None,
+    common.add_argument("--tol-rank", type=_number(float), default=None,
                         help="relative singular-value threshold for ranks")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -85,12 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", parents=[common],
                        help="build a perfectly retrodictable measurement from a POVM")
     p.add_argument("file")
-    p.add_argument("--d-out", type=_positive(int), required=True, help="output space dimension")
+    p.add_argument("--d-out", type=_number(int), required=True, help="output space dimension")
 
     p = sub.add_parser("classify", parents=[common],
                        help="linear / local-linear dependence verdicts for an operator set")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=None, help="sampling seed")
+    p.add_argument("--seed", type=_seed, default=None, help="sampling seed")
 
     p = sub.add_parser("assess", parents=[common],
                        help="feasibility of unambiguous retrodiction with entanglement")
@@ -102,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("retrodictor")
     p.add_argument("state")
     p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("examples", parents=[common],
                        help="dump a bundled example (no name: list all)")
@@ -200,8 +208,7 @@ def _cmd_classify(args, tol: Tolerance) -> int:
         ops = loaded
     else:
         raise ValueError("classify expects a measurement or operator-list file")
-    seed = args.seed if args.seed is not None else _default_seed()
-    verdict = classify_operators(ops, tol, seed=seed)
+    verdict = classify_operators(ops, tol, seed=args.seed)
     lines = [
         f"linearly independent:       {str(verdict.linearly_independent).lower()}",
         f"locally linearly dependent: {verdict.lld} ({verdict.lld_reason})",
@@ -226,8 +233,7 @@ def _cmd_simulate(args, tol: Tolerance) -> int:
     m = _load(args.measurement, tol, Measurement, "simulate expects a measurement file first")
     retro = _load(args.retrodictor, tol, Retrodictor, "simulate expects a retrodictor file second")
     state = _load(args.state, tol, QuantumState, "simulate expects a state file third")
-    seed = args.seed if args.seed is not None else _default_seed()
-    report = run_trials(m, retro, state, args.trials, seed, tol)
+    report = run_trials(m, retro, state, args.trials, args.seed, tol)
     lines = [
         f"trials:            {report.n_trials}",
         f"agreement rate:    {report.agreement_rate:.6f}",
@@ -279,6 +285,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         tol = _tolerance(args)
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -294,7 +302,10 @@ def main(argv=None) -> int:
     except RetroqError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, OSError, KeyError) as exc:
+    except KeyError as exc:  # a file without a required field
+        print(f"error: missing field {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

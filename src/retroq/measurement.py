@@ -276,7 +276,8 @@ class QuantumState:
                 raise DimensionMismatchError(f"factor dims {factor_dims} must be positive")
             if d_sys * d_anc != len(data):
                 raise DimensionMismatchError(f"factor dims {factor_dims} do not multiply to {len(data)}")
-            if (int(d_sys), int(d_anc)) != (d_sys, d_anc):
+            if (any(isinstance(d, (bool, np.bool_)) for d in factor_dims)
+                    or (int(d_sys), int(d_anc)) != (d_sys, d_anc)):
                 raise DimensionMismatchError(f"factor dims {factor_dims} must be integers")
             factor_dims = (int(d_sys), int(d_anc))
         data.setflags(write=False)

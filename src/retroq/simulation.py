@@ -1,15 +1,16 @@
 """Seeded Monte Carlo validation of measurement plus retrodiction round trips.
 
 Outcome and retrodiction distributions are fixed once the inputs are fixed:
-the probability of each (actual outcome, answer) pair is the outcome's
+the probability of each (answer, actual outcome) pair is the outcome's
 probability times the retrodictor's answer probability on the corresponding
 post-measurement state, whose statistics are read from the Kraus images of
-the input without forming the state.  Trials are independent, so the
-confusion matrix of ``n_trials`` of them is one multinomial draw over that
-joint table, at a cost that does not grow with ``n_trials``.  The counts are
-numpy's multinomial stream for the seed, reproducible for a fixed seed and
-numpy version.
-"""
+the input without forming the state.  The law of a trial is one
+``(N + 1, N)`` table over every outcome, in which the outcomes of zero
+probability are masked to 0.  Trials are independent, so the confusion
+matrix of ``n_trials`` of them is one multinomial draw over that table, at a
+cost that does not grow with ``n_trials``.  The counts are numpy's
+multinomial stream for the seed, reproducible for a fixed seed and numpy
+version."""
 
 from __future__ import annotations
 
@@ -64,19 +65,21 @@ def _clean_probs(p: np.ndarray, floor: float) -> np.ndarray:
     return q / total
 
 
-def _retrodictor_rows(r: Retrodictor, m: Measurement, s: QuantumState, stack: np.ndarray,
-                      live: list[int], tol: Tolerance) -> np.ndarray:
-    """Probability vectors over rows 0..N-1 (retrodicted) plus row N (inconclusive),
-    one row per outcome in ``live``.
+def _joint_table(m: Measurement, r: Retrodictor, s: QuantumState, tol: Tolerance) -> np.ndarray:
+    """The law of one trial: ``joint[j, k] = p_k q(j | k)`` for outcome ``k`` and answer ``j``
+    (rows 0..N-1 retrodicted, row N inconclusive); columns of outcomes of zero probability
+    are masked out and stay 0.
 
-    Over the Kraus images ``S_r = (A_kr x I) F`` of ``s``, entry ``j`` of outcome ``k`` is
-    ``sum_r ||W_j^dag S_r||^2 = sum_r tr(S_r^dag E_j S_r)`` for the blocks ``W_j`` of the
-    retrodictor's factor, all from one product of the factor with the image stack, and the
-    inconclusive entry is ``sum_r ||S_r||^2`` less those; the row is divided by its total.
-    ``stack`` holds the images of the live outcomes' operators, in order.  Reshaped to
-    ``r.d`` rows, the images serve a retrodictor on the joint output space and one on the
-    first factor alike, with no ``kron(E, I_anc)`` lift.
+    Over the Kraus images ``S_r = (A_kr x I) F`` of ``s``, ``p_k = sum_r ||S_r||^2`` and entry
+    ``j`` of outcome ``k`` is ``sum_r ||W_j^dag S_r||^2 = sum_r tr(S_r^dag E_j S_r)`` for the
+    blocks ``W_j`` of the retrodictor's factor, all from one product of the factor with the
+    image stack, and the inconclusive entry is ``sum_r ||S_r||^2`` less those; each row is
+    divided by its total.  Reshaped to ``r.d`` rows, the images serve a retrodictor on the
+    joint output space and one on the first factor alike, with no ``kron(E, I_anc)`` lift.
     """
+    _split_dims(m, s)  # raises on a dimension mismatch
+    stack = images(m.kraus, s)  # each operator is applied once
+    p = _clean_probs(_probabilities(stack, m.starts, tol), tol.rank_rel)
     if r.n_outcomes != m.n_outcomes:
         raise DimensionMismatchError("retrodictor outcome count differs from measurement")
     dim = m.d_out * (s.dim // m.d_in)
@@ -88,9 +91,12 @@ def _retrodictor_rows(r: Retrodictor, m: Measurement, s: QuantumState, stack: np
     conclusive = per_column.reshape(len(stack), r.n_outcomes, -1).sum(axis=2)
     total = np.sum(np.abs(stack) ** 2, axis=(1, 2))
     per_image = np.column_stack([conclusive, total - conclusive.sum(axis=1)])
-    sizes = np.diff(m.starts)[live]
-    rows = np.add.reduceat(per_image, np.cumsum(sizes) - sizes, axis=0)
-    return _clean_probs(rows / rows.sum(axis=1, keepdims=True), tol.rank_rel)
+    live = p > 0.0
+    rows = np.add.reduceat(per_image, m.starts[:-1], axis=0)[live]
+    rows = _clean_probs(rows / rows.sum(axis=1, keepdims=True), tol.rank_rel)
+    joint = np.zeros((r.n_outcomes + 1, r.n_outcomes))
+    joint[:, live] = (p[live, None] * rows).T
+    return joint
 
 
 def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, seed: int,
@@ -109,23 +115,15 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
     n_trials, seed = operator.index(n_trials), operator.index(seed)
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
-    n = m.n_outcomes
-    _split_dims(m, s)  # raises on a dimension mismatch
-    stack = images(m.kraus, s)  # each operator is applied once
-    p = _clean_probs(_probabilities(stack, m.starts, tol), tol.rank_rel)
-    live = [k for k in range(n) if p[k] > 0.0]
-    stack = stack[np.repeat(p > 0.0, np.diff(m.starts))]
-
-    # joint[j, k]: probability that outcome k occurs and the retrodictor answers j.  numpy
-    # gives a rounding remainder to the last cell it is passed, so the draw stops at the
-    # last positive cell and every zero-probability cell stays at 0.
-    joint = np.zeros((n + 1, n))
-    joint[:, live] = (p[live, None] * _retrodictor_rows(r, m, s, stack, live, tol)).T
-    flat = joint.ravel()
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    # numpy gives a rounding remainder to the last cell it is passed, so the draw stops at the
+    # last positive cell and every zero-probability cell stays at 0
+    flat = _joint_table(m, r, s, tol).ravel()
     end = np.flatnonzero(flat)[-1] + 1
     counts = np.zeros(flat.size, dtype=np.int64)
     counts[:end] = np.random.default_rng(seed).multinomial(n_trials, flat[:end])
-    return TrialReport(n_trials, counts.reshape(n + 1, n), seed)
+    return TrialReport(n_trials, counts.reshape(m.n_outcomes + 1, m.n_outcomes), seed)
 
 
 def always_inconclusive(d: int, n_outcomes: int) -> Retrodictor:

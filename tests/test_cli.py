@@ -244,6 +244,19 @@ def test_validate_refuses_a_non_positive_dimension_as_every_kind_does(text, tmp_
     assert capsys.readouterr().err == "InvalidOperatorSetError: dimension must be positive\n"
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"outcomes": [[[[[1,0]]]]], "d_out": 1}', "d_in"),
+    ('{"kind": "pure"}', "data"),
+    ('{"projectors": [[[[1,0]]]]}', "d_out"),
+    ('{"elements": [[[[1,0]]]], "inconclusive_index": 0}', "d"),
+], ids=["measurement", "state", "projective", "unambiguous"])
+def test_validate_names_a_missing_field(text, field, tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: missing field '{field}'\n"
+
+
 def test_validate_accepts_the_well_formed_payload_and_integers_beyond_int64(tmp_path):
     path = tmp_path / "good.json"
     path.write_text(json.dumps(_povm_with_first_element(_UPPER)))
@@ -429,6 +442,37 @@ def test_simulate_seed_env_default(files, capsys, monkeypatch):
     assert json.loads(out)["seed"] == 777
 
 
+@pytest.mark.parametrize("command, value, message", [
+    ("simulate", "-1", "must be nonnegative, got -1"),
+    ("simulate", "abc", "invalid int value: 'abc'"),
+    # pauli_quarter is decided without sampling, two_to_four by sampling: a seed is refused
+    # whatever the input
+    ("classify pauli", "-3", "must be nonnegative, got -3"),
+    ("classify two_to_four", "-3", "must be nonnegative, got -3"),
+])
+def test_seed_flag_must_be_a_nonnegative_integer(files, capsys, command, value, message):
+    argv = {"simulate": ["simulate", files["synth"], files["retro"], files["plus"]],
+            "classify pauli": ["classify", files["pauli"]],
+            "classify two_to_four": ["classify", files["two_to_four"]]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv] + ["--seed", value])
+    assert exc.value.code == 2
+    assert f"argument --seed: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "invalid int value: 'abc'"),
+    ("-1", "must be nonnegative, got -1"),
+])
+def test_seed_env_must_be_a_nonnegative_integer(files, capsys, monkeypatch, value, message):
+    monkeypatch.setenv("RETROQ_SEED", value)
+    for argv in (["simulate", files["synth"], files["retro"], files["plus"]],
+                 ["classify", files["pauli"]], ["classify", files["two_to_four"]]):
+        assert run_cli(argv, capsys) == (2, "", f"error: RETROQ_SEED: {message}\n")
+        # the flag wins over the variable, which is then not read
+        assert run_cli(argv + ["--seed", "3"], capsys)[0] == 0
+
+
 # -------------------------------------------------------------------- examples
 
 def test_examples_listing_and_dump(capsys):
@@ -561,6 +605,23 @@ def test_readme_walkthrough_exits_as_documented(tmp_path):
         proc = subprocess.run(shim + line, shell=True, cwd=tmp_path, env=env,
                               capture_output=True, text=True)
         assert proc.returncode == (int(documented[1]) if documented else 0), (line, proc.stderr)
+
+
+def test_readme_library_quickstart_prints_what_its_comments_say():
+    # the Python block under "Library at a glance", run as the interactive prompt would run it,
+    # so that each bare expression prints its value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library at a glance")[1].split("```python\n")[1].split("```")[0]
+    assert "retrodictable            # False" in block and "agreement_rate  # 1.0" in block
+    runner = ("import ast, sys\n"
+              "for stmt in ast.parse(sys.stdin.read()).body:\n"
+              "    exec(compile(ast.Interactive([stmt]), 'README.md', 'single'))\n")
+    path = [str(Path(retroq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", runner], input=block, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "1.0"]
 
 
 def test_one_pass_over_the_library_loads_no_numpy_ma():

@@ -567,10 +567,13 @@ def test_state_factor_dims_must_be_positive(kind, data, factor_dims):
         QuantumState(kind, data, factor_dims)
 
 
-@pytest.mark.parametrize("factor_dims", [(1.5, 4), (4, 1.5)])
+@pytest.mark.parametrize("factor_dims", [(1.5, 4), (4, 1.5), (True, 4), (4, True), (np.True_, 4)])
 def test_state_factor_dims_must_be_integers(factor_dims):
+    # a vector as long as the product passes the product check first: C^6 for the fractions,
+    # C^4 for the booleans, which are no dimensions though True * 4 == 4
+    d = int(factor_dims[0] * factor_dims[1])
     with pytest.raises(DimensionMismatchError, match=r"factor dims .* must be integers"):
-        QuantumState.pure(np.ones(6) / 6 ** 0.5, factor_dims)
+        QuantumState.pure(np.ones(d) / d ** 0.5, factor_dims)
     assert QuantumState.pure(np.ones(6) / 6 ** 0.5, (2.0, 3.0)).factor_dims == (2, 3)
 
 

@@ -21,9 +21,9 @@ from retroq import (
 )
 from retroq.catalog import PAULI, counterexample_3d
 from retroq.jsonio import trial_report_to_obj, dumps
-from retroq.linalg import DEFAULT_TOL
+from retroq.linalg import DEFAULT_TOL, dagger
 from retroq.measurement import _probabilities, images
-from retroq.simulation import _clean_probs, _retrodictor_rows
+from retroq.simulation import _clean_probs, _joint_table
 from retroq.rand import random_fine_grained, random_povm, random_psd, random_pure_state
 
 
@@ -269,9 +269,78 @@ def test_factored_rows_match_the_element_reference(rng):
     cases.append((pauli_measurement(), retrodict_unambiguously(pauli_measurement(), entangled)[0],
                   entangled))
     for m, r, s in cases:
-        got = _retrodictor_rows(r, m, s, images(m.kraus, s), list(range(m.n_outcomes)), DEFAULT_TOL)
-        for row, want in zip(got, _element_rows(r, m, s)):
-            assert np.abs(row - want).max() <= 1e-15
+        got = _joint_table(m, r, s, DEFAULT_TOL)
+        p = _clean_probs(outcome_probabilities(m, s), DEFAULT_TOL.rank_rel)
+        assert (p > 0.0).all()
+        for k, want in enumerate(_element_rows(r, m, s)):
+            assert np.abs(got[:, k] - p[k] * want).max() <= 1e-15
+
+
+def _per_live_outcome_table(m, r, s, tol=DEFAULT_TOL):
+    """The joint table as it was assembled outcome by live outcome: the outcomes of nonzero
+    probability in a list, their images copied out of the stack, the rows summed at offsets
+    into that copy, then scaled by ``p`` and written into their columns."""
+    n = m.n_outcomes
+    stack = images(m.kraus, s)
+    p = _clean_probs(_probabilities(stack, m.starts, tol), tol.rank_rel)
+    live = [k for k in range(n) if p[k] > 0.0]
+    stack = stack[np.repeat(p > 0.0, np.diff(m.starts))]
+    stack = stack.reshape(len(stack), r.d, -1)
+    w = r.factor.transpose(1, 0, 2).reshape(r.d, -1)
+    per_column = np.sum(np.abs(dagger(w) @ stack) ** 2, axis=2)
+    conclusive = per_column.reshape(len(stack), r.n_outcomes, -1).sum(axis=2)
+    total = np.sum(np.abs(stack) ** 2, axis=(1, 2))
+    per_image = np.column_stack([conclusive, total - conclusive.sum(axis=1)])
+    sizes = np.diff(m.starts)[live]
+    rows = np.add.reduceat(per_image, np.cumsum(sizes) - sizes, axis=0)
+    rows = _clean_probs(rows / rows.sum(axis=1, keepdims=True), tol.rank_rel)
+    joint = np.zeros((n + 1, n))
+    joint[:, live] = (p[live, None] * rows).T
+    return joint
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_joint_table_matches_the_per_live_outcome_assembly_bit_for_bit(seed):
+    # each image's weights are its own slice of one product and each outcome's sum reads only
+    # its own rows, so forming the rows of every outcome and masking changes no bit
+    rng = np.random.default_rng(seed)
+    d_in, d_out, n, d_anc = 2, 3, 3, 2
+    fine = random_fine_grained(d_in, d_out, n, rng)
+    ops = random_fine_grained(d_in, d_out, 2 * n, rng).kraus
+    coarse = Measurement(d_in, d_out, [[ops[2 * k], ops[2 * k + 1]] for k in range(n)])
+    synthesised = synthesize(random_povm(d_in, n, rng), d_out=d_out).measurement
+    proj = build_retrodictor(synthesize(random_povm(d_in, n, rng), d_out=d_out).measurement)
+    states = [
+        QuantumState.pure(random_pure_state(d_in, rng)),
+        QuantumState.pure(random_pure_state(d_in * d_anc, rng), factor_dims=(d_in, d_anc)),
+        QuantumState.mixed(_mixed(d_in, rng)),
+        QuantumState.mixed(_mixed(d_in * d_anc, rng), factor_dims=(d_in, d_anc)),
+    ]
+    cases = []
+    for m in (fine, coarse, synthesised):
+        for s in states:
+            d_s = s.dim // d_in
+            lifted = UnambiguousRetrodictor([np.kron(e, np.eye(d_s)) for e in proj.elements],
+                                            proj.inconclusive_index)
+            generic = UnambiguousRetrodictor(random_povm(d_out * d_s, n + 1, rng).elements)
+            cases += [(m, r, s) for r in (proj, lifted, generic, always_inconclusive(d_out, n))]
+    # outcomes of zero probability: the inputs of test_sampling_matches_the_per_outcome_loop
+    m = synthesize(Povm(3, [np.diag(e).astype(complex) for e in np.eye(3)]), d_out=4).measurement
+    proj = build_retrodictor(m)
+    e0, e2 = np.eye(3, dtype=complex)[[0, 2]]
+    never = [QuantumState.pure(e0), QuantumState.pure((e0 + e2) / np.sqrt(2)),
+             QuantumState.mixed(np.diag([0.5, 0.0, 0.5]).astype(complex))]
+    cases += [(m, r, s) for s in never
+              for r in (proj, UnambiguousRetrodictor(random_povm(4, 4, rng).elements),
+                        UnambiguousRetrodictor(proj.elements, 0))]
+    # unambiguous retrodiction of independent Kraus operators on an entangled input
+    for m in (pauli_measurement(), random_fine_grained(4, 4, 8, rng)):
+        entangled = maximally_entangled_state(m.d_in)
+        cases.append((m, retrodict_unambiguously(m, entangled)[0], entangled))
+    assert sum((outcome_probabilities(m, s) == 0.0).any() for m, _, s in cases) == 9
+    for m, r, s in cases:
+        got = _joint_table(m, r, s, DEFAULT_TOL)
+        assert got.tobytes() == _per_live_outcome_table(m, r, s).tobytes()
 
 
 def test_run_trials_builds_no_state(rng, monkeypatch):
@@ -326,10 +395,7 @@ def test_the_largest_draw_never_lands_on_a_zero_probability_entry():
         s = QuantumState.pure(psi / np.linalg.norm(psi))
         # a zero inconclusive element never answers
         retro = UnambiguousRetrodictor([np.zeros((4, 4), dtype=complex), *random_povm(4, 4, rng).elements])
-        stack = images(m.kraus, s)
-        p = _clean_probs(_probabilities(stack, m.starts, DEFAULT_TOL), DEFAULT_TOL.rank_rel)
-        rows = _retrodictor_rows(retro, m, s, stack[:3], [0, 1, 2], DEFAULT_TOL)
-        cells = (p[:3, None] * rows).T.ravel()  # [answer, outcome] order, as the table's
+        cells = _joint_table(m, retro, s, DEFAULT_TOL).ravel()  # [answer, outcome] order
         positive = cells[cells > 0.0]
         remainder = 1.0
         for c in positive[:-1]:
@@ -414,3 +480,14 @@ def test_run_trials_refuses_a_negative_count_and_a_retrodictor_of_other_outcomes
     with pytest.raises(DimensionMismatchError,
                        match="^retrodictor outcome count differs from measurement$"):
         run_trials(m, always_inconclusive(2, 3), s, 10, seed=0)
+
+
+def test_run_trials_refuses_a_negative_seed_before_forming_the_table(rng):
+    m = pauli_measurement()
+    s = QuantumState.pure(random_pure_state(2, rng))
+    # the second retrodictor has another outcome count, which forming the table would refuse
+    for r in (always_inconclusive(2, 4), always_inconclusive(2, 3)):
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            run_trials(m, r, s, 10, seed=-1)
+        with pytest.raises(ValueError, match="^n_trials must be nonnegative$"):
+            run_trials(m, r, s, -1, seed=-1)
