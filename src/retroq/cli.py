@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measurement")
     p.add_argument("retrodictor")
     p.add_argument("state")
-    p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_number(int, "nonnegative"), default=_DEFAULT_TRIALS)
     p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("examples", parents=[common],

@@ -17,6 +17,8 @@ rank-deficiency locus is the common zero set of polynomials) and by
 minimising the smallest image singular value, the minimum of
 ``||(sum_k alpha_k A_k) psi||`` over unit ``alpha``, on the unit sphere by
 alternating descent: one SVD solves for ``alpha``, the next for ``psi``.
+Every entry point that takes a seed checks it with ``linalg.as_seed``
+before any work.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadMuError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, numeric_rank, operator_stack
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_seed, numeric_rank, operator_stack
 
 # Smallest image singular value regarded as genuinely positive, relative to the largest
 # operator norm, so that scaling a set keeps its verdict; values below are indistinguishable
@@ -101,6 +103,7 @@ def check_lld(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> tuple[str, np
     rank; otherwise ``("yes_probabilistic", None)`` after all ``_N_SAMPLES``
     sampled points came out rank-deficient.
     """
+    seed = as_seed(seed)
     mats = operator_stack(ops)
     n, d_out, d_in = mats.shape
     if n > d_out:
@@ -199,6 +202,7 @@ def check_lli(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0
     Returns ``(verdict, min_sigma, witness)`` with witness ``(psi, alpha)``
     normalised to unit length when the verdict is ``"no"``.
     """
+    seed = as_seed(seed)
     mats = operator_stack(ops)
     n, d_out, d_in = mats.shape
     singular = np.flatnonzero(numeric_rank(mats, tol) < d_in)
@@ -224,6 +228,7 @@ def check_lli(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0
 
 def classify_operators(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> DependenceVerdict:
     """Full dependence classification with exact criteria overriding sampling."""
+    seed = as_seed(seed)
     mats = operator_stack(ops)
     n, d_out, _ = mats.shape
     independent, beta = check_linear_independence(mats, tol)

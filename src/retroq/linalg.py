@@ -5,6 +5,7 @@ eigen entry point (square, Hermitian, positive) and ``eigh_descending`` the one 
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,21 @@ def operator_stack(ops) -> np.ndarray:
     if other is not None:
         raise ShapeMismatchError(f"mixed operator shapes {mats[0].shape} and {other}")
     return finite(np.array(mats))
+
+
+def as_index(value, what: str) -> int:
+    """``value`` as a Python ``int``; a boolean or a non-integral value raises ``TypeError``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{what} must be an integer, not a boolean")
+    return operator.index(value)
+
+
+def as_seed(seed) -> int:
+    """``seed`` as a Python ``int`` (``as_index``); a negative seed raises ``ValueError``."""
+    seed = as_index(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    return seed
 
 
 def as_vector(a) -> np.ndarray:

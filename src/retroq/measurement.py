@@ -14,7 +14,9 @@ from .errors import (
     ShapeMismatchError,
     ZeroProbabilityOutcomeError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_2d, as_matrix, as_vector, dagger, finite, fro, psd_eig
+from .linalg import (
+    DEFAULT_TOL, Tolerance, as_2d, as_index, as_matrix, as_vector, dagger, finite, fro, psd_eig,
+)
 
 
 class Measurement:
@@ -37,8 +39,6 @@ class Measurement:
     product per distinct row count (one product for a dense fine-grained set).
     Outside groups enter here, library-built stacks through ``from_stack``.
     """
-
-    _cross_residual: tuple | None = None  # set by the first perfect check
 
     def __init__(self, d_in: int, d_out: int, outcomes, tol: Tolerance | None = None) -> None:
         ops = [as_2d(a) for group in outcomes for a in group]
@@ -63,7 +63,8 @@ class Measurement:
         return cls.__new__(cls)._hold(d_in, d_out, np.array(kraus, dtype=complex), sizes, tol)
 
     def _hold(self, d_in: int, d_out: int, stack: np.ndarray, sizes, tol: Tolerance | None) -> "Measurement":
-        self.d_in, self.d_out, tol = d_in, d_out, tol or DEFAULT_TOL
+        self.d_in, self.d_out = as_index(d_in, "d_in"), as_index(d_out, "d_out")
+        tol = tol or DEFAULT_TOL
         if self.d_in < 1 or self.d_out < 1:
             raise InvalidOperatorSetError("dimensions must be positive")
         if not len(sizes):
@@ -164,6 +165,7 @@ class Povm:
     def __init__(self, d: int, elements, tol: Tolerance | None = None) -> None:
         if not len(elements):
             raise InvalidOperatorSetError("a POVM needs at least one element")
+        d = as_index(d, "d")
         self.d, self.elements = d, povm_elements(elements, d, tol or DEFAULT_TOL)
 
     @property
@@ -199,6 +201,7 @@ class Retrodictor:
     def __init__(self, elements, inconclusive_index: int = 0, tol: Tolerance | None = None) -> None:
         if not len(elements):
             raise InvalidOperatorSetError("need at least the inconclusive element")
+        inconclusive_index = as_index(inconclusive_index, "inconclusive_index")
         if not 0 <= inconclusive_index < len(elements):
             raise ValueError(f"inconclusive index {inconclusive_index} out of range")
         self._elements = povm_elements(elements, as_matrix(elements[0]).shape[0], tol or DEFAULT_TOL)

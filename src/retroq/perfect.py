@@ -5,11 +5,11 @@ state exactly when Kraus operators belonging to different outcomes have
 vanishing cross products.  When that holds, the supports of the group sums
 ``G_k = sum_r A_kr A_kr^dag`` on the output space are mutually orthogonal,
 and projecting onto them identifies the outcome regardless of the input.
-The check skips, before any per-operator work, the Kraus operators that
-share no output row with a later outcome, and forms, for each other
-operator, one matrix product with the stacked adjoints of the later-outcome
-operators that share an output row with it; operators writing into disjoint
-rows have an exactly zero product.
+The check runs on every call.  It skips, before any per-operator work, the
+Kraus operators that share no output row with a later outcome, and forms,
+for each other operator, one matrix product with the stacked adjoints of all
+later-outcome operators; operators writing into disjoint rows have an
+exactly zero product.
 """
 
 from __future__ import annotations
@@ -97,20 +97,13 @@ def check_perfect(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> PerfectCheckR
     verdict is scale-invariant, one operator ``A_kr`` at a time.  Operators
     that share no nonzero output row with a later outcome, read from the
     measurement's ``nonzero_rows`` mask made once at construction, are skipped
-    before any per-operator work, norms and adjoints included; for the others only
-    the span of later operators from the first to the last that share a row
-    with ``A_kr`` is multiplied.  Every product left out is exactly zero.  For
-    dense operators the span is the whole later stack, and temporaries are
-    about three times the operator list.  Of equal maxima the witness is the
-    first in the order ``(k, r, k', r')``.  The residual and witness are
-    computed once per measurement; only the verdict depends on ``tol``.
+    before any per-operator work, norms and adjoints included; each other
+    operator is multiplied by the whole stack of later-outcome adjoints in one
+    product, and temporaries are about three times the operator list.  Products
+    of operators writing into disjoint rows are exactly zero.  Of equal maxima
+    the witness is the first in the order ``(k, r, k', r')``.  The pass runs on
+    every call and writes nothing into ``m``; only the verdict depends on ``tol``.
     """
-    if m._cross_residual is None:
-        m._cross_residual = _cross_products(m)
-    return PerfectCheckReport(bool(m._cross_residual[0] <= tol.eq_residual), *m._cross_residual)
-
-
-def _cross_products(m: Measurement) -> tuple[float, tuple[int, int, int, int] | None]:
     ops = m.kraus
     owner = np.repeat(np.arange(m.n_outcomes), np.diff(m.starts))  # outcome of each operator
     # entries are finite, so operators with disjoint output rows have an exactly zero product
@@ -124,15 +117,13 @@ def _cross_products(m: Measurement) -> tuple[float, tuple[int, int, int, int] | 
     for i in meeting:
         k = owner[i]
         later = m.starts[k + 1]  # first operator of outcome k + 1
-        hits = np.flatnonzero(touched[later:] @ touched[i])
-        first, stop = later + int(hits[0]), later + int(hits[-1]) + 1
-        products = (adjoints[first * m.d_in:stop * m.d_in] @ ops[i]).reshape(-1, m.d_in * m.d_in)
-        residuals = np.linalg.norm(products, axis=1) / (norms[i] * norms[first:stop] + np.finfo(float).tiny)
+        products = (adjoints[later * m.d_in:] @ ops[i]).reshape(-1, m.d_in * m.d_in)
+        residuals = np.linalg.norm(products, axis=1) / (norms[i] * norms[later:] + np.finfo(float).tiny)
         if residuals.max() > worst:
-            j = first + int(np.argmax(residuals))
-            worst = float(residuals[j - first])
+            j = later + int(np.argmax(residuals))
+            worst = float(residuals[j - later])
             witness = (int(k), int(owner[j]), int(i - m.starts[k]), int(j - m.starts[owner[j]]))
-    return worst, witness
+    return PerfectCheckReport(bool(worst <= tol.eq_residual), worst, witness)
 
 
 def build_retrodictor(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> ProjectiveRetrodictor:

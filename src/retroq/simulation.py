@@ -14,13 +14,12 @@ version."""
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import DEFAULT_TOL, Tolerance, dagger
+from .linalg import DEFAULT_TOL, Tolerance, as_index, as_seed, dagger
 from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, _split_dims, images
 
 
@@ -110,13 +109,10 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
     confusion matrix is drawn at once from their joint law.  Identical inputs
     and seed give an identical report.
     """
-    if any(isinstance(v, (bool, np.bool_)) for v in (n_trials, seed)):
-        raise TypeError("n_trials and seed must be integers, not booleans")
-    n_trials, seed = operator.index(n_trials), operator.index(seed)
+    n_trials = as_index(n_trials, "n_trials")
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    seed = as_seed(seed)
     # numpy gives a rounding remainder to the last cell it is passed, so the draw stops at the
     # last positive cell and every zero-probability cell stays at 0
     flat = _joint_table(m, r, s, tol).ravel()

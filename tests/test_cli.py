@@ -461,6 +461,30 @@ def test_seed_flag_must_be_a_nonnegative_integer(files, capsys, command, value, 
 
 
 @pytest.mark.parametrize("value, message", [
+    ("-5", "must be nonnegative, got -5"),
+    ("abc", "invalid int value: 'abc'"),
+    ("2.5", "invalid int value: '2.5'"),
+])
+def test_trials_flag_must_be_a_nonnegative_integer(files, capsys, tmp_path, value, message):
+    # refused before any file is read, so a missing measurement file is not named
+    for measurement in (files["synth"], tmp_path / "missing.json"):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in ("simulate", measurement, files["retro"], files["plus"])]
+                 + ["--trials", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --trials: {message}\n" in err and "missing.json" not in err
+
+
+def test_zero_trials_are_simulated(files, capsys):
+    code, out, _ = run_cli(["simulate", files["synth"], files["retro"], files["plus"],
+                            "--trials", "0", "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n_trials"] == 0 and np.array(payload["confusion"]).sum() == 0
+
+
+@pytest.mark.parametrize("value, message", [
     ("abc", "invalid int value: 'abc'"),
     ("-1", "must be nonnegative, got -1"),
 ])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from retroq import (
     classify_operators,
     fock_shift_example,
 )
-from retroq.catalog import PAULI, counterexample_3d, rank_one_pair, two_to_four
+from retroq.catalog import PAULI, counterexample_3d, get_example, rank_one_pair, two_to_four
 from retroq.dependence import LLI_SIGMA_FLOOR
 from retroq.rand import ginibre, random_nonsingular_pair, random_pure_state
 
@@ -341,3 +343,21 @@ def test_ill_conditioned_square_pair_is_decided_by_the_search(seed):
     assert verdict == "no"
     residual = np.linalg.norm(np.einsum("k,kij,j->i", alpha, mats, psi))
     assert residual <= LLI_SIGMA_FLOOR * np.linalg.norm(mats, 2, axis=(1, 2)).max()
+
+
+SEEDED = {"check_lld": check_lld, "check_lli": check_lli, "classify_operators": classify_operators}
+
+
+@pytest.mark.parametrize("name", ["pauli_quarter", "two_to_four"])
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_seeds_are_checked_where_they_enter(entry, name):
+    # pauli_quarter is decided without sampling and two_to_four by sampling: a seed is
+    # refused, and a numpy integer taken, whatever the input
+    ops = get_example(name).measurement.kraus
+    check = SEEDED[entry]
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        check(ops, seed=-3)
+    for seed in (2.5, True, np.True_):
+        with pytest.raises(TypeError):
+            check(ops, seed=seed)
+    assert pickle.dumps(check(ops, seed=np.int64(5))) == pickle.dumps(check(ops, seed=5))  # same bits

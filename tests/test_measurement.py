@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -28,7 +29,7 @@ from retroq import (
     synthesize,
 )
 from retroq.catalog import PAULI, counterexample_3d, two_to_four
-from retroq.jsonio import dumps, measurement_to_obj, ud_from_obj, ud_to_obj
+from retroq.jsonio import detect_and_load, dumps, measurement_to_obj, povm_to_obj, ud_from_obj, ud_to_obj
 from retroq.linalg import DEFAULT_TOL, dagger
 from retroq.measurement import Retrodictor, images
 from retroq.rand import (
@@ -285,9 +286,10 @@ def test_batched_statistics_equal_their_per_row_loops_bit_for_bit(rng):
 def test_the_perfect_check_reads_the_stored_row_mask():
     m = pauli_measurement()
     assert np.array_equal(m.nonzero_rows, (m.kraus != 0).any(axis=2))
-    assert perfect._cross_products(m)[0] > 0.0
+    assert check_perfect(m).max_residual > 0.0
     m.nonzero_rows = np.zeros_like(m.nonzero_rows)  # as if no operator wrote any row
-    assert perfect._cross_products(m) == (0.0, None)
+    report = check_perfect(m)
+    assert (report.max_residual, report.witness) == (0.0, None)
 
 
 @pytest.mark.parametrize("build", [
@@ -826,3 +828,37 @@ def test_payloads_of_no_known_format_are_refused():
         detect_and_load([1, 2])
     with pytest.raises(ValueError, match="^payload does not match any known format$"):
         detect_and_load({"foo": 1})
+
+
+def test_numpy_integer_dimensions_round_trip_through_json():
+    ud = [0.2 * E2, 0.8 * P0, np.diag([0.0, 0.8 + 0j])]
+    built = [
+        (Measurement(np.int64(2), np.int64(2), [[HALF], [HALF_2]]), Measurement(2, 2, [[HALF], [HALF_2]]),
+         measurement_to_obj),
+        (Measurement.from_stack(np.int64(2), np.uint8(2), np.array([HALF, HALF_2]), [1, 1]),
+         Measurement(2, 2, [[HALF], [HALF_2]]), measurement_to_obj),
+        (Povm(np.int64(2), [P0, E2 - P0]), Povm(2, [P0, E2 - P0]), povm_to_obj),
+        (UnambiguousRetrodictor(ud, np.int64(1)), UnambiguousRetrodictor(ud, 1), ud_to_obj),
+    ]
+    for got, want, to_obj in built:
+        text = dumps(to_obj(got))
+        assert text == dumps(to_obj(want))
+        assert dumps(to_obj(detect_and_load(json.loads(text)))) == text
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Measurement(True, 2, [[HALF], [HALF_2]]),
+    lambda: Measurement(2, np.True_, [[HALF], [HALF_2]]),
+    lambda: Measurement(2.0, 2, [[HALF], [HALF_2]]),
+    lambda: Measurement.from_stack(True, 2, np.array([HALF, HALF_2]), [1, 1]),
+    lambda: Povm(True, [np.eye(1)]),
+    lambda: Povm(np.True_, [np.eye(1)]),
+    lambda: Povm(2.0, [P0, E2 - P0]),
+    lambda: UnambiguousRetrodictor([0.2 * E2, 0.8 * E2], True),
+    lambda: UnambiguousRetrodictor([0.2 * E2, 0.8 * E2], np.True_),
+    lambda: UnambiguousRetrodictor([0.2 * E2, 0.8 * E2], 1.0),
+], ids=["measurement_d_in", "measurement_d_out", "measurement_float", "from_stack", "povm",
+        "povm_numpy_bool", "povm_float", "ud_index", "ud_numpy_bool", "ud_float"])
+def test_boolean_and_fractional_dimensions_and_indices_are_refused(build):
+    with pytest.raises(TypeError):
+        build()

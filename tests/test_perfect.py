@@ -178,7 +178,8 @@ def per_operator_reference(m: Measurement):
 def test_cross_products_are_bit_identical_to_the_per_operator_search(kind):
     for seed in range(25):
         m = seeded_measurement(kind, seed)
-        worst, witness = perfect._cross_products(m)
+        report = check_perfect(m)
+        worst, witness = report.max_residual, report.witness
         assert (worst, witness) == per_operator_reference(m)
         assert type(worst) is float and all(type(i) is int for i in witness or ())
 
@@ -195,9 +196,10 @@ def test_standard_synthesis_forms_no_product_and_no_norm(monkeypatch):
     monkeypatch.setattr(perfect, "dagger", lambda a: dag(a).view(Counting))
     monkeypatch.setattr(perfect, "fro", lambda a: calls.__setitem__("norm", calls["norm"] + 1) or fro(a))
     for seed in range(25):
-        assert perfect._cross_products(seeded_measurement("standard", seed)) == (0.0, None)
+        report = check_perfect(seeded_measurement("standard", seed))
+        assert (report.max_residual, report.witness) == (0.0, None)
     assert calls == {"product": 0, "norm": 0}
-    perfect._cross_products(seeded_measurement("fine", 0))  # the counters do count
+    check_perfect(seeded_measurement("fine", 0))  # the counters do count
     assert calls["product"] > 0 and calls["norm"] > 0
 
 
@@ -206,9 +208,9 @@ def test_standard_synthesis_forms_no_adjoint(monkeypatch):
     formed = []
     monkeypatch.setattr(perfect, "dagger", lambda a: formed.append(a.shape) or dag(a))
     for seed in range(25):
-        perfect._cross_products(seeded_measurement("standard", seed))
+        check_perfect(seeded_measurement("standard", seed))
     assert formed == []
-    perfect._cross_products(seeded_measurement("fine", 0))  # the counter does count
+    check_perfect(seeded_measurement("fine", 0))  # the counter does count
     assert formed
 
 
@@ -273,20 +275,19 @@ def test_check_perfect_json_of_catalog_is_pinned(name, text, tmp_path, capsys):
     assert code == (0 if name == "two_to_four" else 1)
 
 
-def test_cross_product_pass_runs_once_per_measurement(rng, monkeypatch):
-    passes = []
-    cross_products = perfect._cross_products
-    monkeypatch.setattr(perfect, "_cross_products", lambda m: passes.append(m) or cross_products(m))
+def test_the_perfect_check_leaves_the_measurement_as_built(rng):
     u0 = random_unitary(4, rng)
     m = Measurement(4, 4, [[u0 @ e] for e in random_projective_povm(4, 3, rng).elements])
-    assert check_perfect(m).retrodictable
+    built = dict(vars(m))
+    report = check_perfect(m)
+    assert report.retrodictable
     build_retrodictor(m)
     assert projective_equivalence(m).equivalent
-    assert check_perfect(m, Tolerance(eq_residual=1e-3)).retrodictable
-    assert passes == [m]
-    other = Measurement(4, 4, [[a.copy()] for a in m.kraus])
-    check_perfect(other)
-    assert len(passes) == 2 and passes[1] is other
+    loose = check_perfect(m, Tolerance(eq_residual=1e-3))
+    assert loose.retrodictable
+    assert (loose.max_residual, loose.witness) == (report.max_residual, report.witness)
+    assert vars(m).keys() == built.keys()
+    assert all(vars(m)[name] is value for name, value in built.items())
 
 
 def test_one_measurement_gets_both_verdicts_at_tolerances_around_its_residual(rng):

@@ -55,3 +55,64 @@ def test_every_private_function_and_class_is_referenced():
                and node.name.startswith("_") and not node.name.startswith("__")
                and node.name not in referenced]
     assert orphans == []
+
+
+def _assigned(target: ast.AST):
+    """The plain targets of an assignment target, tuples, lists and starred names unpacked."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _assigned(element)
+    elif isinstance(target, ast.Starred):
+        yield from _assigned(target.value)
+    else:
+        yield target
+
+
+def _argument_writes(tree: ast.AST) -> list[str]:
+    """``line target`` for each assignment, plain, unpacked, annotated or augmented, to an
+    attribute of a parameter other than ``self`` or ``cls`` of the function it is in."""
+    writes = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = func.args
+        params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if p is not None} - {"self", "cls"}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in (t for top in targets for t in _assigned(top)):
+                root = target
+                while isinstance(root, (ast.Attribute, ast.Subscript)):
+                    root = root.value
+                if isinstance(target, ast.Attribute) and isinstance(root, ast.Name) and root.id in params:
+                    writes.append(f"{node.lineno} {ast.unparse(target)}")
+    return writes
+
+
+def test_the_argument_write_guard_sees_every_kind_of_assignment():
+    source = """
+def f(m, *rest, key=None, **extra):
+    m.a = 1
+    x, (m.b, *m.c) = 1, (2, 3)
+    m.d: int = 4
+    m.e += 5
+    m.f.g = 6
+    key.h = 7
+    m.i[0] = 8  # writes into an attribute's value, not the attribute
+    self.j = 9
+    local = m
+    local.k = 10  # an alias is not followed
+"""
+    assert _argument_writes(ast.parse(source)) == [
+        "3 m.a", "4 m.b", "4 m.c", "5 m.d", "6 m.e", "7 m.f.g", "8 key.h"]
+
+
+def test_no_function_assigns_an_attribute_of_its_arguments():
+    # a library function reads what it is given; only a method writes, through self or cls
+    writes = [f"{path.name}:{write}" for path in MODULES for write in _argument_writes(_tree(path))]
+    assert writes == []
