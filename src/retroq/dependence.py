@@ -89,10 +89,7 @@ def check_linear_independence(ops, tol: Tolerance = DEFAULT_TOL
     stack = mats.reshape(len(mats), -1)
     if numeric_rank(stack, tol) == len(mats):
         return True, None
-    # beta spans the null space of the transposed stack; the last right
-    # singular vector belongs to the smallest singular value.
-    _, _, vh = np.linalg.svd(stack.T)
-    return False, np.conj(vh[-1, :])
+    return False, _kernel_vector(stack.T)  # beta spans the null space of the transposed stack
 
 
 def check_lld(ops, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> tuple[str, np.ndarray | None]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .errors import (
@@ -57,9 +55,7 @@ class Measurement:
         ``(N, d_out, d_in)`` stack ``kraus``, held as a read-only copy and checked as outside
         groups are; a stack of another shape raises ``DimensionMismatchError``, a boolean or
         non-integral size ``TypeError``."""
-        if any(isinstance(k, (bool, np.bool_)) for k in sizes):
-            raise TypeError("group sizes must be integers, not booleans")
-        sizes = [operator.index(k) for k in sizes]
+        sizes = [as_index(k, "group size") for k in sizes]
         return cls.__new__(cls)._hold(d_in, d_out, np.array(kraus, dtype=complex), sizes, tol)
 
     def _hold(self, d_in: int, d_out: int, stack: np.ndarray, sizes, tol: Tolerance | None) -> "Measurement":
@@ -247,8 +243,9 @@ class QuantumState:
     """A pure vector or density matrix, optionally split as system x ancilla.
 
     ``data`` is a read-only copy of the vector or matrix given.  ``factor_dims`` records
-    an explicit tensor factorisation ``(d_sys, d_anc)``; measurements always act on the
-    first factor.
+    an explicit tensor factorisation ``(d_sys, d_anc)`` as Python ints (``as_index``: a
+    boolean or non-integral dimension raises ``TypeError``); measurements always act on
+    the first factor.
     """
 
     def __init__(self, kind: str, data, factor_dims: tuple[int, int] | None = None,
@@ -274,15 +271,11 @@ class QuantumState:
             if abs(tr - 1.0) > tol.eq_residual:
                 raise InvalidOperatorSetError(f"density matrix must have unit trace, got {tr!r}")
         if factor_dims is not None:
-            d_sys, d_anc = factor_dims
+            d_sys, d_anc = factor_dims = tuple(as_index(d, "factor dimension") for d in factor_dims)
             if min(d_sys, d_anc) < 1:
                 raise DimensionMismatchError(f"factor dims {factor_dims} must be positive")
             if d_sys * d_anc != len(data):
                 raise DimensionMismatchError(f"factor dims {factor_dims} do not multiply to {len(data)}")
-            if (any(isinstance(d, (bool, np.bool_)) for d in factor_dims)
-                    or (int(d_sys), int(d_anc)) != (d_sys, d_anc)):
-                raise DimensionMismatchError(f"factor dims {factor_dims} must be integers")
-            factor_dims = (int(d_sys), int(d_anc))
         data.setflags(write=False)
         self.kind, self.data, self.factor_dims = kind, data, factor_dims
 
@@ -315,36 +308,26 @@ def povm_of(m: Measurement) -> Povm:
     return Povm(m.d_in, m.elements)
 
 
-def _split_dims(m: Measurement, s: QuantumState) -> int:
-    """Ancilla dimension for ``s`` measured by ``m``; raises on mismatch."""
-    if s.factor_dims is not None:
-        d_sys, d_anc = s.factor_dims
-        if d_sys != m.d_in:
-            raise DimensionMismatchError(
-                f"measurement expects input dimension {m.d_in}, state factors as {s.factor_dims}"
-            )
-        return d_anc
-    if s.dim != m.d_in:
-        raise DimensionMismatchError(
-            f"measurement expects input dimension {m.d_in}, state has dimension {s.dim}"
-        )
-    return 1
-
-
 def images(stack, s: QuantumState) -> np.ndarray:
     """Images ``(A_r x I) F`` of a factor ``F`` of ``s`` (``rho = F F^dag``: the pure vector,
     else ``V sqrt(max(w, 0))`` from one ``eigh``), stacked as ``(R, d_out, d_anc * cols)``.
-    ``stack`` holds the operators ``A_r`` and is taken as is: an array is not copied.
+    ``stack`` holds the operators ``A_r`` and is taken as is: an array is not copied.  They
+    act on the first factor of a state with ``factor_dims`` and on the whole state otherwise;
+    any other dimension than ``stack.shape[-1]`` there raises ``DimensionMismatchError``.
 
     Reshaped to ``(R, d_out * d_anc, cols)`` they factor the joint terms
     ``(A_r x I) rho (A_r x I)^dag``; as they are, the terms' partial traces over the ancilla.
     """
+    stack = np.asarray(stack)
+    d_in = stack.shape[-1]
+    if (s.factor_dims[0] if s.factor_dims else s.dim) != d_in:
+        seen = f"factors as {s.factor_dims}" if s.factor_dims else f"has dimension {s.dim}"
+        raise DimensionMismatchError(f"measurement expects input dimension {d_in}, state {seen}")
     f = s.data
     if s.kind == "mixed":
         w, v = np.linalg.eigh(f)
         f = v * np.sqrt(np.maximum(w, 0.0))
-    stack = np.asarray(stack)
-    return stack @ f.reshape(stack.shape[-1], -1)
+    return stack @ f.reshape(d_in, -1)
 
 
 def _probabilities(stack: np.ndarray, starts, tol: Tolerance) -> np.ndarray:
@@ -368,7 +351,6 @@ def outcome_probabilities(m: Measurement, s: QuantumState,
     Probabilities below ``tol.rank_rel`` are reported as exactly zero; the
     vector is clamped to [0, 1] but not renormalised.
     """
-    _split_dims(m, s)  # raises on a dimension mismatch
     return _probabilities(images(m.kraus, s), m.starts, tol)
 
 
@@ -380,11 +362,12 @@ def apply_outcome(m: Measurement, s: QuantumState, k: int,
     inputs produce a density matrix.  Outcomes of zero probability are
     refused rather than divided through.
     """
+    k = as_index(k, "outcome index")
     if not 0 <= k < m.n_outcomes:
         raise IndexError(f"outcome index {k} out of range")
-    d_anc = _split_dims(m, s)
     group = m.kraus[m.starts[k]:m.starts[k + 1]]
     g = images(group, s)
+    d_anc = s.dim // m.d_in
     p = _probabilities(g, [0, len(group)], tol)[0]
     if p <= tol.rank_rel:
         raise ZeroProbabilityOutcomeError(f"outcome {k} has probability {p!r}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOL, Tolerance, as_index, as_seed, dagger
-from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, _split_dims, images
+from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, images
 
 
 @dataclass
@@ -76,7 +76,6 @@ def _joint_table(m: Measurement, r: Retrodictor, s: QuantumState, tol: Tolerance
     divided by its total.  Reshaped to ``r.d`` rows, the images serve a retrodictor on the
     joint output space and one on the first factor alike, with no ``kron(E, I_anc)`` lift.
     """
-    _split_dims(m, s)  # raises on a dimension mismatch
     stack = images(m.kraus, s)  # each operator is applied once
     p = _clean_probs(_probabilities(stack, m.starts, tol), tol.rank_rel)
     if r.n_outcomes != m.n_outcomes:
@@ -106,12 +105,14 @@ def run_trials(m: Measurement, r: Retrodictor, s: QuantumState, n_trials: int, s
     then the retrodictor's answer from its statistics on the post-measurement
     state.  Both are read from one stack of Kraus images of ``s``, each
     operator applied once, for pure and mixed inputs alike, and the trials'
-    confusion matrix is drawn at once from their joint law.  Identical inputs
-    and seed give an identical report.
+    confusion matrix is drawn at once from their joint law, for up to ``2**63 - 1``
+    trials, numpy's largest count.  Identical inputs and seed give an identical report.
     """
     n_trials = as_index(n_trials, "n_trials")
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
+    if n_trials > np.iinfo(np.int64).max:  # numpy draws counts as int64
+        raise ValueError(f"n_trials must be at most {np.iinfo(np.int64).max}")
     seed = as_seed(seed)
     # numpy gives a rounding remainder to the last cell it is passed, so the draw stops at the
     # last positive cell and every zero-probability cell stays at 0

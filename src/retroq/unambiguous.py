@@ -30,7 +30,7 @@ from .errors import (
     ZeroProbabilityOutcomeError,
 )
 from .linalg import DEFAULT_TOL, Tolerance, as_vector, dagger, fro, numeric_rank, operator_stack
-from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, _split_dims, images
+from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, images
 
 
 class UnambiguousRetrodictor(Retrodictor):
@@ -113,7 +113,6 @@ def _final_family(m: Measurement, s: QuantumState, tol: Tolerance) -> tuple:
     ``p_inconclusive = sum_k p_k (1 - c / ||dual_k||^2)``."""
     if s.kind != "pure":
         raise ValueError("retrodiction input must be a pure state")
-    _split_dims(m, s)  # raises on a dimension mismatch
     phis = images(m.kraus, s).reshape(m.n_outcomes, -1)
     p = _probabilities(phis, m.starts, tol)
     zero = np.flatnonzero(p <= tol.rank_rel)

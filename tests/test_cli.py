@@ -476,6 +476,12 @@ def test_trials_flag_must_be_a_nonnegative_integer(files, capsys, tmp_path, valu
         assert f"argument --trials: {message}\n" in err and "missing.json" not in err
 
 
+def test_trials_beyond_the_int64_count_are_refused_in_one_line(files, capsys):
+    code, out, err = run_cli(["simulate", files["synth"], files["retro"], files["plus"],
+                              "--trials", str(2**63)], capsys)
+    assert (code, out, err) == (2, "", f"error: n_trials must be at most {2**63 - 1}\n")
+
+
 def test_zero_trials_are_simulated(files, capsys):
     code, out, _ = run_cli(["simulate", files["synth"], files["retro"], files["plus"],
                             "--trials", "0", "--format", "json"], capsys)

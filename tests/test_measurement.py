@@ -42,7 +42,7 @@ from retroq.rand import (
     random_pure_state,
     random_unitary,
 )
-from retroq.simulation import run_trials
+from retroq.simulation import always_inconclusive, run_trials
 
 E2 = np.eye(2, dtype=complex)
 PROJ_Z = Measurement(2, 2, [[np.diag([1.0, 0.0 + 0j])], [np.diag([0.0 + 0j, 1.0])]])
@@ -133,9 +133,9 @@ HALF_2 = np.diag([1.0, 1.0j]) / np.sqrt(2)
     ((np.array([HALF, np.where(E2 == 1, np.nan, 0) + HALF_2]), [1, 1]), ValueError,
      "matrix entries must be finite"),
     ((np.array([HALF, HALF_2]), [True, True]), TypeError,
-     "group sizes must be integers, not booleans"),
+     "group size must be an integer, not a boolean"),
     ((np.array([HALF, HALF_2]), np.array([True, True])), TypeError,
-     "group sizes must be integers, not booleans"),
+     "group size must be an integer, not a boolean"),
     ((np.array([HALF, HALF_2]), [1.0, 1.0]), TypeError,
      "'float' object cannot be interpreted as an integer"),
 ])
@@ -571,12 +571,16 @@ def test_state_factor_dims_must_be_positive(kind, data, factor_dims):
 
 @pytest.mark.parametrize("factor_dims", [(1.5, 4), (4, 1.5), (True, 4), (4, True), (np.True_, 4)])
 def test_state_factor_dims_must_be_integers(factor_dims):
-    # a vector as long as the product passes the product check first: C^6 for the fractions,
-    # C^4 for the booleans, which are no dimensions though True * 4 == 4
+    # a vector as long as the product would pass the product check, which comes later: C^6
+    # for the fractions, C^4 for the booleans, which are no dimensions though True * 4 == 4;
+    # integral floats are refused as Measurement(2.0, ...) is, numpy integers are held as ints
     d = int(factor_dims[0] * factor_dims[1])
-    with pytest.raises(DimensionMismatchError, match=r"factor dims .* must be integers"):
-        QuantumState.pure(np.ones(d) / d ** 0.5, factor_dims)
-    assert QuantumState.pure(np.ones(6) / 6 ** 0.5, (2.0, 3.0)).factor_dims == (2, 3)
+    message = "^factor dimension must be an integer, not a boolean$|cannot be interpreted as an integer"
+    for dims in (factor_dims, (2.0, 3.0)):
+        with pytest.raises(TypeError, match=message):
+            QuantumState.pure(np.ones(d) / d ** 0.5, dims)
+    dims = QuantumState.pure(np.ones(6) / 6 ** 0.5, (np.int64(2), 3)).factor_dims
+    assert dims == (2, 3) and all(type(k) is int for k in dims)
 
 
 @pytest.mark.parametrize("kind, data", [("pure", PLUS), ("mixed", np.outer(PLUS, PLUS))])
@@ -807,9 +811,31 @@ def test_apply_outcome_and_a_state_of_other_factors_are_refused():
     m = pauli_measurement()
     with pytest.raises(IndexError, match="^outcome index 4 out of range$"):
         apply_outcome(m, QuantumState.pure([1.0, 0.0]), 4)
+    with pytest.raises(TypeError, match="^outcome index must be an integer, not a boolean$"):
+        apply_outcome(m, QuantumState.pure([1.0, 0.0]), True)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        apply_outcome(m, QuantumState.pure([1.0, 0.0]), 1.0)
     with pytest.raises(DimensionMismatchError,
                        match=r"^measurement expects input dimension 2, state factors as \(3, 2\)$"):
         outcome_probabilities(m, QuantumState.pure(np.ones(6) / np.sqrt(6), (3, 2)))
+
+
+@pytest.mark.parametrize("read", [
+    lambda m, s: images(m.kraus, s),
+    outcome_probabilities,
+    lambda m, s: apply_outcome(m, s, 0),
+    lambda m, s: run_trials(m, always_inconclusive(2, 4), s, 10, seed=0),
+    unambiguous.retrodict_unambiguously,
+], ids=["images", "outcome_probabilities", "apply_outcome", "run_trials", "retrodict_unambiguously"])
+def test_every_statistic_refuses_a_state_off_the_input_space_in_images(read):
+    # an undeclared C^4 state is not read as C^2 x C^2, and a declared first factor must fit
+    m = pauli_measurement()
+    with pytest.raises(DimensionMismatchError,
+                       match="^measurement expects input dimension 2, state has dimension 4$"):
+        read(m, QuantumState.pure(np.ones(4) / 2))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^measurement expects input dimension 2, state factors as \(3, 2\)$"):
+        read(m, QuantumState.pure(np.ones(6) / np.sqrt(6), (3, 2)))
 
 
 def test_quantum_state_refuses_an_unknown_kind_and_a_bad_density():

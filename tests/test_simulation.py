@@ -472,6 +472,18 @@ def test_a_trillion_trials_take_one_draw():
     assert report.mismatches == 0
 
 
+def test_run_trials_draws_at_most_the_int64_count(rng):
+    # numpy's multinomial draws int64 counts: one trial more is refused before the table is formed
+    m = pauli_measurement()
+    s = QuantumState.pure(random_pure_state(2, rng))
+    for r in (always_inconclusive(2, 4), always_inconclusive(2, 3)):
+        for n_trials in (2**63, np.uint64(2**63)):
+            with pytest.raises(ValueError, match=f"^n_trials must be at most {2**63 - 1}$"):
+                run_trials(m, r, s, n_trials, seed=0)
+    report = run_trials(m, always_inconclusive(2, 4), s, 2**63 - 1, seed=0)
+    assert report.confusion.sum() == report.n_trials == 2**63 - 1
+
+
 def test_run_trials_refuses_a_negative_count_and_a_retrodictor_of_other_outcomes(rng):
     m = pauli_measurement()
     s = QuantumState.pure(random_pure_state(2, rng))
