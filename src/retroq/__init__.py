@@ -34,7 +34,9 @@ from .errors import (
     ZeroProbabilityOutcomeError,
 )
 from .linalg import DEFAULT_TOL, Tolerance, numeric_rank, support_projector
-from .measurement import Measurement, Povm, QuantumState, apply_outcome, outcome_probabilities, povm_of
+from .measurement import (
+    Measurement, Povm, QuantumState, Retrodictor, apply_outcome, outcome_probabilities, povm_of,
+)
 from .perfect import (
     PerfectCheckReport,
     ProjectiveEquivalence,
@@ -47,7 +49,6 @@ from .simulation import TrialReport, always_inconclusive, run_trials
 from .synthesis import SynthesisResult, b_factor, dilated_kraus, standard_basis, synthesize
 from .unambiguous import (
     RetrodictionAssessment,
-    UnambiguousRetrodictor,
     assess_measurement,
     build_ud_povm,
     discriminate_unitaries,
@@ -81,12 +82,12 @@ __all__ = [
     "QuantumState",
     "RetroqError",
     "RetrodictionAssessment",
+    "Retrodictor",
     "ShapeMismatchError",
     "SynthesisResult",
     "Tolerance",
     "TooManyOutcomesError",
     "TrialReport",
-    "UnambiguousRetrodictor",
     "ZeroProbabilityOutcomeError",
     "always_inconclusive",
     "apply_outcome",

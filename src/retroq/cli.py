@@ -29,7 +29,7 @@ from .measurement import Measurement, Povm, QuantumState, Retrodictor
 from .perfect import ProjectiveRetrodictor, build_retrodictor, check_perfect
 from .simulation import run_trials
 from .synthesis import synthesize
-from .unambiguous import UnambiguousRetrodictor, assess_measurement
+from .unambiguous import assess_measurement
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -156,8 +156,8 @@ def _cmd_validate(args, tol: Tolerance) -> int:
     elif isinstance(loaded, QuantumState):
         kind, detail = "state", f"kind={loaded.kind} dim={loaded.dim} factors={loaded.factor_dims}"
     elif isinstance(loaded, ProjectiveRetrodictor):
-        kind, detail = "projective_retrodictor", f"d_out={loaded.d_out} outcomes={loaded.n_outcomes}"
-    elif isinstance(loaded, UnambiguousRetrodictor):
+        kind, detail = "projective_retrodictor", f"d_out={loaded.d} outcomes={loaded.n_outcomes}"
+    elif isinstance(loaded, Retrodictor):
         kind, detail = "unambiguous_retrodictor", f"d={loaded.d} outcomes={loaded.n_outcomes}"
     else:
         kind, detail = "operators", f"count={len(loaded)}"
@@ -185,7 +185,7 @@ def _cmd_build_retrodictor(args, tol: Tolerance) -> int:
     retro = build_retrodictor(m, tol)
     obj = jsonio.projective_to_obj(retro)
     ranks = [int(round(float(np.trace(p).real))) for p in retro.projectors]
-    _emit(args, obj, [f"projective retrodictor on dimension {retro.d_out}",
+    _emit(args, obj, [f"projective retrodictor on dimension {retro.d}",
                       f"projector ranks: {ranks}"])
     return EXIT_OK
 

@@ -17,10 +17,10 @@ from .catalog import NamedExample
 from .dependence import DependenceVerdict
 from .errors import DimensionMismatchError, InvalidOperatorSetError
 from .linalg import operator_stack
-from .measurement import Measurement, Povm, QuantumState
+from .measurement import Measurement, Povm, QuantumState, Retrodictor
 from .perfect import PerfectCheckReport, ProjectiveRetrodictor
 from .simulation import TrialReport
-from .unambiguous import RetrodictionAssessment, UnambiguousRetrodictor
+from .unambiguous import RetrodictionAssessment
 
 
 def array_to_obj(a) -> list:
@@ -96,7 +96,7 @@ def state_from_obj(obj, tol=None) -> QuantumState:
 
 
 def projective_to_obj(r: ProjectiveRetrodictor) -> dict:
-    return {"d_out": r.d_out, "projectors": array_to_obj(r.projectors)}
+    return {"d_out": r.d, "projectors": array_to_obj(r.projectors)}
 
 
 def projective_from_obj(obj, tol=None) -> ProjectiveRetrodictor:
@@ -104,7 +104,7 @@ def projective_from_obj(obj, tol=None) -> ProjectiveRetrodictor:
     return ProjectiveRetrodictor(_typed(obj["d_out"], int, "d_out"), projectors, tol)
 
 
-def ud_to_obj(r: UnambiguousRetrodictor) -> dict:
+def ud_to_obj(r: Retrodictor) -> dict:
     return {
         "d": r.d,
         "elements": array_to_obj(r.elements),
@@ -112,13 +112,13 @@ def ud_to_obj(r: UnambiguousRetrodictor) -> dict:
     }
 
 
-def ud_from_obj(obj, tol=None) -> UnambiguousRetrodictor:
+def ud_from_obj(obj, tol=None) -> Retrodictor:
     elements = [array_from_obj(e, 2) for e in _typed(obj["elements"], list, "elements")]
     d = _typed(obj["d"], int, "d")
     index = _typed(obj.get("inconclusive_index", 0), int, "inconclusive_index")
     if d < 1:
         raise InvalidOperatorSetError("dimension must be positive")
-    r = UnambiguousRetrodictor(elements, index, tol)
+    r = Retrodictor(elements, index, tol)
     if r.d != d:  # the constructor took d from element 0 and held every element to it
         raise DimensionMismatchError(f"element 0 has shape ({r.d}, {r.d}); expected ({d}, {d})")
     return r

@@ -18,7 +18,8 @@ class Tolerance:
     """Numerical thresholds used for all equality / rank / positivity decisions.
 
     eq_residual: relative Frobenius-norm threshold for matrix equations.
-    rank_rel:    relative singular-value (or eigenvalue) cutoff for ranks and supports.
+    rank_rel:    relative singular-value (or eigenvalue) cutoff for ranks and supports, and the
+                 probability below which an outcome counts as zero.
     psd_floor:   most-negative admissible eigenvalue, relative to the spectral scale.
     """
 

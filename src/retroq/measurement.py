@@ -87,7 +87,8 @@ class Measurement:
             self.elements[ks] = dagger(xs) @ xs
         for a in (self.starts, rows, self.elements):
             a.setflags(write=False)
-        vanishing = np.flatnonzero(np.linalg.norm(self.elements, axis=(1, 2)) <= tol.eq_residual)
+        # p_k <= ||E_k||_2 <= ||E_k||_F on every input, so _probabilities zeroes a refused outcome
+        vanishing = np.flatnonzero(np.linalg.norm(self.elements, axis=(1, 2)) < tol.rank_rel)
         if vanishing.size:
             raise InvalidOperatorSetError(f"outcome {vanishing[0]} has a vanishing POVM element")
         _check_identity(self.elements.sum(axis=0), tol, "Kraus operators do not resolve the identity")
@@ -293,10 +294,6 @@ class QuantumState:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def is_bipartite(self) -> bool:
-        return self.factor_dims is not None and self.factor_dims[1] > 1
-
     def density(self) -> np.ndarray:
         if self.kind == "pure":
             return np.outer(self.data, np.conj(self.data))
@@ -369,8 +366,8 @@ def apply_outcome(m: Measurement, s: QuantumState, k: int,
     g = images(group, s)
     d_anc = s.dim // m.d_in
     p = _probabilities(g, [0, len(group)], tol)[0]
-    if p <= tol.rank_rel:
-        raise ZeroProbabilityOutcomeError(f"outcome {k} has probability {p!r}")
+    if p == 0.0:  # zeroed by _probabilities, as below tol.rank_rel
+        raise ZeroProbabilityOutcomeError(f"outcome {k} has zero probability for the supplied state")
     out_dims = (m.d_out, d_anc) if s.factor_dims is not None else None
     g = g.reshape(len(group), m.d_out * d_anc, -1)
     if s.kind == "pure" and len(group) == 1:

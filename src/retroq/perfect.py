@@ -62,10 +62,6 @@ class ProjectiveRetrodictor(Retrodictor):
         super().__init__(_completed(projs, d_out), 0, tol)
 
     @property
-    def d_out(self) -> int:
-        return self.d
-
-    @property
     def projectors(self) -> np.ndarray:
         return self.elements[1:]
 

@@ -8,14 +8,12 @@ from .dependence import check_linear_independence
 from .linalg import DEFAULT_TOL, Tolerance, dagger, numeric_rank, psd_eig
 from .measurement import Measurement, Povm
 
-
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
+MAX_COND = 1e4
 
 
 def ginibre(d_out: int, d_in: int, rng) -> np.ndarray:
     """Complex Gaussian matrix."""
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     return (rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))) / np.sqrt(2.0)
 
 
@@ -47,7 +45,7 @@ def psd_inv_sqrt(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def random_povm(d: int, n: int, rng, tol: Tolerance = DEFAULT_TOL) -> Povm:
     """POVM from n random PSD operators conjugated by the inverse root of their sum."""
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     qs = [random_psd(d, rng) for _ in range(n)]
     root = psd_inv_sqrt(sum(qs), tol)
     return Povm(d, [root @ q @ root for q in qs], tol)
@@ -57,7 +55,7 @@ def random_projective_povm(d: int, n: int, rng, tol: Tolerance = DEFAULT_TOL) ->
     """Complete orthogonal projectors from a random partition of a Haar basis."""
     if not 1 <= n <= d:
         raise ValueError(f"need 1 <= n <= {d}, got {n}")
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     u = random_unitary(d, rng)
     # every part nonempty: seed one column each, assign the rest at random
     owner = np.concatenate([np.arange(n), rng.integers(0, n, d - n)])
@@ -68,7 +66,7 @@ def random_projective_povm(d: int, n: int, rng, tol: Tolerance = DEFAULT_TOL) ->
 def random_fine_grained(d_in: int, d_out: int, n: int, rng,
                         tol: Tolerance = DEFAULT_TOL) -> Measurement:
     """Generic fine-grained measurement (Kraus operators normalised to completeness)."""
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     gs = np.array([ginibre(d_out, d_in, rng) for _ in range(n)])
     root = psd_inv_sqrt(sum(dagger(g) @ g for g in gs), tol)
     return Measurement.from_stack(d_in, d_out, gs @ root, [1] * n, tol)
@@ -79,7 +77,7 @@ def random_nonsingular_independent(d: int, n: int, rng,
     """Fine-grained measurement with non-singular, linearly independent Kraus operators."""
     if n > d * d:
         raise ValueError(f"at most {d * d} independent operators exist on dimension {d}")
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     while True:
         m = random_fine_grained(d, d, n, rng, tol)
         if np.all(numeric_rank(m.kraus, tol) == d) and check_linear_independence(m.kraus, tol)[0]:
@@ -91,7 +89,7 @@ def random_nonsingular_dependent(d: int, n: int, rng,
     """Fine-grained measurement with non-singular but linearly dependent Kraus operators."""
     if n < 2:
         raise ValueError("need at least two operators for a dependence")
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     while True:
         gs = [ginibre(d, d, rng) for _ in range(n - 1)]
         coeffs = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
@@ -104,10 +102,10 @@ def random_nonsingular_dependent(d: int, n: int, rng,
             return Measurement.from_stack(d, d, ops, [1] * n, tol)
 
 
-def random_nonsingular_pair(d: int, rng, max_cond: float = 1e4) -> tuple[np.ndarray, np.ndarray]:
-    """Two well-conditioned square operators (for image-independence witnesses)."""
-    rng = _rng(rng)
+def random_nonsingular_pair(d: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Two square operators of condition number below ``MAX_COND`` (image-independence witnesses)."""
+    rng = np.random.default_rng(rng)
     while True:
         a1, a2 = ginibre(d, d, rng), ginibre(d, d, rng)
-        if np.linalg.cond(a1) < max_cond and np.linalg.cond(a2) < max_cond:
+        if np.linalg.cond(a1) < MAX_COND and np.linalg.cond(a2) < MAX_COND:
             return a1, a2

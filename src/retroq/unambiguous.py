@@ -33,11 +33,6 @@ from .linalg import DEFAULT_TOL, Tolerance, as_vector, dagger, fro, numeric_rank
 from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, images
 
 
-class UnambiguousRetrodictor(Retrodictor):
-    """A ``Retrodictor`` for unambiguous retrodiction; ``build_ud_povm`` takes its
-    factor from the dual vectors of the final states, one scaled column each."""
-
-
 @dataclass
 class RetrodictionAssessment:
     """Feasibility of unambiguous retrodiction for some (entangled) input.
@@ -55,15 +50,16 @@ class RetrodictionAssessment:
     p_inconclusive: float | None = None
 
 
-def _dual_family(states, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, float]:
-    """Duals ``S G^-1 = U Sigma^-1 V^dag`` of unit vectors ``S = U Sigma V^dag`` (thin SVD,
-    ``G = S^dag S``), ``||dual_k||^2 = sum_j |V_kj|^2 / sigma_j^2`` and the scale
-    ``min(min_k ||dual_k||^2, 1 / ||N^1/2 V Sigma^-1||_2^2)``, where ``N = diag(1 / ||dual_k||^2)``:
-    the largest that keeps the inconclusive remainder PSD.  G, whose condition number is
-    the square of S's, is never formed."""
-    s = np.column_stack(states)
+def _dual_family(s: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, L, 1)`` factor ``W_k = sqrt(q_k) dual_k`` of the unambiguous retrodictor for the
+    unit columns of the ``(L, n)`` matrix ``S = U Sigma V^dag`` (thin SVD), and the success
+    probabilities ``q_k = c / ||dual_k||^2``.  The duals are ``S G^-1 = U Sigma^-1 V^dag``
+    (``G = S^dag S``), ``||dual_k||^2 = sum_j |V_kj|^2 / sigma_j^2``, and the scale is
+    ``c = min(min_k ||dual_k||^2, 1 / ||N^1/2 V Sigma^-1||_2^2)``, where ``N = diag(1 / ||dual_k||^2)``:
+    the largest that keeps the inconclusive remainder PSD and every ``q_k`` at most 1.
+    G, whose condition number is the square of S's, is never formed."""
     u, sv, vh = np.linalg.svd(s, full_matrices=False)
-    if sv.size < len(states) or not sv[-1] > tol.rank_rel * sv[0]:
+    if sv.size < s.shape[1] or not sv[-1] > tol.rank_rel * sv[0]:
         raise LinearlyDependentStatesError(
             "states are linearly dependent and cannot be told apart without error"
         )
@@ -71,14 +67,11 @@ def _dual_family(states, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, float]
     norms2 = np.sum(np.abs(w) ** 2, axis=1)
     w /= np.sqrt(norms2)[:, None]
     lam_max = float(np.linalg.eigvalsh(w @ dagger(w))[-1])  # ||N^1/2 V Sigma^-1||_2^2
-    return (u / sv) @ vh, norms2, min(float(np.min(norms2)), 1.0 / lam_max)
+    q = min(float(np.min(norms2)), 1.0 / lam_max) / norms2
+    return ((u / sv) @ vh * np.sqrt(q)).T[:, :, None], q
 
 
-def _retrodictor(duals, norms2, c: float, tol: Tolerance) -> UnambiguousRetrodictor:
-    return UnambiguousRetrodictor.from_factor((duals * np.sqrt(c / norms2)).T[:, :, None], tol)
-
-
-def build_ud_povm(states, tol: Tolerance = DEFAULT_TOL) -> UnambiguousRetrodictor:
+def build_ud_povm(states, tol: Tolerance = DEFAULT_TOL) -> Retrodictor:
     """Error-free discriminating POVM for linearly independent unit vectors.
 
     Element ``k >= 1`` is ``c |dual_k><dual_k| / ||dual_k||^2``; the duals'
@@ -99,7 +92,7 @@ def build_ud_povm(states, tol: Tolerance = DEFAULT_TOL) -> UnambiguousRetrodicto
         vecs.append(v)
     if not vecs:
         raise ValueError("need at least one state")
-    return _retrodictor(*_dual_family(vecs, tol), tol)
+    return Retrodictor.from_factor(_dual_family(np.array(vecs).T, tol)[0], tol)
 
 
 def maximally_entangled_state(d: int) -> QuantumState:
@@ -108,14 +101,14 @@ def maximally_entangled_state(d: int) -> QuantumState:
     return QuantumState.pure(vec, factor_dims=(d, d))
 
 
-def _final_family(m: Measurement, s: QuantumState, tol: Tolerance) -> tuple:
-    """``_dual_family`` of the normalised final states of ``m`` on the pure ``s``, and
-    ``p_inconclusive = sum_k p_k (1 - c / ||dual_k||^2)``."""
+def _final_family(m: Measurement, s: QuantumState, tol: Tolerance) -> tuple[np.ndarray, float]:
+    """The ``_dual_family`` factor of the normalised final states of ``m`` on the pure ``s``,
+    and ``p_inconclusive = sum_k p_k (1 - q_k)``."""
     if s.kind != "pure":
         raise ValueError("retrodiction input must be a pure state")
     phis = images(m.kraus, s).reshape(m.n_outcomes, -1)
     p = _probabilities(phis, m.starts, tol)
-    zero = np.flatnonzero(p <= tol.rank_rel)
+    zero = np.flatnonzero(p == 0.0)  # the outcomes that _probabilities zeroed
     if zero.size:
         raise ZeroProbabilityOutcomeError(
             f"outcome {zero[0]} has zero probability for the supplied state")
@@ -124,10 +117,10 @@ def _final_family(m: Measurement, s: QuantumState, tol: Tolerance) -> tuple:
     norms = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel())
     finals = phis / norms[:, None]
     try:
-        duals, norms2, c = _dual_family(finals, tol)
+        factor, q = _dual_family(finals.T, tol)
     except LinearlyDependentStatesError as exc:
         raise DependentFinalStatesError(str(exc)) from exc
-    return duals, norms2, c, float(np.clip(p @ (1.0 - c / norms2), 0.0, 1.0))
+    return factor, float(np.clip(p @ (1.0 - q), 0.0, 1.0))
 
 
 def assess_measurement(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> RetrodictionAssessment:
@@ -144,7 +137,7 @@ def assess_measurement(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Retrodic
         raise NotFineGrainedError("assessment is defined for fine-grained measurements")
     state = maximally_entangled_state(m.d_in)
     try:
-        return RetrodictionAssessment("yes", state, _final_family(m, state, tol)[3])
+        return RetrodictionAssessment("yes", state, _final_family(m, state, tol)[1])
     except DependentFinalStatesError:
         singular = bool(np.any(numeric_rank(m.kraus, tol) < m.d_in))
         return RetrodictionAssessment("undecided" if singular else "no")
@@ -152,7 +145,7 @@ def assess_measurement(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Retrodic
 
 def retrodict_unambiguously(m: Measurement, s: QuantumState,
                             tol: Tolerance = DEFAULT_TOL
-                            ) -> tuple[UnambiguousRetrodictor, float]:
+                            ) -> tuple[Retrodictor, float]:
     """Unambiguous retrodictor on the joint output space for a known pure input.
 
     All outcomes must have nonzero probability on ``s`` and the normalised
@@ -161,13 +154,13 @@ def retrodict_unambiguously(m: Measurement, s: QuantumState,
     """
     if not m.fine_grained:
         raise NotFineGrainedError("retrodiction POVM is built for fine-grained measurements")
-    duals, norms2, c, p_inc = _final_family(m, s, tol)
-    return _retrodictor(duals, norms2, c, tol), p_inc
+    factor, p_inc = _final_family(m, s, tol)
+    return Retrodictor.from_factor(factor, tol), p_inc
 
 
 def discriminate_unitaries(unitaries, priors, s: QuantumState,
                            tol: Tolerance = DEFAULT_TOL
-                           ) -> tuple[UnambiguousRetrodictor, float]:
+                           ) -> tuple[Retrodictor, float]:
     """Unambiguously identify which unitary acted, given prior probabilities.
 
     Reduces to outcome retrodiction of the fine-grained measurement with

@@ -85,6 +85,12 @@ def test_validate_measurement_ok(files, capsys):
     assert "valid measurement" in out
 
 
+def test_validate_accepts_a_valid_measurement_at_a_coarse_tol_eq(files, capsys):
+    # each Pauli element I / 4 has Frobenius norm 0.354, below this eq_residual
+    code, out, _ = run_cli(["validate", files["pauli"], "--tol-eq", "0.4"], capsys)
+    assert (code, out) == (0, "valid measurement: d_in=2 d_out=2 outcomes=4 fine_grained=True\n")
+
+
 def test_validate_reports_the_type_of_every_kind_of_file(files, capsys, tmp_path):
     from retroq import maximally_entangled_state, retrodict_unambiguously
     from retroq.jsonio import ud_to_obj

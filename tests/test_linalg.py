@@ -236,4 +236,6 @@ def test_public_surface_resolves_without_the_removed_helpers():
     for gone in ("partial_trace", "schmidt", "schmidt_rank", "herm_eig"):
         assert not hasattr(retroq, gone) and not hasattr(retroq.linalg, gone)
     assert not hasattr(retroq.Measurement, "all_kraus")
-    assert not hasattr(retroq.UnambiguousRetrodictor, "conclusive_elements")
+    assert not hasattr(retroq.Retrodictor, "conclusive_elements")
+    assert not hasattr(retroq, "UnambiguousRetrodictor") and not hasattr(retroq.ProjectiveRetrodictor, "d_out")
+    assert not hasattr(retroq.QuantumState, "is_bipartite")

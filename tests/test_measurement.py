@@ -20,7 +20,6 @@ from retroq import (
     ProjectiveRetrodictor,
     QuantumState,
     ShapeMismatchError,
-    UnambiguousRetrodictor,
     ZeroProbabilityOutcomeError,
     apply_outcome,
     check_perfect,
@@ -30,7 +29,7 @@ from retroq import (
 )
 from retroq.catalog import PAULI, counterexample_3d, two_to_four
 from retroq.jsonio import detect_and_load, dumps, measurement_to_obj, povm_to_obj, ud_from_obj, ud_to_obj
-from retroq.linalg import DEFAULT_TOL, dagger
+from retroq.linalg import DEFAULT_TOL, Tolerance, dagger
 from retroq.measurement import Retrodictor, images
 from retroq.rand import (
     ginibre,
@@ -170,6 +169,16 @@ def test_ragged_groups_resolve_the_identity_group_by_group(rng):
         Measurement(3, 4, [list(groups[0]) + [ops[3]], list(groups[2]), [0.0 * ops[3]] * 2])
 
 
+def test_an_outcome_is_vanishing_only_below_rank_rel():
+    # p_k <= ||E_k||_F on every input: a refused outcome is one _probabilities zeroes on every
+    # input, and eq_residual does not enter; 1e-24 * I and 1e-22 * I stay refused above
+    eps = 5e-10
+    m = Measurement(2, 2, [[np.sqrt(1.0 - eps) * E2], [np.sqrt(eps) * E2]])
+    assert outcome_probabilities(m, QuantumState.pure([1.0, 0.0]))[1] == pytest.approx(eps, rel=1e-12)
+    loose = Tolerance(eq_residual=0.4)  # each Pauli quarter I / 4 has Frobenius norm 0.354
+    assert Measurement(2, 2, [[PAULI[s] / 2.0] for s in "IXYZ"], loose).n_outcomes == 4
+
+
 def test_group_offsets_and_elements_are_stored_read_only(rng):
     ops = random_fine_grained(3, 4, 6, rng).kraus
     groups = [ops[:3], ops[3:4], ops[4:]]
@@ -278,9 +287,11 @@ def test_batched_statistics_equal_their_per_row_loops_bit_for_bit(rng):
                for d, n in [(2, 4), (3, 5), (8, 32)]]
     for m, s in finals:
         phis = images(m.kraus, s).reshape(m.n_outcomes, -1)
-        want = unambiguous._dual_family([phi / np.linalg.norm(phi) for phi in phis], DEFAULT_TOL)
-        got = unambiguous._final_family(m, s, DEFAULT_TOL)[:3]
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        columns = np.column_stack([phi / np.linalg.norm(phi) for phi in phis])
+        factor, q = unambiguous._dual_family(columns, DEFAULT_TOL)
+        p_inc = float(np.clip(measurement._probabilities(phis, m.starts, DEFAULT_TOL) @ (1.0 - q), 0.0, 1.0))
+        got, got_p_inc = unambiguous._final_family(m, s, DEFAULT_TOL)
+        assert np.array_equal(got, factor) and got_p_inc == p_inc
 
 
 def test_the_perfect_check_reads_the_stored_row_mask():
@@ -346,7 +357,7 @@ def _povm(elements):
 
 
 def _unambiguous(elements):
-    return UnambiguousRetrodictor(elements, 0)
+    return Retrodictor(elements, 0)
 
 
 def _projective(projectors):
@@ -402,7 +413,7 @@ def test_validated_elements_are_read_only_copies_owned_by_their_objects():
     elements = [0.2 * E2, np.diag([0.8, 0.0 + 0j]), np.diag([0.0, 0.8 + 0j])]
     projectors = [P0.copy(), np.diag([0.0, 1.0 + 0j])]
     povm, retro = Povm(2, elements), Retrodictor(elements)
-    ud, proj = UnambiguousRetrodictor(elements, 0), ProjectiveRetrodictor(2, projectors)
+    ud, proj = Retrodictor(elements, 2), ProjectiveRetrodictor(2, projectors)
     state = QuantumState.pure(PLUS)
 
     def snapshot():
@@ -452,7 +463,7 @@ def test_each_retrodictor_origin_has_its_own_entry_point():
         ProjectiveRetrodictor(2)
 
 
-@pytest.mark.parametrize("cls", [Retrodictor, UnambiguousRetrodictor, ProjectiveRetrodictor])
+@pytest.mark.parametrize("cls", [Retrodictor, ProjectiveRetrodictor])
 def test_from_factor_refuses_a_factor_beyond_the_norm_bound(cls):
     w = np.zeros((2, 3, 1), dtype=complex)
     w[0, 0, 0], w[1, 1, 0] = np.sqrt(1.0 + 4.0 * DEFAULT_TOL.psd_floor), 1.0
@@ -465,7 +476,7 @@ def test_from_factor_refuses_a_factor_beyond_the_norm_bound(cls):
     assert retro.factor[0, 0, 0] == 1.0 and not retro.factor.flags.writeable and w.flags.writeable
 
 
-@pytest.mark.parametrize("cls", [Retrodictor, UnambiguousRetrodictor, ProjectiveRetrodictor])
+@pytest.mark.parametrize("cls", [Retrodictor, ProjectiveRetrodictor])
 def test_from_factor_refuses_non_finite_and_non_stack_factors(cls):
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
         w = np.zeros((2, 2, 1), dtype=complex)
@@ -493,7 +504,7 @@ def test_outside_sets_are_copied_once_per_check(monkeypatch):
                             lambda ops, d, what: copies.append(what) or square(ops, d, what))
     ProjectiveRetrodictor(2, [P0, np.diag([0.0, 1.0 + 0j])])
     assert copies == ["projector", "element"]
-    obj = ud_to_obj(UnambiguousRetrodictor([0.2 * E2, 0.8 * P0, np.diag([0.0, 0.8 + 0j])]))
+    obj = ud_to_obj(Retrodictor([0.2 * E2, 0.8 * P0, np.diag([0.0, 0.8 + 0j])]))
     copies.clear()
     assert ud_from_obj(obj).d == 2
     assert copies == ["element"]
@@ -513,12 +524,12 @@ def test_rotated_complete_projectors_leave_a_zero_remainder(rng):
 def test_validated_sets_accept_one_stack_of_elements():
     # the (n, d, d) form Measurement.elements has; an empty stack is refused as an empty list is
     stack = np.array([np.diag([0.25, 0.5]), np.diag([0.75, 0.5])], dtype=complex)
-    povm, retro, ud = Povm(2, stack), Retrodictor(stack), UnambiguousRetrodictor(stack, 1)
+    povm, retro, ud = Povm(2, stack), Retrodictor(stack), Retrodictor(stack, 1)
     assert (povm.n_outcomes, retro.n_outcomes, ud.n_outcomes) == (2, 1, 1)
     for got in (povm.elements, retro.elements, ud.elements):
         assert np.array_equal(np.array(got), stack)
     assert np.allclose(ud.factor[0] @ np.conj(ud.factor[0]).T, stack[0], atol=1e-16)
-    for construct in (lambda e: Povm(2, e), Retrodictor, UnambiguousRetrodictor):
+    for construct in (lambda e: Povm(2, e), Retrodictor):
         with pytest.raises(InvalidOperatorSetError, match="at least"):
             construct(stack[:0])
 
@@ -555,7 +566,7 @@ def test_state_validation():
     with pytest.raises(DimensionMismatchError):
         QuantumState.pure(np.array([1.0, 0.0]), factor_dims=(2, 2))
     s = QuantumState.pure(np.array([1.0, 0.0, 0.0, 0.0]), factor_dims=(2, 2))
-    assert s.is_bipartite and s.dim == 4
+    assert s.factor_dims == (2, 2) and s.dim == 4
 
 
 @pytest.mark.parametrize("kind, data, factor_dims", [
@@ -715,6 +726,19 @@ def test_zero_probability_outcome_is_refused():
         apply_outcome(ex.measurement, QuantumState.pure(z), 0)
 
 
+def test_an_outcome_kept_at_the_rank_cutoff_is_applied():
+    # p_1 = 2^-34 = rank_rel: _probabilities keeps it, so run_trials can draw it, and only
+    # an outcome it zeroes is refused
+    tol = Tolerance(rank_rel=2.0**-34, eq_residual=1e-11)
+    m = Measurement(2, 2, [[np.diag([np.sqrt(1.0 - 2.0**-34), 1.0])], [np.diag([2.0**-17, 0.0])]], tol)
+    zero, one = QuantumState.pure([1.0, 0.0]), QuantumState.pure([0.0, 1.0])
+    assert outcome_probabilities(m, zero, tol)[1] == 2.0**-34
+    assert np.array_equal(apply_outcome(m, zero, 1, tol).data, [1.0, 0.0])
+    with pytest.raises(ZeroProbabilityOutcomeError,
+                       match="^outcome 1 has zero probability for the supplied state$"):
+        apply_outcome(m, one, 1, tol)
+
+
 def test_apply_outcome_norm_one_when_probability_positive(rng):
     m = random_fine_grained(3, 3, 4, rng)
     for _ in range(5):
@@ -864,7 +888,7 @@ def test_numpy_integer_dimensions_round_trip_through_json():
         (Measurement.from_stack(np.int64(2), np.uint8(2), np.array([HALF, HALF_2]), [1, 1]),
          Measurement(2, 2, [[HALF], [HALF_2]]), measurement_to_obj),
         (Povm(np.int64(2), [P0, E2 - P0]), Povm(2, [P0, E2 - P0]), povm_to_obj),
-        (UnambiguousRetrodictor(ud, np.int64(1)), UnambiguousRetrodictor(ud, 1), ud_to_obj),
+        (Retrodictor(ud, np.int64(1)), Retrodictor(ud, 1), ud_to_obj),
     ]
     for got, want, to_obj in built:
         text = dumps(to_obj(got))
@@ -880,9 +904,9 @@ def test_numpy_integer_dimensions_round_trip_through_json():
     lambda: Povm(True, [np.eye(1)]),
     lambda: Povm(np.True_, [np.eye(1)]),
     lambda: Povm(2.0, [P0, E2 - P0]),
-    lambda: UnambiguousRetrodictor([0.2 * E2, 0.8 * E2], True),
-    lambda: UnambiguousRetrodictor([0.2 * E2, 0.8 * E2], np.True_),
-    lambda: UnambiguousRetrodictor([0.2 * E2, 0.8 * E2], 1.0),
+    lambda: Retrodictor([0.2 * E2, 0.8 * E2], True),
+    lambda: Retrodictor([0.2 * E2, 0.8 * E2], np.True_),
+    lambda: Retrodictor([0.2 * E2, 0.8 * E2], 1.0),
 ], ids=["measurement_d_in", "measurement_d_out", "measurement_float", "from_stack", "povm",
         "povm_numpy_bool", "povm_float", "ud_index", "ud_numpy_bool", "ud_float"])
 def test_boolean_and_fractional_dimensions_and_indices_are_refused(build):

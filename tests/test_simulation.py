@@ -10,7 +10,7 @@ from retroq import (
     Measurement,
     Povm,
     QuantumState,
-    UnambiguousRetrodictor,
+    Retrodictor,
     always_inconclusive,
     build_retrodictor,
     maximally_entangled_state,
@@ -114,7 +114,7 @@ def test_projective_retrodictor_matches_its_unambiguous_form(rng):
     result = synthesize(random_povm(2, 3, rng), d_out=3)
     m = result.measurement
     retro = build_retrodictor(m)
-    as_ud = UnambiguousRetrodictor(retro.elements, 0)
+    as_ud = Retrodictor(retro.elements, 0)
     chi = random_pure_state(6, rng)
     for s in (QuantumState.pure(random_pure_state(2, rng)),
               QuantumState.pure(chi, factor_dims=(2, 3))):
@@ -213,10 +213,10 @@ def test_run_trials_matches_the_state_building_path(rng):
     for m in (fine, coarse, synthesised):
         for s in states:
             d_s = s.dim // d_in
-            lifted = UnambiguousRetrodictor([np.kron(e, np.eye(d_s)) for e in proj.elements],
+            lifted = Retrodictor([np.kron(e, np.eye(d_s)) for e in proj.elements],
                                             proj.inconclusive_index)
             # a generic POVM on the joint space is no kron(E, I): it sees how the images are laid out
-            joint = UnambiguousRetrodictor(random_povm(d_out * d_s, n + 1, rng).elements)
+            joint = Retrodictor(random_povm(d_out * d_s, n + 1, rng).elements)
             for r in (proj, lifted, joint, always_inconclusive(d_out, n)):
                 for seed in (3, 2024):
                     got = run_trials(m, r, s, 3000, seed=seed).confusion
@@ -262,8 +262,8 @@ def test_factored_rows_match_the_element_reference(rng):
             # The factored rows read the inconclusive entry as the complement of the others,
             # so the generic POVM's inconclusive element is the complement of its others too.
             conclusive = random_povm(d_out * d_s, n + 1, rng).elements[1:]
-            joint = UnambiguousRetrodictor([np.eye(d_out * d_s) - sum(conclusive), *conclusive])
-            lifted = UnambiguousRetrodictor([np.kron(e, np.eye(d_s)) for e in proj.elements])
+            joint = Retrodictor([np.eye(d_out * d_s) - sum(conclusive), *conclusive])
+            lifted = Retrodictor([np.kron(e, np.eye(d_s)) for e in proj.elements])
             cases += [(m, r, s) for r in (proj, joint, lifted, always_inconclusive(d_out, n))]
     entangled = maximally_entangled_state(2)
     cases.append((pauli_measurement(), retrodict_unambiguously(pauli_measurement(), entangled)[0],
@@ -320,9 +320,9 @@ def test_joint_table_matches_the_per_live_outcome_assembly_bit_for_bit(seed):
     for m in (fine, coarse, synthesised):
         for s in states:
             d_s = s.dim // d_in
-            lifted = UnambiguousRetrodictor([np.kron(e, np.eye(d_s)) for e in proj.elements],
+            lifted = Retrodictor([np.kron(e, np.eye(d_s)) for e in proj.elements],
                                             proj.inconclusive_index)
-            generic = UnambiguousRetrodictor(random_povm(d_out * d_s, n + 1, rng).elements)
+            generic = Retrodictor(random_povm(d_out * d_s, n + 1, rng).elements)
             cases += [(m, r, s) for r in (proj, lifted, generic, always_inconclusive(d_out, n))]
     # outcomes of zero probability: the inputs of test_sampling_matches_the_per_outcome_loop
     m = synthesize(Povm(3, [np.diag(e).astype(complex) for e in np.eye(3)]), d_out=4).measurement
@@ -331,8 +331,8 @@ def test_joint_table_matches_the_per_live_outcome_assembly_bit_for_bit(seed):
     never = [QuantumState.pure(e0), QuantumState.pure((e0 + e2) / np.sqrt(2)),
              QuantumState.mixed(np.diag([0.5, 0.0, 0.5]).astype(complex))]
     cases += [(m, r, s) for s in never
-              for r in (proj, UnambiguousRetrodictor(random_povm(4, 4, rng).elements),
-                        UnambiguousRetrodictor(proj.elements, 0))]
+              for r in (proj, Retrodictor(random_povm(4, 4, rng).elements),
+                        Retrodictor(proj.elements, 0))]
     # unambiguous retrodiction of independent Kraus operators on an entangled input
     for m in (pauli_measurement(), random_fine_grained(4, 4, 8, rng)):
         entangled = maximally_entangled_state(m.d_in)
@@ -368,13 +368,13 @@ def test_sampling_matches_the_per_outcome_loop(n_trials, rng):
     # where some outcomes never occur
     m = synthesize(Povm(3, [np.diag(e).astype(complex) for e in np.eye(3)]), d_out=4).measurement
     proj = build_retrodictor(m)
-    generic = UnambiguousRetrodictor(random_povm(4, 4, rng).elements)
+    generic = Retrodictor(random_povm(4, 4, rng).elements)
     e0, e2 = np.eye(3, dtype=complex)[[0, 2]]
     never = [QuantumState.pure(e0), QuantumState.pure((e0 + e2) / np.sqrt(2)),
              QuantumState.mixed(np.diag([0.5, 0.0, 0.5]).astype(complex))]
     assert all((outcome_probabilities(m, s) == 0.0).any() for s in never)
     cases = [(m, r, s) for s in never + [QuantumState.pure(random_pure_state(3, rng))]
-             for r in (proj, generic, UnambiguousRetrodictor(proj.elements, 0))]
+             for r in (proj, generic, Retrodictor(proj.elements, 0))]
     pauli, entangled = pauli_measurement(), maximally_entangled_state(2)
     cases.append((pauli, retrodict_unambiguously(pauli, entangled)[0], entangled))
     for m, r, s in cases:
@@ -394,7 +394,7 @@ def test_the_largest_draw_never_lands_on_a_zero_probability_entry():
         psi = np.r_[rng.random(3), 0.0]  # outcome 3 never occurs
         s = QuantumState.pure(psi / np.linalg.norm(psi))
         # a zero inconclusive element never answers
-        retro = UnambiguousRetrodictor([np.zeros((4, 4), dtype=complex), *random_povm(4, 4, rng).elements])
+        retro = Retrodictor([np.zeros((4, 4), dtype=complex), *random_povm(4, 4, rng).elements])
         cells = _joint_table(m, retro, s, DEFAULT_TOL).ravel()  # [answer, outcome] order
         positive = cells[cells > 0.0]
         remainder = 1.0
@@ -420,7 +420,7 @@ def _scalar_measurement(n, amplitude):
 
 def _scalar_retrodictor(conclusive):
     # on C^1 every post-measurement state is |0>, so each row is the elements themselves
-    return UnambiguousRetrodictor([np.full((1, 1), 1.0 - sum(conclusive))]
+    return Retrodictor([np.full((1, 1), 1.0 - sum(conclusive))]
                                   + [np.full((1, 1), e) for e in conclusive])
 
 

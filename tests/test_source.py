@@ -57,6 +57,13 @@ def test_every_private_function_and_class_is_referenced():
     assert orphans == []
 
 
+def test_every_public_class_is_exported():
+    defined = {node.name for path in MODULES for node in _tree(path).body
+               if isinstance(node, ast.ClassDef) and not node.name.startswith("_")}
+    assert sorted(defined - set(retroq.__all__)) == []
+    assert [name for name in sorted(defined) if getattr(retroq, name, None) is None] == []
+
+
 def _assigned(target: ast.AST):
     """The plain targets of an assignment target, tuples, lists and starred names unpacked."""
     if isinstance(target, (ast.Tuple, ast.List)):

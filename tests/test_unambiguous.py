@@ -15,9 +15,9 @@ from retroq import (
     NonUnitaryInputError,
     NotFineGrainedError,
     QuantumState,
+    Retrodictor,
     ShapeMismatchError,
     Tolerance,
-    UnambiguousRetrodictor,
     ZeroProbabilityOutcomeError,
     assess_measurement,
     build_retrodictor,
@@ -26,6 +26,7 @@ from retroq import (
     maximally_entangled_state,
     outcome_probabilities,
     retrodict_unambiguously,
+    run_trials,
     synthesize,
 )
 from retroq.catalog import PAULI, counterexample_3d
@@ -242,13 +243,13 @@ def test_assess_failure_probability_matches_the_retrodictor(d, rng):
 
 def test_assess_builds_no_retrodictor(rng, monkeypatch):
     built = []
-    from_factor = unambiguous.UnambiguousRetrodictor.from_factor.__func__
+    from_factor = unambiguous.Retrodictor.from_factor.__func__
 
     def counting(cls, factor, tol=None):
         built.append(factor)
         return from_factor(cls, factor, tol)
 
-    monkeypatch.setattr(unambiguous.UnambiguousRetrodictor, "from_factor", classmethod(counting))
+    monkeypatch.setattr(unambiguous.Retrodictor, "from_factor", classmethod(counting))
     m = random_nonsingular_independent(3, 5, rng)
     assert assess_measurement(m).feasible == "yes"
     assert assess_measurement(pauli_measurement()).feasible == "yes"
@@ -268,7 +269,11 @@ def test_factored_elements_match_the_dense_formula(rng):
                                                        for g in m.outcomes)])
     for states in cases:
         ud = build_ud_povm(states)
-        duals, norms2, c = unambiguous._dual_family(states, DEFAULT_TOL)
+        u, sv, vh = np.linalg.svd(np.column_stack(states), full_matrices=False)
+        duals = (u / sv) @ vh  # S G^-1, from the states' own thin SVD
+        norms2 = np.linalg.norm(duals, axis=0) ** 2
+        g_inv = dag(duals) @ duals / np.sqrt(np.outer(norms2, norms2))  # N^1/2 G^-1 N^1/2
+        c = min(norms2.min(), 1.0 / np.linalg.eigvalsh(g_inv)[-1])
         conclusive = [(c / n2) * np.outer(v, np.conj(v)) for v, n2 in zip(duals.T, norms2)]
         dense = [np.eye(duals.shape[0]) - sum(conclusive)] + conclusive
         assert len(ud.elements) == len(dense) and ud.factor.shape == (len(states), len(states[0]), 1)
@@ -291,7 +296,7 @@ def test_built_retrodictors_validate_no_dense_element(rng, monkeypatch):
     build_ud_povm(states)
     build_retrodictor(synthesised)
     assert calls == []
-    UnambiguousRetrodictor([np.eye(2), np.zeros((2, 2))])  # built from elements: validated
+    Retrodictor([np.eye(2), np.zeros((2, 2))])  # built from elements: validated
     assert len(calls) == 1
 
 
@@ -461,6 +466,43 @@ def test_retrodict_unambiguously_refuses_inputs_it_cannot_serve():
     with pytest.raises(ZeroProbabilityOutcomeError,
                        match="^outcome 1 has zero probability for the supplied state$"):
         retrodict_unambiguously(computational, product)
+
+
+def test_an_outcome_kept_at_the_rank_cutoff_is_retrodicted():
+    # outcome 1 has probability 2^-35 up to the rounding of 1 / sqrt(2) on the maximally
+    # entangled input; at a cutoff of exactly that value _probabilities keeps it
+    ops = [[np.diag([np.sqrt(1.0 - 2.0**-34), 1.0])], [np.diag([2.0**-17, 0.0])]]
+    entangled = maximally_entangled_state(2)
+    tol = Tolerance(rank_rel=2.9103830456733697e-11, eq_residual=1e-11)
+    m = Measurement(2, 2, ops, tol)
+    assert outcome_probabilities(m, entangled, tol)[1] == tol.rank_rel
+    retro, p_inc = retrodict_unambiguously(m, entangled, tol)
+    assert retro.n_outcomes == 2 and 0.0 < p_inc < 1.0
+    assert run_trials(m, retro, entangled, 10**6, seed=5, tol=tol).mismatches == 0
+
+
+def test_the_dual_norm_cap_keeps_every_success_probability_at_most_one(rng, monkeypatch):
+    # on orthonormal families min_k ||dual_k||^2 may round below 1 / lambda_max = 1.0, to
+    # 0.9999999999999996 on the Bell states the Pauli quarter and the Pauli unitaries give;
+    # the cap then binds, and 1 / lambda_max alone would make q_k = 1.0000000000000004
+    dual_family, seen = unambiguous._dual_family, []
+
+    def recording(s, tol):
+        factor, q = dual_family(s, tol)
+        seen.append(q)
+        return factor, q
+
+    monkeypatch.setattr(unambiguous, "_dual_family", recording)
+    entangled = maximally_entangled_state(2)
+    p_inc = [assess_measurement(pauli_measurement()).p_inconclusive,
+             1.0 - discriminate_unitaries([PAULI[s] for s in "IXYZ"], [0.25] * 4, entangled)[1]]
+    for d in (1, 2, 3, 5):
+        u = random_unitary(d, rng)
+        p_inc.append(retrodict_unambiguously(Measurement(d, d, [[u]]), maximally_entangled_state(d))[1])
+        for _ in range(10):
+            build_ud_povm([random_pure_state(d, rng)])
+    assert len(seen) == len(p_inc) + 40 and max(q.max() for q in seen) <= 1.0
+    assert max(p_inc) <= 1e-15
 
 
 def test_one_prior_too_few_and_a_state_off_the_unit_sphere_are_refused():
