@@ -38,6 +38,8 @@ class Measurement:
     Outside groups enter here, library-built stacks through ``from_stack``.
     """
 
+    _family: tuple | None = None  # (state, tol, (factor, p)) of the last _held call
+
     def __init__(self, d_in: int, d_out: int, outcomes, tol: Tolerance | None = None) -> None:
         ops = [as_2d(a) for group in outcomes for a in group]
         sizes = [len(group) for group in outcomes]
@@ -93,6 +95,14 @@ class Measurement:
             raise InvalidOperatorSetError(f"outcome {vanishing[0]} has a vanishing POVM element")
         _check_identity(self.elements.sum(axis=0), tol, "Kraus operators do not resolve the identity")
         return self
+
+    def _held(self, s: "QuantumState", tol: Tolerance, form) -> tuple[np.ndarray, float]:
+        """``form(self, s, tol)``, a ``(factor, p)`` pair held, factor read-only, for the state object
+        ``s`` (not its id, which a collected state frees) and an equal ``tol``; nothing if it raises."""
+        if (held := self._family) is None or held[0] is not s or held[1] != tol:
+            held = self._family = (s, tol, form(self, s, tol))
+            held[2][0].setflags(write=False)
+        return held[2]
 
     @property
     def outcomes(self) -> list[list[np.ndarray]]:

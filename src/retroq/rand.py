@@ -36,9 +36,10 @@ def random_psd(d: int, rng) -> np.ndarray:
 
 
 def psd_inv_sqrt(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Inverse square root of a positive definite matrix."""
+    """Inverse square root of a positive definite matrix: its smallest eigenvalue must exceed
+    ``tol.rank_rel`` times its largest, the cut at which ``numeric_rank`` counts a rank."""
     w, v = psd_eig(m, tol)
-    if float(w[-1]) <= 0.0:
+    if float(w[-1]) <= tol.rank_rel * float(w[0]):
         raise ValueError("matrix must be positive definite")
     return (v * (1.0 / np.sqrt(w))) @ dagger(v)
 

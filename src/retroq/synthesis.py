@@ -64,7 +64,7 @@ def _checked_basis(x_basis, n_outcomes: int, n: int, dim: int, tol: Tolerance) -
             raise BadBasisError(f"reference vector of dimension {x.size}; expected {dim}")
     stacked = np.array(basis)
     gram = np.conj(stacked) @ stacked.T  # entry (i, j) is <x_i|x_j>
-    if np.linalg.norm(gram - np.eye(len(basis))) > tol.eq_residual * len(basis):
+    if np.linalg.norm(gram - np.eye(len(basis))) > tol.eq_residual * np.sqrt(len(basis)):  # ||I||_F
         raise BadBasisError("reference vectors are not orthonormal")
     return stacked
 

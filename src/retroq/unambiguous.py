@@ -102,6 +102,11 @@ def maximally_entangled_state(d: int) -> QuantumState:
 
 
 def _final_family(m: Measurement, s: QuantumState, tol: Tolerance) -> tuple[np.ndarray, float]:
+    """``_form_family(m, s, tol)``, held by ``m`` for the next call on the same ``s`` and ``tol``."""
+    return m._held(s, tol, _form_family)
+
+
+def _form_family(m: Measurement, s: QuantumState, tol: Tolerance) -> tuple[np.ndarray, float]:
     """The ``_dual_family`` factor of the normalised final states of ``m`` on the pure ``s``,
     and ``p_inconclusive = sum_k p_k (1 - q_k)``."""
     if s.kind != "pure":

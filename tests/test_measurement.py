@@ -912,3 +912,14 @@ def test_numpy_integer_dimensions_round_trip_through_json():
 def test_boolean_and_fractional_dimensions_and_indices_are_refused(build):
     with pytest.raises(TypeError):
         build()
+
+
+def test_a_singular_completion_is_refused_as_numeric_rank_decides():
+    # one operator C^2 -> C^1 cannot resolve the identity on C^2: the sum A^dag A has rank 1,
+    # and its second eigenvalue is round-off, of either sign, below rank_rel times the first
+    for seed in range(300):
+        with pytest.raises(ValueError, match="^matrix must be positive definite$"):
+            random_fine_grained(2, 1, 1, seed)
+    with pytest.raises(ValueError, match="^matrix must be positive definite$"):
+        psd_inv_sqrt(np.diag([1.0, 1e-11]))
+    assert np.allclose(psd_inv_sqrt(np.diag([4.0, 1e-9])), np.diag([0.5, 1e-9 ** -0.5]), rtol=1e-12)

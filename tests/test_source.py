@@ -75,6 +75,24 @@ def _assigned(target: ast.AST):
         yield target
 
 
+def _attribute_writes(func: ast.AST):
+    """``(line, target, root)`` for each assignment, plain, unpacked, annotated or augmented,
+    in ``func`` to an attribute, at any depth, of the name ``root``."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in (t for top in targets for t in _assigned(top)):
+            root = target
+            while isinstance(root, (ast.Attribute, ast.Subscript)):
+                root = root.value
+            if isinstance(target, ast.Attribute) and isinstance(root, ast.Name):
+                yield node.lineno, ast.unparse(target), root.id
+
+
 def _argument_writes(tree: ast.AST) -> list[str]:
     """``line target`` for each assignment, plain, unpacked, annotated or augmented, to an
     attribute of a parameter other than ``self`` or ``cls`` of the function it is in."""
@@ -85,19 +103,7 @@ def _argument_writes(tree: ast.AST) -> list[str]:
         a = func.args
         params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
                   if p is not None} - {"self", "cls"}
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                targets = [node.target]
-            else:
-                continue
-            for target in (t for top in targets for t in _assigned(top)):
-                root = target
-                while isinstance(root, (ast.Attribute, ast.Subscript)):
-                    root = root.value
-                if isinstance(target, ast.Attribute) and isinstance(root, ast.Name) and root.id in params:
-                    writes.append(f"{node.lineno} {ast.unparse(target)}")
+        writes += [f"{line} {target}" for line, target, root in _attribute_writes(func) if root in params]
     return writes
 
 
@@ -123,3 +129,61 @@ def test_no_function_assigns_an_attribute_of_its_arguments():
     # a library function reads what it is given; only a method writes, through self or cls
     writes = [f"{path.name}:{write}" for path in MODULES for write in _argument_writes(_tree(path))]
     assert writes == []
+
+
+def _self_writes(tree: ast.AST) -> list[str]:
+    """``Class.target`` for each assignment to an attribute of ``self``, and each ``setattr`` on
+    ``self``, in a method that is not a constructor: ``__init__``, ``_hold`` or a classmethod."""
+    writes = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for func in cls.body:
+            if (not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or func.name in ("__init__", "_hold")
+                    or any(ast.unparse(d) == "classmethod" for d in func.decorator_list)):
+                continue
+            writes += [f"{cls.name}.{target[len('self.'):]}"
+                       for _, target, root in _attribute_writes(func) if root == "self"]
+            for call in ast.walk(func):
+                if (isinstance(call, ast.Call) and len(call.args) > 1
+                        and ast.unparse(call.func).rsplit(".")[-1] in ("setattr", "__setattr__")
+                        and ast.unparse(call.args[0]) == "self"):
+                    name = call.args[1]
+                    name = name.value if isinstance(name, ast.Constant) else ast.unparse(name)
+                    writes.append(f"{cls.name}.{name}")
+    return writes
+
+
+def test_the_self_write_guard_spares_constructors_alone():
+    source = """
+class A:
+    def __init__(self):
+        self.a = 1
+    def _hold(self):
+        self.b = 2
+    @classmethod
+    def make(cls):
+        made = cls.__new__(cls)
+        made.c = 3
+        return made
+    def later(self):
+        self.d, (self.e, *self.f) = 4, (5, 6)
+        self.g += 7
+        self.h.i = 8
+        self.j[0] = 9  # writes into an attribute's value, not the attribute
+        setattr(self, "k", 10)
+        object.__setattr__(self, "l", 11)
+    @property
+    def lazy(self):
+        self.m: int = 12
+"""
+    assert _self_writes(ast.parse(source)) == [
+        "A.d", "A.e", "A.f", "A.g", "A.h.i", "A.k", "A.l", "A.m"]
+
+
+def test_only_the_named_caches_write_to_self_outside_a_constructor():
+    # each is formed lazily, at most once per key, and justified where it is declared:
+    # Retrodictor._elements, the dense elements of a factor, formed on first read, and
+    # Measurement._family, the unambiguous final family of the last input state and tolerance,
+    # which assess_measurement and then retrodict_unambiguously on its recommended state share
+    writes = [f"{path.name}:{write}" for path in MODULES for write in _self_writes(_tree(path))]
+    assert sorted(writes) == ["measurement.py:Measurement._family", "measurement.py:Retrodictor._elements"]

@@ -80,11 +80,11 @@ def test_basis_orthonormality_is_decided_as_the_pairwise_gram_did(rng):
     # reference: the Gram matrix from n^2 vdot calls, at the same threshold
     povm, u = trine_povm().povm, random_unitary(3, rng)
     verdicts = set()
-    for eps in (0.0, 1e-9, 2e-9, 2.2e-9, 3e-9, 1e-6):  # the threshold is near 2.1e-9
+    for eps in (0.0, 1e-9, 1.2e-9, 1.3e-9, 2e-9, 2.2e-9, 3e-9, 1e-6):  # the threshold is near 1.22e-9
         tilted = u[:, 1] + eps * u[:, 0]
         basis = [u[:, 0], tilted / np.linalg.norm(tilted), u[:, 2]]
         gram = np.array([[np.vdot(xi, xj) for xj in basis] for xi in basis])
-        rejected = np.linalg.norm(gram - np.eye(3)) > DEFAULT_TOL.eq_residual * 3
+        rejected = np.linalg.norm(gram - np.eye(3)) > DEFAULT_TOL.eq_residual * np.sqrt(3)
         verdicts.add(rejected)
         if rejected:
             with pytest.raises(BadBasisError, match="^reference vectors are not orthonormal$"):
@@ -92,6 +92,21 @@ def test_basis_orthonormality_is_decided_as_the_pairwise_gram_did(rng):
         else:
             assert check_perfect(synthesize(povm, 3, basis).measurement).max_residual < 1e-8
     assert verdicts == {False, True}
+
+
+def test_basis_orthonormality_is_decided_at_the_scale_of_the_identity():
+    # ||Gram - I||_F against eq_residual * ||I||_F = eq_residual * sqrt(n), as the completeness
+    # check decides; this deviation, sqrt(2) * 2.1e-9 = 2.97e-9, lies between that scale, 2e-9,
+    # and eq_residual * n = 4e-9
+    eye = np.eye(4, dtype=complex)
+    basis = [eye[0], eye[1] + 2.1e-9 * eye[0], eye[2], eye[3]]
+    deviation = np.linalg.norm(np.conj(np.array(basis)) @ np.array(basis).T - np.eye(4))
+    assert 2e-9 < deviation < 4e-9
+    povm = Povm(4, [np.diag(row) for row in eye.real])
+    with pytest.raises(BadBasisError, match="^reference vectors are not orthonormal$"):
+        synthesize(povm, 4, basis)
+    with pytest.raises(BadBasisError, match="^reference vectors are not orthonormal$"):
+        b_factor(povm, 4, basis)
 
 
 def test_synthesis_with_custom_basis(rng):

@@ -510,3 +510,85 @@ def test_one_prior_too_few_and_a_state_off_the_unit_sphere_are_refused():
         discriminate_unitaries([PAULI["I"], PAULI["X"]], [1.0], maximally_entangled_state(2))
     with pytest.raises(ValueError, match=r"^state 1 must be a unit vector, got norm 2\.0$"):
         build_ud_povm([[1.0, 0.0], [0.0, 2.0]])
+
+
+# -------------------------------------------------------------- the held final family
+
+def _counting_form_family(monkeypatch) -> list:
+    form, formed = unambiguous._form_family, []
+
+    def counting(m, s, tol):
+        formed.append((s, tol))
+        return form(m, s, tol)
+
+    monkeypatch.setattr(unambiguous, "_form_family", counting)
+    return formed
+
+
+def test_the_final_family_is_formed_once_per_state_object_and_tolerance(rng, monkeypatch):
+    formed = _counting_form_family(monkeypatch)
+    m = random_nonsingular_independent(3, 5, rng)
+    assessment = assess_measurement(m)
+    state = assessment.recommended_state
+    retro, p_inc = retrodict_unambiguously(m, state)
+    retrodict_unambiguously(m, state, Tolerance())  # equal to DEFAULT_TOL, so the same key
+    assert len(formed) == 1 and p_inc == assessment.p_inconclusive
+    twin = QuantumState.pure(state.data, state.factor_dims)  # equal data, another object
+    twin_retro, twin_p = retrodict_unambiguously(m, twin)
+    assert len(formed) == 2 and formed[1][0] is twin
+    assert twin_retro.factor.tobytes() == retro.factor.tobytes() and twin_p == p_inc
+    coarse = Tolerance(rank_rel=1e-9)
+    retrodict_unambiguously(m, twin, coarse)
+    assert len(formed) == 3 and formed[2][1] is coarse
+    retrodict_unambiguously(m, state)  # only the last pair is held
+    assert len(formed) == 4
+    assess_measurement(Measurement.from_stack(3, 3, m.kraus, [1] * 5))  # each measurement holds its own
+    assert len(formed) == 5
+
+
+def test_the_held_factor_cannot_be_written():
+    m, state = pauli_measurement(), maximally_entangled_state(2)
+    factor, p_inc = unambiguous._final_family(m, state, DEFAULT_TOL)
+    with pytest.raises(ValueError, match="read-only"):
+        factor[0, 0, 0] = 0.0
+    again, again_p = unambiguous._final_family(m, state, DEFAULT_TOL)
+    assert again is factor and again_p == p_inc
+    assert retrodict_unambiguously(m, state)[0].factor.tobytes() == factor.tobytes()
+
+
+def test_a_refused_family_is_refused_on_every_call_and_holds_nothing(rng, monkeypatch):
+    formed = _counting_form_family(monkeypatch)
+    entangled = maximally_entangled_state(2)
+    dependent = random_nonsingular_dependent(2, 3, rng)
+    for _ in range(2):
+        with pytest.raises(DependentFinalStatesError):
+            retrodict_unambiguously(dependent, entangled)
+        assert assess_measurement(dependent).feasible == "no"
+    assert len(formed) == 4
+    computational = Measurement(2, 2, [[np.diag([1.0, 0.0])], [np.diag([0.0, 1.0])]])
+    product = QuantumState.pure(np.kron([1.0, 0.0], [1.0, 0.0]), (2, 2))
+    mixed = QuantumState.mixed(entangled.density(), (2, 2))
+    for _ in range(2):
+        with pytest.raises(ZeroProbabilityOutcomeError):
+            retrodict_unambiguously(computational, product)
+        with pytest.raises(ValueError, match="^retrodiction input must be a pure state$"):
+            retrodict_unambiguously(computational, mixed)
+    assert len(formed) == 8
+    assert dependent._family is None and computational._family is None
+    retrodict_unambiguously(computational, entangled)
+    with pytest.raises(ZeroProbabilityOutcomeError):  # a refusal keeps what was held
+        retrodict_unambiguously(computational, product)
+    retrodict_unambiguously(computational, entangled)
+    assert len(formed) == 10
+
+
+def test_retrodiction_after_assessment_has_the_bytes_of_a_fresh_measurement(rng):
+    for d, n in ((2, 4), (3, 5), (4, 16)):
+        m = random_nonsingular_independent(d, n, rng)
+        assessment = assess_measurement(m)
+        retro, p_inc = retrodict_unambiguously(m, assessment.recommended_state)
+        fresh = Measurement.from_stack(d, d, m.kraus, [1] * n)
+        fresh_retro, fresh_p = retrodict_unambiguously(fresh, maximally_entangled_state(d))
+        assert retro.factor.tobytes() == fresh_retro.factor.tobytes()
+        assert np.float64(p_inc).tobytes() == np.float64(fresh_p).tobytes()
+        assert p_inc == assessment.p_inconclusive
