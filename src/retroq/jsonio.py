@@ -16,7 +16,7 @@ import numpy as np
 from .catalog import NamedExample
 from .dependence import DependenceVerdict
 from .errors import DimensionMismatchError, InvalidOperatorSetError
-from .linalg import operator_stack
+from .linalg import DEFAULT_TOL, Tolerance, operator_stack
 from .measurement import Measurement, Povm, QuantumState, Retrodictor
 from .perfect import PerfectCheckReport, ProjectiveRetrodictor
 from .simulation import TrialReport
@@ -59,7 +59,7 @@ def measurement_to_obj(m: Measurement) -> dict:
     }
 
 
-def measurement_from_obj(obj, tol=None) -> Measurement:
+def measurement_from_obj(obj, tol: Tolerance = DEFAULT_TOL) -> Measurement:
     outcomes = [[array_from_obj(a, 2) for a in _typed(group, list, "outcome group")]
                 for group in _typed(obj["outcomes"], list, "outcomes")]
     d_in, d_out = _typed(obj["d_in"], int, "d_in"), _typed(obj["d_out"], int, "d_out")
@@ -70,7 +70,7 @@ def povm_to_obj(p: Povm) -> dict:
     return {"d": p.d, "elements": array_to_obj(p.elements)}
 
 
-def povm_from_obj(obj, tol=None) -> Povm:
+def povm_from_obj(obj, tol: Tolerance = DEFAULT_TOL) -> Povm:
     elements = [array_from_obj(e, 2) for e in _typed(obj["elements"], list, "elements")]
     return Povm(_typed(obj["d"], int, "d"), elements, tol)
 
@@ -82,7 +82,7 @@ def state_to_obj(s: QuantumState) -> dict:
     return out
 
 
-def state_from_obj(obj, tol=None) -> QuantumState:
+def state_from_obj(obj, tol: Tolerance = DEFAULT_TOL) -> QuantumState:
     kind = obj["kind"]
     if kind not in ("pure", "mixed"):
         raise ValueError(f"state kind must be 'pure' or 'mixed', got {kind!r}")
@@ -99,7 +99,7 @@ def projective_to_obj(r: ProjectiveRetrodictor) -> dict:
     return {"d_out": r.d, "projectors": array_to_obj(r.projectors)}
 
 
-def projective_from_obj(obj, tol=None) -> ProjectiveRetrodictor:
+def projective_from_obj(obj, tol: Tolerance = DEFAULT_TOL) -> ProjectiveRetrodictor:
     projectors = [array_from_obj(p, 2) for p in _typed(obj["projectors"], list, "projectors")]
     return ProjectiveRetrodictor(_typed(obj["d_out"], int, "d_out"), projectors, tol)
 
@@ -112,7 +112,7 @@ def ud_to_obj(r: Retrodictor) -> dict:
     }
 
 
-def ud_from_obj(obj, tol=None) -> Retrodictor:
+def ud_from_obj(obj, tol: Tolerance = DEFAULT_TOL) -> Retrodictor:
     elements = [array_from_obj(e, 2) for e in _typed(obj["elements"], list, "elements")]
     d = _typed(obj["d"], int, "d")
     index = _typed(obj.get("inconclusive_index", 0), int, "inconclusive_index")
@@ -196,7 +196,7 @@ def example_to_obj(ex: NamedExample) -> dict:
     return out
 
 
-def detect_and_load(obj, tol=None):
+def detect_and_load(obj, tol: Tolerance = DEFAULT_TOL):
     """Typed object from a parsed payload, keyed on its fields."""
     if not isinstance(obj, dict):
         raise ValueError("top-level payload must be a JSON object")
@@ -220,7 +220,7 @@ def detect_and_load(obj, tol=None):
     raise ValueError("payload does not match any known format")
 
 
-def load_file(path: str, tol=None):
+def load_file(path: str, tol: Tolerance = DEFAULT_TOL):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     return detect_and_load(obj, tol)

@@ -1,6 +1,6 @@
 """Dense complex linear-algebra kernel: tolerances, coercion, Hermitian eigendecompositions,
-supports and numerical ranks, consumed by every other module.  ``psd_eig`` is the one checked
-eigen entry point (square, Hermitian, positive) and ``eigh_descending`` the one unchecked;
+supports and numerical ranks, consumed by every other module.  ``psd_eig`` checks a matrix
+(square, Hermitian, positive) at its own spectral scale and ``eigh_descending`` checks nothing;
 ``dagger``, ``eigh_descending`` and ``numeric_rank`` also take a stack of matrices."""
 
 from __future__ import annotations
@@ -108,12 +108,11 @@ def eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
 
 
-def psd_eig(m, tol: Tolerance = DEFAULT_TOL,
-            scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def psd_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """``eigh_descending`` of a square matrix, checked Hermitian to ``tol.eq_residual`` relative
-    to its norm and PSD to ``tol.psd_floor`` relative to ``scale`` when given (1.0 for operators
-    bounded by the identity, such as POVM elements and density matrices), else to its own
-    spectral magnitude."""
+    to its norm and PSD to ``tol.psd_floor`` relative to its own spectral magnitude.  Operators
+    bounded by the identity, POVM elements and density matrices, are checked at scale 1 where
+    they are held, not here."""
     m = as_matrix(m)
     rows, cols = m.shape
     if rows != cols:
@@ -123,8 +122,7 @@ def psd_eig(m, tol: Tolerance = DEFAULT_TOL,
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     w, v = eigh_descending(m)
     if w.size:
-        ref = scale if scale is not None else max(float(w[0]), -float(w[-1]))
-        if float(w[-1]) < -tol.psd_floor * ref:
+        if float(w[-1]) < -tol.psd_floor * max(float(w[0]), -float(w[-1])):
             raise NotPsdError(
                 f"most negative eigenvalue {w[-1]:.3e} below the admissible floor"
             )

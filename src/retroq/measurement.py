@@ -8,12 +8,11 @@ from .errors import (
     DimensionMismatchError,
     InvalidOperatorSetError,
     NotHermitianError,
-    NotPsdError,
     ShapeMismatchError,
     ZeroProbabilityOutcomeError,
 )
 from .linalg import (
-    DEFAULT_TOL, Tolerance, as_2d, as_index, as_matrix, as_vector, dagger, finite, fro, psd_eig,
+    DEFAULT_TOL, Tolerance, as_2d, as_index, as_matrix, as_vector, dagger, finite, fro,
 )
 
 
@@ -40,7 +39,7 @@ class Measurement:
 
     _family: tuple | None = None  # (state, tol, (factor, p)) of the last _held call
 
-    def __init__(self, d_in: int, d_out: int, outcomes, tol: Tolerance | None = None) -> None:
+    def __init__(self, d_in: int, d_out: int, outcomes, tol: Tolerance = DEFAULT_TOL) -> None:
         ops = [as_2d(a) for group in outcomes for a in group]
         sizes = [len(group) for group in outcomes]
         if len({a.shape for a in ops}) > 1:  # no stack: name the first operator of another shape
@@ -52,7 +51,7 @@ class Measurement:
 
     @classmethod
     def from_stack(cls, d_in: int, d_out: int, kraus, sizes,
-                   tol: Tolerance | None = None) -> "Measurement":
+                   tol: Tolerance = DEFAULT_TOL) -> "Measurement":
         """The measurement whose outcome ``k`` holds the next ``sizes[k]`` operators of the
         ``(N, d_out, d_in)`` stack ``kraus``, held as a read-only copy and checked as outside
         groups are; a stack of another shape raises ``DimensionMismatchError``, a boolean or
@@ -60,9 +59,8 @@ class Measurement:
         sizes = [as_index(k, "group size") for k in sizes]
         return cls.__new__(cls)._hold(d_in, d_out, np.array(kraus, dtype=complex), sizes, tol)
 
-    def _hold(self, d_in: int, d_out: int, stack: np.ndarray, sizes, tol: Tolerance | None) -> "Measurement":
+    def _hold(self, d_in: int, d_out: int, stack, sizes, tol: Tolerance = DEFAULT_TOL) -> "Measurement":
         self.d_in, self.d_out = as_index(d_in, "d_in"), as_index(d_out, "d_out")
-        tol = tol or DEFAULT_TOL
         if self.d_in < 1 or self.d_out < 1:
             raise InvalidOperatorSetError("dimensions must be positive")
         if not len(sizes):
@@ -169,21 +167,21 @@ class Povm:
     """Positive operators on a ``d``-dimensional space summing to the identity, held as
     the read-only ``(n, d, d)`` stack ``elements``."""
 
-    def __init__(self, d: int, elements, tol: Tolerance | None = None) -> None:
+    def __init__(self, d: int, elements, tol: Tolerance = DEFAULT_TOL) -> None:
         if not len(elements):
             raise InvalidOperatorSetError("a POVM needs at least one element")
         d = as_index(d, "d")
-        self.d, self.elements = d, povm_elements(elements, d, tol or DEFAULT_TOL)
+        self.d, self.elements = d, povm_elements(elements, d, tol)
 
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
 
 
-def _factored(stack: np.ndarray) -> np.ndarray:
-    """Factors ``V sqrt(max(w, 0))`` of the Hermitian parts ``V diag(w) V^dag`` of a stack."""
+def _factored(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, V sqrt(max(w, 0)))``, ``w`` ascending, for the Hermitian part(s) ``V diag(w) V^dag``."""
     w, v = np.linalg.eigh((stack + dagger(stack)) / 2.0)
-    return v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
+    return w, v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
 
 
 def _completed(conclusive, d: int) -> list[np.ndarray]:
@@ -205,17 +203,17 @@ class Retrodictor:
 
     _elements: np.ndarray | None = None  # from a factor: formed on first read
 
-    def __init__(self, elements, inconclusive_index: int = 0, tol: Tolerance | None = None) -> None:
+    def __init__(self, elements, inconclusive_index: int = 0, tol: Tolerance = DEFAULT_TOL) -> None:
         if not len(elements):
             raise InvalidOperatorSetError("need at least the inconclusive element")
         inconclusive_index = as_index(inconclusive_index, "inconclusive_index")
         if not 0 <= inconclusive_index < len(elements):
             raise ValueError(f"inconclusive index {inconclusive_index} out of range")
-        self._elements = povm_elements(elements, as_matrix(elements[0]).shape[0], tol or DEFAULT_TOL)
-        self._hold(_factored(np.delete(self._elements, inconclusive_index, 0)), inconclusive_index)
+        self._elements = povm_elements(elements, as_matrix(elements[0]).shape[0], tol)
+        self._hold(_factored(np.delete(self._elements, inconclusive_index, 0))[1], inconclusive_index)
 
     @classmethod
-    def from_factor(cls, factor: np.ndarray, tol: Tolerance | None = None) -> "Retrodictor":
+    def from_factor(cls, factor: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> "Retrodictor":
         """The retrodictor with conclusive elements ``W_j W_j^dag`` for the blocks of ``factor``,
         held as a read-only copy, and the inconclusive element ``I - W W^dag`` first, for
         ``W = [W_1 | ... | W_N]``: valid iff ``||W||_2^2 <= 1 + psd_floor`` (one eigenvalue of
@@ -227,7 +225,7 @@ class Retrodictor:
         w = factor.transpose(1, 0, 2).reshape(factor.shape[1], -1)  # W
         top = max(np.linalg.eigvalsh(dagger(w) @ w if w.shape[1] <= len(w) else w @ dagger(w)),
                   default=0.0)  # ||W||_2^2
-        if top > 1.0 + (tol or DEFAULT_TOL).psd_floor:
+        if top > 1.0 + tol.psd_floor:
             raise InvalidOperatorSetError(f"element 0 is not PSD: most negative eigenvalue "
                                           f"{1.0 - top:.3e} below the admissible floor")
         return cls.__new__(cls)._hold(factor, 0)
@@ -253,20 +251,20 @@ class Retrodictor:
 class QuantumState:
     """A pure vector or density matrix, optionally split as system x ancilla.
 
-    ``data`` is a read-only copy of the vector or matrix given.  ``factor_dims`` records
-    an explicit tensor factorisation ``(d_sys, d_anc)`` as Python ints (``as_index``: a
-    boolean or non-integral dimension raises ``TypeError``); measurements always act on
-    the first factor.
+    ``data`` is a read-only copy of the vector or matrix given and ``factor`` a read-only ``F``
+    with ``rho = F F^dag``: ``data`` itself when pure, else ``V sqrt(max(w, 0))`` from the one
+    ``eigh`` of the Hermitian part that checked it.  ``factor_dims`` records a tensor factorisation
+    ``(d_sys, d_anc)`` as Python ints (``as_index``: a boolean or non-integral dimension raises
+    ``TypeError``); measurements always act on the first factor.
     """
 
     def __init__(self, kind: str, data, factor_dims: tuple[int, int] | None = None,
-                 tol: Tolerance | None = None) -> None:
-        tol = tol or DEFAULT_TOL
+                 tol: Tolerance = DEFAULT_TOL) -> None:
         if kind not in ("pure", "mixed"):
             raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
         data = np.array(data, dtype=complex)  # owned, and read-only once checked
         if kind == "pure":
-            data = as_vector(data)
+            factor = data = as_vector(data)
             nrm = float(np.linalg.norm(data))
             if abs(nrm - 1.0) > tol.eq_residual:
                 raise InvalidOperatorSetError(f"pure state must have unit norm, got {nrm!r}")
@@ -274,10 +272,12 @@ class QuantumState:
             data = as_matrix(data)
             if data.shape[0] != data.shape[1]:
                 raise DimensionMismatchError("density matrix must be square")
-            try:
-                psd_eig(data, tol, scale=1.0)
-            except NotPsdError as exc:
-                raise InvalidOperatorSetError(f"density matrix is not PSD: {exc}") from exc
+            if fro(data - dagger(data)) > tol.eq_residual * fro(data):
+                raise NotHermitianError("matrix is not Hermitian within tolerance")
+            w, factor = _factored(data)
+            if w.size and w[0] < -tol.psd_floor:
+                raise InvalidOperatorSetError(f"density matrix is not PSD: most negative eigenvalue "
+                                              f"{w[0]:.3e} below the admissible floor")
             tr = float(np.trace(data).real)
             if abs(tr - 1.0) > tol.eq_residual:
                 raise InvalidOperatorSetError(f"density matrix must have unit trace, got {tr!r}")
@@ -288,16 +288,17 @@ class QuantumState:
             if d_sys * d_anc != len(data):
                 raise DimensionMismatchError(f"factor dims {factor_dims} do not multiply to {len(data)}")
         data.setflags(write=False)
-        self.kind, self.data, self.factor_dims = kind, data, factor_dims
+        factor.setflags(write=False)
+        self.kind, self.data, self.factor, self.factor_dims = kind, data, factor, factor_dims
 
     @classmethod
     def pure(cls, vec, factor_dims: tuple[int, int] | None = None,
-             tol: Tolerance | None = None) -> "QuantumState":
+             tol: Tolerance = DEFAULT_TOL) -> "QuantumState":
         return cls("pure", vec, factor_dims, tol)
 
     @classmethod
     def mixed(cls, rho, factor_dims: tuple[int, int] | None = None,
-              tol: Tolerance | None = None) -> "QuantumState":
+              tol: Tolerance = DEFAULT_TOL) -> "QuantumState":
         return cls("mixed", rho, factor_dims, tol)
 
     @property
@@ -316,8 +317,8 @@ def povm_of(m: Measurement) -> Povm:
 
 
 def images(stack, s: QuantumState) -> np.ndarray:
-    """Images ``(A_r x I) F`` of a factor ``F`` of ``s`` (``rho = F F^dag``: the pure vector,
-    else ``V sqrt(max(w, 0))`` from one ``eigh``), stacked as ``(R, d_out, d_anc * cols)``.
+    """Images ``(A_r x I) F`` of the factor ``F = s.factor`` (``rho = F F^dag``), stacked as
+    ``(R, d_out, d_anc * cols)``; no eigendecomposition is formed here.
     ``stack`` holds the operators ``A_r`` and is taken as is: an array is not copied.  They
     act on the first factor of a state with ``factor_dims`` and on the whole state otherwise;
     any other dimension than ``stack.shape[-1]`` there raises ``DimensionMismatchError``.
@@ -330,11 +331,7 @@ def images(stack, s: QuantumState) -> np.ndarray:
     if (s.factor_dims[0] if s.factor_dims else s.dim) != d_in:
         seen = f"factors as {s.factor_dims}" if s.factor_dims else f"has dimension {s.dim}"
         raise DimensionMismatchError(f"measurement expects input dimension {d_in}, state {seen}")
-    f = s.data
-    if s.kind == "mixed":
-        w, v = np.linalg.eigh(f)
-        f = v * np.sqrt(np.maximum(w, 0.0))
-    return stack @ f.reshape(d_in, -1)
+    return stack @ s.factor.reshape(d_in, -1)
 
 
 def _probabilities(stack: np.ndarray, starts, tol: Tolerance) -> np.ndarray:

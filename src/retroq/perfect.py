@@ -51,8 +51,7 @@ class ProjectiveRetrodictor(Retrodictor):
     overlapping ones leave a remainder that is not PSD.
     """
 
-    def __init__(self, d_out: int, projectors, tol: Tolerance | None = None) -> None:
-        tol = tol or DEFAULT_TOL
+    def __init__(self, d_out: int, projectors, tol: Tolerance = DEFAULT_TOL) -> None:
         projs = square_matrices(projectors, d_out, "projector")
         for k, p in enumerate(projs):
             if fro(p @ p - p) > tol.eq_residual * max(fro(p), 1.0):

@@ -28,16 +28,11 @@ from .measurement import Measurement, Povm
 
 @dataclass
 class SynthesisResult:
-    """Synthesised measurement plus the data it was assembled from.
-
-    ``x_basis`` holds the orthonormal output-space vectors marking each
-    outcome; ``spectral_data[k]`` lists the kept ``(weight, eigenvector)``
-    pairs of POVM element ``k``.
-    """
+    """Synthesised measurement plus the orthonormal output-space vectors ``x_basis``
+    marking each outcome."""
 
     measurement: Measurement
     x_basis: list[np.ndarray]
-    spectral_data: list[list[tuple[float, np.ndarray]]]
 
 
 def standard_basis(n: int, dim: int) -> list[np.ndarray]:
@@ -90,9 +85,7 @@ def synthesize(p: Povm, d_out: int, x_basis=None,
     kraus = basis[ks][:, :, None] * np.conj(vt[ks, rs])[:, None, :]
     np.multiply(np.sqrt(w[ks, rs])[:, None, None], kraus, out=kraus)
     measurement = Measurement.from_stack(p.d, d_out, kraus, keep.sum(axis=1), tol)
-    # w descends, so each element's kept terms lead its rows and zip stops after them
-    spectral = [list(zip(w[k, keep[k]].tolist(), vt[k])) for k in range(n)]
-    return SynthesisResult(measurement, list(basis), spectral)
+    return SynthesisResult(measurement, list(basis))
 
 
 def b_factor(p: Povm, d_out: int | None = None, x_basis=None,

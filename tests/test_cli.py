@@ -28,6 +28,7 @@ from retroq.jsonio import (
     projective_to_obj,
     state_to_obj,
 )
+from retroq.linalg import Tolerance
 
 
 def pauli_measurement() -> Measurement:
@@ -89,6 +90,40 @@ def test_validate_accepts_a_valid_measurement_at_a_coarse_tol_eq(files, capsys):
     # each Pauli element I / 4 has Frobenius norm 0.354, below this eq_residual
     code, out, _ = run_cli(["validate", files["pauli"], "--tol-eq", "0.4"], capsys)
     assert (code, out) == (0, "valid measurement: d_in=2 d_out=2 outcomes=4 fine_grained=True\n")
+
+
+def test_validate_accepts_exactly_where_each_tolerance_holds_its_equation(capsys, tmp_path):
+    # a file is valid iff every ||E_k||_F >= rank_rel and ||sum_k E_k - I||_F <= eq_residual sqrt(d);
+    # a refusal exits 1 and names the quantity whose tolerance the flag moved
+    files = []
+    for ex in retroq.catalog():
+        if ex.measurement is not None:
+            obj, elements = measurement_to_obj(ex.measurement), ex.measurement.elements
+        elif ex.povm is not None:
+            obj, elements = povm_to_obj(ex.povm), ex.povm.elements
+        else:
+            continue
+        path = tmp_path / f"{ex.name}.json"
+        path.write_text(dumps(obj))
+        d = len(elements[0])
+        files.append((path, np.linalg.norm(elements, axis=(1, 2)).min(),
+                      np.linalg.norm(elements.sum(axis=0) - np.eye(d)) / np.sqrt(d)))
+    assert len(files) == 5
+    grid = [*np.geomspace(1e-14, 0.5, 27), 0.35, 0.36]  # the Pauli quarter has ||I/4||_F = 0.354
+    refused = {"--tol-eq": 0, "--tol-rank": 0}
+    for flag, field, quantity in (("--tol-eq", "eq_residual", "identity"),
+                                  ("--tol-rank", "rank_rel", "vanishing POVM element")):
+        for x in grid:
+            tol = Tolerance(**{field: float(x)})
+            for path, smallest, deviation in files:
+                code, _, err = run_cli(["validate", path, flag, repr(float(x))], capsys)
+                if smallest >= tol.rank_rel and deviation <= tol.eq_residual:
+                    assert code == 0, (path.name, flag, x, err)
+                else:
+                    refused[flag] += 1
+                    assert code == 1 and quantity in err, (path.name, flag, x, err)
+    # pauli_quarter from 0.36 and counterexample_3d (||E_k||_F = 0.49999...) at 0.5
+    assert refused == {"--tol-eq": 0, "--tol-rank": 3}
 
 
 def test_validate_reports_the_type_of_every_kind_of_file(files, capsys, tmp_path):

@@ -29,7 +29,7 @@ from retroq import (
 )
 from retroq.catalog import PAULI, counterexample_3d, two_to_four
 from retroq.jsonio import detect_and_load, dumps, measurement_to_obj, povm_to_obj, ud_from_obj, ud_to_obj
-from retroq.linalg import DEFAULT_TOL, Tolerance, dagger
+from retroq.linalg import DEFAULT_TOL, Tolerance, dagger, eigh_descending
 from retroq.measurement import Retrodictor, images
 from retroq.rand import (
     ginibre,
@@ -691,6 +691,73 @@ def test_mixed_probabilities_read_the_clipped_factor_of_the_kraus_images(rng):
     assert np.abs(images(ops, s).reshape(6, 6, 4) - np.array(lifted)).max() <= 1e-15
     want = [sum(np.linalg.norm(x) ** 2 for x in lifted[lo:hi]) for lo, hi in ((0, 1), (1, 3), (3, 6))]
     assert np.abs(outcome_probabilities(m, s) - want).max() <= 1e-15
+
+
+def _density(d: int, rng) -> np.ndarray:
+    rho = random_psd(d, rng)
+    return rho / np.trace(rho).real
+
+
+def test_a_state_holds_the_read_only_factor_that_checked_it(rng):
+    # rho = F F^dag for the Hermitian part of a mixed input, skew within eq_residual included
+    for d in (1, 2, 3, 6):
+        for skew in (0.0, 1e-12):
+            rho = _density(d, rng) + skew * (ginibre(d, d, rng) - dagger(ginibre(d, d, rng)))
+            s = QuantumState.mixed(rho)
+            assert not s.factor.flags.writeable and s.factor.shape == (d, d)
+            assert np.abs(s.factor @ dagger(s.factor) - (rho + dagger(rho)) / 2).max() <= 1e-15
+        pure = QuantumState.pure(random_pure_state(d, rng))
+        assert pure.factor is pure.data
+
+
+def test_statistics_of_a_held_mixed_state_form_no_eigendecomposition(rng, monkeypatch):
+    m = random_fine_grained(2, 3, 4, rng)
+    s = QuantumState.mixed(_density(4, rng), (2, 2))
+    retro = always_inconclusive(3, 4)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a) or eigh(a, *args))
+    outcome_probabilities(m, s)
+    run_trials(m, retro, s, 100, seed=0)
+    assert calls == []
+    post = apply_outcome(m, s, 1)
+    # the one decomposition checks the post-measurement state and forms its factor
+    assert len(calls) == 1 and np.array_equal(calls[0], (post.data + dagger(post.data)) / 2)
+
+
+def test_images_of_an_inexactly_hermitian_density_read_its_hermitian_part(rng):
+    ops = random_fine_grained(2, 3, 3, rng).kraus
+    g = ginibre(4, 4, rng)
+    rho = _density(4, rng) + 1e-12 * (g - dagger(g))  # Hermitian within eq_residual only
+    s = QuantumState.mixed(rho, (2, 2))
+    assert np.array_equal(s.data, rho)
+    w, v = np.linalg.eigh((rho + dagger(rho)) / 2)
+    want = ops @ (v * np.sqrt(np.maximum(w, 0.0))).reshape(2, -1)
+    assert np.array_equal(images(ops, s), want)
+    w, v = np.linalg.eigh(rho)  # reads the lower triangle alone: other bits
+    assert not np.array_equal(images(ops, s), ops @ (v * np.sqrt(np.maximum(w, 0.0))).reshape(2, -1))
+
+
+def test_density_verdicts_at_the_psd_floor_match_the_descending_reference(rng):
+    floor, refused = DEFAULT_TOL.psd_floor, 0
+    for _ in range(300):
+        d = int(rng.integers(2, 5))
+        w = rng.uniform(0.1, 1.0, d)
+        w[0] = -floor * (1.0 + rng.uniform(-1e-6, 1e-6))  # lambda_min within 1e-6 of -psd_floor
+        w[1:] *= (1.0 - w[0]) / w[1:].sum()
+        u = random_unitary(d, rng)
+        rho = (u * w) @ dagger(u)
+        rho = (rho + dagger(rho)) / 2
+        lowest = eigh_descending(rho)[0][-1]
+        if lowest < -floor:
+            refused += 1
+            with pytest.raises(InvalidOperatorSetError) as info:
+                QuantumState.mixed(rho)
+            assert str(info.value) == (f"density matrix is not PSD: most negative eigenvalue "
+                                       f"{lowest:.3e} below the admissible floor")
+        else:
+            QuantumState.mixed(rho)
+    assert 0 < refused < 300
 
 
 # ------------------------------------------------------------ apply_outcome

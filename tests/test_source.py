@@ -187,3 +187,40 @@ def test_only_the_named_caches_write_to_self_outside_a_constructor():
     # which assess_measurement and then retrodict_unambiguously on its recommended state share
     writes = [f"{path.name}:{write}" for path in MODULES for write in _self_writes(_tree(path))]
     assert sorted(writes) == ["measurement.py:Measurement._family", "measurement.py:Retrodictor._elements"]
+
+
+def _tolerance_fallbacks(tree: ast.AST) -> list[str]:
+    """``line text`` for each parameter named ``tol`` that defaults to ``None`` and each
+    ``tol or ...`` expression: a second spelling of the default tolerance."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            positional = [*a.posonlyargs, *a.args]
+            pairs = [*zip(positional[len(positional) - len(a.defaults):], a.defaults),
+                     *zip(a.kwonlyargs, a.kw_defaults)]
+            found += [f"{node.lineno} {p.arg}=None" for p, d in pairs if p.arg == "tol"
+                      and isinstance(d, ast.Constant) and d.value is None]
+        elif (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
+              and ast.unparse(node.values[0]) == "tol"):
+            found.append(f"{node.lineno} {ast.unparse(node)}")
+    return sorted(found, key=lambda hit: int(hit.split()[0]))
+
+
+def test_the_tolerance_guard_sees_none_defaults_and_or_fallbacks():
+    source = """
+def f(a, tol=None, *, key=None):
+    return tol or DEFAULT_TOL
+def g(*, tol=None):
+    return (tol or DEFAULT_TOL).psd_floor
+def h(tol=DEFAULT_TOL, other=None):
+    return other or tol
+"""
+    assert _tolerance_fallbacks(ast.parse(source)) == [
+        "2 tol=None", "3 tol or DEFAULT_TOL", "4 tol=None", "5 tol or DEFAULT_TOL"]
+
+
+def test_every_tolerance_parameter_defaults_to_the_default_tolerance():
+    # one spelling of the default: `tol: Tolerance = DEFAULT_TOL`, as every function takes it
+    found = [f"{path.name}:{hit}" for path in MODULES for hit in _tolerance_fallbacks(_tree(path))]
+    assert found == []

@@ -119,15 +119,13 @@ def test_synthesis_with_custom_basis(rng):
 
 
 def _outer_groups(povm: Povm, basis, tol=DEFAULT_TOL):
-    """The synthesised groups and spectral data built one eigen-term at a time,
-    as ``sqrt(w) |x_k><v|``."""
-    groups, spectral = [], []
+    """The synthesised groups built one eigen-term at a time, as ``sqrt(w) |x_k><v|``."""
+    groups = []
     for k, element in enumerate(povm.elements):
-        w, v = psd_eig(element, tol, scale=1.0)
+        w, v = psd_eig(element, tol)
         kept = [r for r in range(w.size) if float(w[r]) > tol.rank_rel * float(w[0])]
         groups.append([np.sqrt(float(w[r])) * np.outer(basis[k], np.conj(v[:, r])) for r in kept])
-        spectral.append([(float(w[r]), v[:, r]) for r in kept])
-    return groups, spectral
+    return groups
 
 
 def test_synthesised_groups_equal_the_per_eigenvector_outer_products(rng):
@@ -140,13 +138,10 @@ def test_synthesised_groups_equal_the_per_eigenvector_outer_products(rng):
         cases.append((random_projective_povm(d, n, rng), d, list(random_unitary(d, rng).T)))
     for povm, d_out, basis in cases:
         result = synthesize(povm, d_out, x_basis=basis)
-        groups, spectral = _outer_groups(povm, result.x_basis)
+        groups = _outer_groups(povm, result.x_basis)
         assert [len(g) for g in result.measurement.outcomes] == [len(g) for g in groups]
         for got, expected in zip(result.measurement.outcomes, groups):
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-        for got, expected in zip(result.spectral_data, spectral):
-            assert [w for w, _ in got] == [w for w, _ in expected]
-            assert all(np.array_equal(v, u) for (_, v), (_, u) in zip(got, expected))
     # each projective POVM keeps d of its n * d eigen-terms, n >= 2
     projective = [povm for povm, _, _ in cases[1::2]]
     assert all(sum(map(len, synthesize(p, p.d).measurement.outcomes)) == p.d for p in projective)
@@ -186,7 +181,7 @@ def _b_factor_reference(povm: Povm, d_out: int) -> list[np.ndarray]:
     """``B_k = sum_r sqrt(w_r) |e_r><v_r|`` one element and one eigen-term at a time."""
     factors = []
     for element in povm.elements:
-        w, v = psd_eig(element, scale=1.0)
+        w, v = psd_eig(element)
         b = np.zeros((d_out, povm.d), dtype=complex)
         for r in range(povm.d):
             b += np.sqrt(max(float(w[r]), 0.0)) * np.outer(np.eye(d_out)[r], np.conj(v[:, r]))

@@ -245,7 +245,7 @@ def test_assess_builds_no_retrodictor(rng, monkeypatch):
     built = []
     from_factor = unambiguous.Retrodictor.from_factor.__func__
 
-    def counting(cls, factor, tol=None):
+    def counting(cls, factor, tol=DEFAULT_TOL):
         built.append(factor)
         return from_factor(cls, factor, tol)
 
