@@ -103,7 +103,11 @@ def fro(m: np.ndarray) -> float:
 
 def eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked ``eigh`` of the Hermitian part(s) of ``m``, descending, ties in ``eigh``'s order."""
-    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+    return _descending(*np.linalg.eigh((m + dagger(m)) / 2.0))
+
+
+def _descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New arrays: ``eigh``'s ``(w, v)``, ``w`` ascending, sorted descending, ties in ``eigh``'s order."""
     order = np.argsort(-w, axis=-1, kind="stable")
     return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
 

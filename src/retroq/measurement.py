@@ -25,7 +25,7 @@ class Measurement:
     has exactly one member.  Validation happens at construction, so invalid
     operator families are unrepresentable: the summed products over all
     groups must resolve the identity on the input space and no group may be
-    numerically zero.  The measurement owns a read-only copy of its operators,
+    numerically zero.  The measurement owns its operators read-only,
     the stack ``kraus`` of shape ``(N, d_out, d_in)`` in outcome order;
     ``outcomes`` groups views of its rows afresh on each read.  It also stores, read-only:
     ``starts``, the ``n + 1`` offsets of the groups in that order;
@@ -34,7 +34,8 @@ class Measurement:
     ``E_k = sum_r A_kr^dag A_kr`` as one ``(n, d_in, d_in)`` stack, formed as
     ``X_k^dag X_k`` over the nonzero rows ``X_k`` of group ``k``, in one batched
     product per distinct row count (one product for a dense fine-grained set).
-    Outside groups enter here, library-built stacks through ``from_stack``.
+    Outside groups enter here and outside stacks through ``from_stack``, each copied; a stack
+    the library has just formed goes to ``_hold`` as it is.
     """
 
     _family: tuple | None = None  # (state, tol, (factor, p)) of the last _held call
@@ -140,48 +141,51 @@ def square_matrices(ops, d: int, what: str) -> np.ndarray:
     return stack
 
 
-def povm_elements(elements, d: int, tol: Tolerance) -> np.ndarray:
+def povm_elements(elements, d: int, tol: Tolerance) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Check that ``elements`` are Hermitian, PSD ``d x d`` matrices summing to the identity.
 
     Hermiticity is decided by one batched norm of the anti-Hermitian parts.  Every
     element of such a set is bounded by the identity, so positivity is
-    decided against ``tol.psd_floor`` at scale 1, by one batched eigenvalue
-    computation over the Hermitian parts.  Each check names the first element
-    that fails.  Returns the read-only ``(n, d, d)`` copy ``square_matrices`` makes.
+    decided against ``tol.psd_floor`` at scale 1, by one batched ``eigh`` of the
+    Hermitian parts.  Each check names the first element that fails.  Returns the
+    read-only ``(n, d, d)`` copy ``square_matrices`` makes and that ``eigh``'s
+    ``(w, v)``, ``w`` ascending, read-only too.
     """
     stack = square_matrices(elements, d, "element")
     skew = np.flatnonzero(np.linalg.norm(stack - dagger(stack), axis=(1, 2))
                           > tol.eq_residual * np.linalg.norm(stack, axis=(1, 2)))
     if skew.size:
         raise NotHermitianError(f"element {skew[0]} is not Hermitian within tolerance")
-    lowest = np.linalg.eigvalsh((stack + dagger(stack)) / 2.0)[:, 0]
-    bad = np.flatnonzero(lowest < -tol.psd_floor)
+    w, v = np.linalg.eigh((stack + dagger(stack)) / 2.0)
+    bad = np.flatnonzero(w[:, 0] < -tol.psd_floor)
     if bad.size:
         raise InvalidOperatorSetError(f"element {bad[0]} is not PSD: most negative eigenvalue "
-                                      f"{lowest[bad[0]]:.3e} below the admissible floor")
+                                      f"{w[bad[0], 0]:.3e} below the admissible floor")
     _check_identity(sum(stack), tol, "elements do not sum to the identity")
-    return stack
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return stack, (w, v)
 
 
 class Povm:
     """Positive operators on a ``d``-dimensional space summing to the identity, held as
-    the read-only ``(n, d, d)`` stack ``elements``."""
+    the read-only ``(n, d, d)`` stack ``elements`` beside ``eig``, the read-only ``(w, v)``
+    of the one batched ``eigh`` of their Hermitian parts that checked them, ``w`` ascending."""
 
     def __init__(self, d: int, elements, tol: Tolerance = DEFAULT_TOL) -> None:
         if not len(elements):
             raise InvalidOperatorSetError("a POVM needs at least one element")
-        d = as_index(d, "d")
-        self.d, self.elements = d, povm_elements(elements, d, tol)
+        self.d = as_index(d, "d")
+        self.elements, self.eig = povm_elements(elements, self.d, tol)
 
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
 
 
-def _factored(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(w, V sqrt(max(w, 0)))``, ``w`` ascending, for the Hermitian part(s) ``V diag(w) V^dag``."""
-    w, v = np.linalg.eigh((stack + dagger(stack)) / 2.0)
-    return w, v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+def _factored(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``V sqrt(max(w, 0))`` for the eigendecomposition(s) ``V diag(w) V^dag``."""
+    return v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
 
 
 def _completed(conclusive, d: int) -> list[np.ndarray]:
@@ -209,8 +213,8 @@ class Retrodictor:
         inconclusive_index = as_index(inconclusive_index, "inconclusive_index")
         if not 0 <= inconclusive_index < len(elements):
             raise ValueError(f"inconclusive index {inconclusive_index} out of range")
-        self._elements = povm_elements(elements, as_matrix(elements[0]).shape[0], tol)
-        self._hold(_factored(np.delete(self._elements, inconclusive_index, 0))[1], inconclusive_index)
+        self._elements, eig = povm_elements(elements, as_matrix(elements[0]).shape[0], tol)
+        self._hold(_factored(*(np.delete(a, inconclusive_index, 0) for a in eig)), inconclusive_index)
 
     @classmethod
     def from_factor(cls, factor: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> "Retrodictor":
@@ -274,10 +278,11 @@ class QuantumState:
                 raise DimensionMismatchError("density matrix must be square")
             if fro(data - dagger(data)) > tol.eq_residual * fro(data):
                 raise NotHermitianError("matrix is not Hermitian within tolerance")
-            w, factor = _factored(data)
+            w, v = np.linalg.eigh((data + dagger(data)) / 2.0)
             if w.size and w[0] < -tol.psd_floor:
                 raise InvalidOperatorSetError(f"density matrix is not PSD: most negative eigenvalue "
                                               f"{w[0]:.3e} below the admissible floor")
+            factor = _factored(w, v)
             tr = float(np.trace(data).real)
             if abs(tr - 1.0) > tol.eq_residual:
                 raise InvalidOperatorSetError(f"density matrix must have unit trace, got {tr!r}")

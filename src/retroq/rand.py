@@ -70,7 +70,7 @@ def random_fine_grained(d_in: int, d_out: int, n: int, rng,
     rng = np.random.default_rng(rng)
     gs = np.array([ginibre(d_out, d_in, rng) for _ in range(n)])
     root = psd_inv_sqrt(sum(dagger(g) @ g for g in gs), tol)
-    return Measurement.from_stack(d_in, d_out, gs @ root, [1] * n, tol)
+    return Measurement.__new__(Measurement)._hold(d_in, d_out, gs @ root, [1] * n, tol)
 
 
 def random_nonsingular_independent(d: int, n: int, rng,
@@ -100,7 +100,7 @@ def random_nonsingular_dependent(d: int, n: int, rng,
         root = psd_inv_sqrt(sum(dagger(g) @ g for g in gs), tol)
         ops = gs @ root
         if np.all(numeric_rank(ops, tol) == d):
-            return Measurement.from_stack(d, d, ops, [1] * n, tol)
+            return Measurement.__new__(Measurement)._hold(d, d, ops, [1] * n, tol)
 
 
 def random_nonsingular_pair(d: int, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -85,15 +85,18 @@ def _joint_table(m: Measurement, r: Retrodictor, s: QuantumState, tol: Tolerance
         raise DimensionMismatchError(f"retrodictor acts on dimension {r.d}, state has {dim}")
     stack = stack.reshape(len(stack), r.d, -1)
     w = r.factor.transpose(1, 0, 2).reshape(r.d, -1)  # W = [W_1 | ... | W_N]
-    per_column = np.sum(np.abs(dagger(w) @ stack) ** 2, axis=2)
-    conclusive = per_column.reshape(len(stack), r.n_outcomes, -1).sum(axis=2)
-    total = np.sum(np.abs(stack) ** 2, axis=(1, 2))
-    per_image = np.column_stack([conclusive, total - conclusive.sum(axis=1)])
+    per_column = np.sum(np.abs(dagger(w) @ stack) ** 2, axis=2)  # the peak: product and modulus
+    rows = np.empty((len(stack), r.n_outcomes + 1))  # per image: the N answers, then the rest
+    np.sum(per_column.reshape(len(stack), r.n_outcomes, -1), axis=2, out=rows[:, :-1])
+    del per_column  # from here on each step is in place or replaces rows
+    np.subtract(np.sum(np.abs(stack) ** 2, axis=(1, 2)), rows[:, :-1].sum(axis=1), out=rows[:, -1])
     live = p > 0.0
-    rows = np.add.reduceat(per_image, m.starts[:-1], axis=0)[live]
-    rows = _clean_probs(rows / rows.sum(axis=1, keepdims=True), tol.rank_rel)
+    rows = np.add.reduceat(rows, m.starts[:-1], axis=0)[live]
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows = _clean_probs(rows, tol.rank_rel)
+    rows *= p[live, None]
     joint = np.zeros((r.n_outcomes + 1, r.n_outcomes))
-    joint[:, live] = (p[live, None] * rows).T
+    joint[:, live] = rows.T
     return joint
 
 

@@ -4,10 +4,10 @@ Any POVM with no more outcomes than output dimensions admits a Kraus
 decomposition whose outcome can be retrodicted for every input: diagonalise
 each element, route all of its eigenvector weights onto one member ``x_k``
 of an orthonormal reference family in the output space.  Distinct outcomes
-then write into orthogonal one-dimensional slots.  All elements are
-diagonalised in one batched decomposition, and every kept eigen-term
-``sqrt(w) |x_k><v|`` is written straight into one Kraus stack, which the
-measurement takes as it is, with the number of terms of each outcome.
+then write into orthogonal one-dimensional slots.  The eigendecomposition is
+the one that checked the POVM, and every kept eigen-term ``sqrt(w) |x_k><v|``
+is written straight into one Kraus stack, which the measurement holds as it
+is built, with the number of terms of each outcome.
 
 The same spectral data also yields single-operator factors
 ``B_k = sum_r sqrt(w_kr) |x_r><pi_kr|`` with ``B_k^dag B_k`` equal to the
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadBasisError, InvalidOperatorSetError, TooManyOutcomesError
-from .linalg import DEFAULT_TOL, Tolerance, as_vector, dagger, eigh_descending, operator_stack
+from .linalg import DEFAULT_TOL, Tolerance, _descending, as_index, as_vector, dagger, operator_stack
 from .measurement import Measurement, Povm
 
 
@@ -43,8 +43,10 @@ def standard_basis(n: int, dim: int) -> list[np.ndarray]:
 
 def _checked_basis(x_basis, n_outcomes: int, n: int, dim: int, tol: Tolerance) -> np.ndarray:
     """``n`` reference vectors for ``n_outcomes`` outcomes in dimension ``dim``, as the rows of
-    one array, after refusing a ``dim`` below either count: the first ``n`` standard basis
-    vectors by default, else ``x_basis`` once checked to hold ``n`` orthonormal vectors."""
+    one array, after refusing a ``dim`` that is no integer (``as_index``) or below either count:
+    the first ``n`` standard basis vectors by default, else ``x_basis`` once checked to hold
+    ``n`` orthonormal vectors."""
+    dim = as_index(dim, "d_out")
     if n_outcomes > dim:
         raise TooManyOutcomesError(f"{n_outcomes} outcomes exceed output dimension {dim}")
     if n > dim:
@@ -70,21 +72,21 @@ def synthesize(p: Povm, d_out: int, x_basis=None,
 
     Requires the number of outcomes not to exceed ``d_out``; this bound is
     also necessary, since more outcomes than output dimensions cannot have
-    orthogonal post-measurement supports.  ``p`` was checked when it was made, so the
-    Hermitian parts of its elements are diagonalised in one batched ``eigh``, unchecked.
-    Eigen-terms below ``tol.rank_rel`` of each element's largest eigenvalue are dropped;
-    ``Measurement.from_stack`` checks the Kraus stack that is left.
+    orthogonal post-measurement supports.  ``p`` was checked when it was made, and the
+    ``eigh`` that checked it, ``p.eig``, is read sorted descending.  Eigen-terms below
+    ``tol.rank_rel`` of each element's largest eigenvalue are dropped; the measurement
+    checks the Kraus stack that is left and holds it as built.
     """
     n = p.n_outcomes
     basis = _checked_basis(x_basis, n, n, d_out, tol)
-    w, v = eigh_descending(p.elements)
+    w, v = _descending(*p.eig)
     keep = w > tol.rank_rel * w[:, :1]
     ks, rs = np.nonzero(keep)
     vt = v.swapaxes(1, 2)  # row r of vt[k] is eigenvector r of element k
     # sqrt(w_r) |x_k><v_r| for every kept eigen-term of every element at once
     kraus = basis[ks][:, :, None] * np.conj(vt[ks, rs])[:, None, :]
     np.multiply(np.sqrt(w[ks, rs])[:, None, None], kraus, out=kraus)
-    measurement = Measurement.from_stack(p.d, d_out, kraus, keep.sum(axis=1), tol)
+    measurement = Measurement.__new__(Measurement)._hold(p.d, d_out, kraus, keep.sum(axis=1), tol)
     return SynthesisResult(measurement, list(basis))
 
 
@@ -95,13 +97,13 @@ def b_factor(p: Povm, d_out: int | None = None, x_basis=None,
     Each factor carries the eigenbasis of its element onto the reference
     family, so the family needs ``max(n_outcomes, p.d)`` vectors; by default
     the first that many standard basis vectors of a ``max(n, p.d)``
-    dimensional output space are used.  The elements were checked when ``p`` was made,
-    so they are diagonalised in one batched decomposition without further checks.
+    dimensional output space are used.  The elements were checked when ``p`` was made, by
+    the ``eigh`` read here, ``p.eig``, sorted descending.
     """
     n = p.n_outcomes
     need = max(n, p.d)
     x = _checked_basis(x_basis, n, need, need if d_out is None else d_out, tol)[:p.d].T  # columns x_r
-    w, v = eigh_descending(p.elements)
+    w, v = _descending(*p.eig)
     return list(x @ (np.sqrt(np.maximum(w, 0.0))[:, :, None] * dagger(v)))  # X sqrt(w) V^dag
 
 
@@ -122,4 +124,4 @@ def dilated_kraus(factors: list[np.ndarray], x_basis,
     weights = np.linalg.norm(rows, axis=2) ** 2  # ||x_k x_r^dag B_k||_F^2, x_k being a unit vector
     keep = weights > tol.rank_rel * weights.max(axis=1, keepdims=True)
     kraus = x[:n, None, :, None] * rows[:, :, None, :]  # |x_k><x_r| B_k for every k and r
-    return Measurement.from_stack(d_in, d_out, kraus[keep], keep.sum(axis=1), tol)
+    return Measurement.__new__(Measurement)._hold(d_in, d_out, kraus[keep], keep.sum(axis=1), tol)

@@ -187,7 +187,7 @@ def discriminate_unitaries(unitaries, priors, s: QuantumState,
                          > tol.eq_residual * fro(eye))
     if bad.size:
         raise NonUnitaryInputError(f"operator {bad[0]} is not unitary within tolerance")
-    m = Measurement.from_stack(d, d, np.sqrt(priors)[:, None, None] * mats,
-                               [1] * len(mats), tol)
+    m = Measurement.__new__(Measurement)._hold(d, d, np.sqrt(priors)[:, None, None] * mats,
+                                               [1] * len(mats), tol)
     retro, p_inc = retrodict_unambiguously(m, s, tol)
     return retro, 1.0 - p_inc

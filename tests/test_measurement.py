@@ -390,7 +390,8 @@ def test_resolutions_of_identity_share_validation(construct, elements, error, ma
 
 def test_positivity_verdict_matches_batched_eigenvalues_at_the_floor():
     # lowest eigenvalue within a few 1e-15 of -psd_floor, where only rounding decides;
-    # the reference is the batched eigvalsh verdict on the same Hermitian parts
+    # the reference is the batched eigh verdict on the same Hermitian parts (eigvalsh rounds
+    # some of these cases to the other side of the floor)
     rng = np.random.default_rng(7)
     floor = DEFAULT_TOL.psd_floor
     for _ in range(2000):
@@ -400,7 +401,7 @@ def test_positivity_verdict_matches_batched_eigenvalues_at_the_floor():
         w[0] = -floor * (1.0 + rng.uniform(-3e-6, 3e-6))
         e0 = u @ np.diag(w) @ np.conj(u).T
         herm = np.array([(e + np.conj(e).T) / 2.0 for e in (e0, np.eye(d) - e0)])
-        if np.linalg.eigvalsh(herm)[:, 0].min() >= -floor:
+        if np.linalg.eigh(herm)[0][:, 0].min() >= -floor:
             Povm(d, [e0, np.eye(d) - e0])
         else:
             with pytest.raises(InvalidOperatorSetError, match="element 0 is not PSD"):
@@ -436,6 +437,44 @@ def test_validated_elements_are_read_only_copies_owned_by_their_objects():
     for own in elements + projectors:
         own[:] = 5.0
     assert all(np.array_equal(a, b) for a, b in zip(snapshot(), before))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_outside_retrodictor_factor_equals_that_of_its_conclusive_elements_bit_for_bit(seed):
+    # the factor comes from the eigh that validated all elements, the inconclusive one's row
+    # deleted; the reference decomposes the conclusive elements' Hermitian parts afresh
+    rng = np.random.default_rng(seed)
+    for d, n in ((2, 3), (3, 4), (4, 2), (5, 6)):
+        elements = random_povm(d, n, rng).elements
+        for i in (0, 1, n - 1):
+            conclusive = np.delete(elements, i, 0)
+            w, v = np.linalg.eigh((conclusive + dagger(conclusive)) / 2.0)
+            want = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+            assert Retrodictor(elements, i).factor.tobytes() == want.tobytes()
+    projectors = list(random_projective_povm(4, 3, rng).elements)
+    projective = ProjectiveRetrodictor(4, projectors)
+    w, v = np.linalg.eigh((np.array(projectors) + dagger(np.array(projectors))) / 2.0)
+    assert projective.factor.tobytes() == (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]).tobytes()
+
+
+def test_the_povm_holds_its_one_decomposition_read_only():
+    given = [0.2 * E2, np.diag([0.8, 0.0 + 0j]), np.diag([0.0, 0.8 + 0j])]
+    povm = Povm(2, given)
+    w, v = povm.eig
+    assert w.shape == (3, 2) and v.shape == (3, 2, 2) and (np.diff(w, axis=1) >= 0.0).all()
+    for e, wk, vk in zip(given, w, v):
+        want_w, want_v = np.linalg.eigh((e + dagger(e)) / 2.0)
+        assert wk.tobytes() == want_w.tobytes() and vk.tobytes() == want_v.tobytes()
+    before = [w.copy(), v.copy()]
+    for held in (w, v):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            held *= 2.0
+        assert not any(np.shares_memory(held, own) for own in [*given, povm.elements])
+    for own in given:
+        own[:] = 5.0
+    assert all(np.array_equal(a, b) for a, b in zip(povm.eig, before))
 
 
 def test_element_stacks_refuse_item_assignment():

@@ -437,6 +437,18 @@ def test_counter_has_no_outcome_limit():
     assert np.count_nonzero(got.sum(axis=0)) > n // 2
 
 
+def test_joint_table_peaks_within_34_mb_at_1100_outcomes(traced_peak):
+    # the (N + 1, N) table is 9.7 MB; the complex product with the factor (19.4 MB) and its
+    # modulus are the largest pair live at once, and every later step reduces in place
+    n = 1100
+    m, s = _scalar_measurement(n, n ** -0.5), QuantumState.pure([1.0])
+    weights = np.random.default_rng(8).random(n + 1)
+    r = _scalar_retrodictor(list(weights[:n] / weights.sum()))
+    table, peak = traced_peak(lambda: _joint_table(m, r, s, DEFAULT_TOL))
+    assert table.nbytes == (n + 1) * n * 8
+    assert peak <= 34e6
+
+
 def test_trial_counts_and_seeds_are_integers(rng):
     m = pauli_measurement()
     s = QuantumState.pure(random_pure_state(2, rng))

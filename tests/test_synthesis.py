@@ -20,7 +20,7 @@ from retroq import (
     synthesize,
 )
 from retroq.catalog import trine_povm
-from retroq.linalg import DEFAULT_TOL, Tolerance, psd_eig
+from retroq.linalg import DEFAULT_TOL, Tolerance, eigh_descending, psd_eig
 from retroq.rand import random_povm, random_projective_povm, random_unitary
 
 
@@ -158,6 +158,75 @@ def test_synthesis_leaves_element_faults_to_the_checks_of_the_povm_and_measureme
     with pytest.raises(InvalidOperatorSetError) as info:
         synthesize(loose, 2)
     assert str(info.value) == "Kraus operators do not resolve the identity (deviation 1.000e-01)"
+
+
+def test_synthesis_reads_the_decomposition_that_checked_the_povm(rng, monkeypatch):
+    # synthesize and b_factor sort the Povm's held eigh descending and decompose nothing
+    # again; the references decompose each element afresh: psd_eig per element for the
+    # Kraus groups, the batched eigh_descending for the factors
+    povms = [random_povm(4, 3, rng), random_projective_povm(4, 3, rng), random_povm(3, 3, rng),
+             trine_povm().povm]
+    expected = []
+    for p in povms:
+        w, v = eigh_descending(p.elements)
+        x = np.eye(max(p.n_outcomes, p.d), dtype=complex)[:, :p.d]
+        factors = x @ (np.sqrt(np.maximum(w, 0.0))[:, :, None] * np.conj(v).swapaxes(1, 2))
+        expected.append((_outer_groups(p, standard_basis(p.n_outcomes, 5)), factors))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checked POVM was decomposed again")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for p, (groups, factors) in zip(povms, expected):
+        got = synthesize(p, 5).measurement.kraus
+        assert got.tobytes() == np.array([a for g in groups for a in g]).tobytes()
+        assert np.array(b_factor(p)).tobytes() == factors.tobytes()
+
+
+def test_the_synthesised_stack_is_held_read_only_and_apart_from_the_povm(rng):
+    given = [np.array(e) for e in random_povm(3, 3, rng).elements]  # the caller's, writable
+    povm = Povm(3, given)
+    first = synthesize(povm, 4).measurement
+    dilated = dilated_kraus(b_factor(povm), None)
+    for m in (first, dilated):
+        with pytest.raises(ValueError, match="read-only"):
+            m.kraus[0, 0, 0] = 1.0
+        assert not any(np.shares_memory(m.kraus, a) for a in [povm.elements, *povm.eig, *given])
+    for own in given:
+        own[:] = np.eye(3)
+    again = synthesize(povm, 4).measurement
+    assert again.kraus.tobytes() == first.kraus.tobytes()
+    assert np.array_equal(again.starts, first.starts)
+
+
+def test_synthesis_peaks_within_one_point_six_kraus_stacks(traced_peak):
+    # 16 full-rank elements at d = 16: 256 Kraus operators, a 1 MB stack; the measurement
+    # holds the stack it was built in, so it is never live twice
+    povm = random_povm(16, 16, np.random.default_rng(5))
+    result, peak = traced_peak(lambda: synthesize(povm, 16))
+    kraus = result.measurement.kraus
+    assert kraus.shape == (256, 16, 16)
+    assert peak <= 1.6 * kraus.nbytes
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: synthesize(p, True),
+    lambda p: synthesize(p, np.True_),
+    lambda p: synthesize(p, 2.0),
+    lambda p: synthesize(p, 1.0),
+    lambda p: synthesize(p, np.float64(3.0)),
+    lambda p: b_factor(p, True),
+    lambda p: b_factor(p, 2.0),
+], ids=["synthesize_bool", "synthesize_numpy_bool", "synthesize_float", "synthesize_small_float",
+        "synthesize_numpy_float",
+        "b_factor_bool", "b_factor_float"])
+def test_boolean_and_fractional_output_dimensions_are_refused(build):
+    # the one integer rule, before any count is compared with the dimension
+    povm = Povm(2, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    with pytest.raises(TypeError, match="^d_out must be an integer, not a boolean$|"
+                                        "object cannot be interpreted as an integer"):
+        build(povm)
 
 
 def test_round_trip_and_support_markers(rng):
