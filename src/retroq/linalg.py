@@ -47,7 +47,7 @@ def as_2d(a) -> np.ndarray:
 
 def finite(x: np.ndarray, what: str = "matrix") -> np.ndarray:
     """``x`` itself; raises ``ValueError`` if an entry is NaN or Inf."""
-    if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{what} entries must be finite")
     return x
 

@@ -9,7 +9,7 @@ The check runs on every call.  It skips, before any per-operator work, the
 Kraus operators that share no output row with a later outcome, and forms,
 for each other operator, one matrix product with the stacked adjoints of all
 later-outcome operators; operators writing into disjoint rows have an
-exactly zero product.
+exactly zero product.  The retrodictor decomposes each ``G_k`` on the rows its group writes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOperatorSetError, NotFineGrainedError, NotPerfectlyRetrodictableError
-from .linalg import DEFAULT_TOL, Tolerance, dagger, eigh_descending, fro
+from .linalg import DEFAULT_TOL, Tolerance, as_index, dagger, eigh_descending, fro
 from .measurement import Measurement, Povm, Retrodictor, _completed, square_matrices
 
 
@@ -52,7 +52,7 @@ class ProjectiveRetrodictor(Retrodictor):
     """
 
     def __init__(self, d_out: int, projectors, tol: Tolerance = DEFAULT_TOL) -> None:
-        projs = square_matrices(projectors, d_out, "projector")
+        projs = square_matrices(projectors, d_out := as_index(d_out, "d_out"), "projector")
         for k, p in enumerate(projs):
             if fro(p @ p - p) > tol.eq_residual * max(fro(p), 1.0):
                 raise InvalidOperatorSetError(f"operator {k} is not idempotent")
@@ -124,23 +124,31 @@ def check_perfect(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> PerfectCheckR
 def build_retrodictor(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> ProjectiveRetrodictor:
     """Projective retrodictor for a perfectly retrodictable measurement.
 
-    Outcome ``k`` maps to the support projector of
-    ``G_k = sum_r A_kr A_kr^dag``; every post-measurement state with nonzero
-    probability lies inside the corresponding support.  The factor holds, from
-    one batched ``eigh``, each symmetrised ``G_k``'s eigenvectors (descending) with
-    eigenvalues above ``tol.rank_rel`` times its largest; no projector is formed.
+    Outcome ``k`` maps to the support projector of ``G_k = sum_r A_kr A_kr^dag``, where every
+    post-measurement state with nonzero probability lies, on the ``c`` output rows group ``k``
+    writes.  One ``eigh`` per ``c`` decomposes those ``c x c`` blocks, formed one product per
+    group size; the factor holds each symmetrised block's eigenvectors (descending) with
+    eigenvalues above ``tol.rank_rel`` times its largest, zero off those rows.
     """
     report = check_perfect(m, tol)
     if not report.retrodictable:
         raise NotPerfectlyRetrodictableError(
             f"cross-product residual {report.max_residual:.3e} at witness {report.witness}"
         )
-    wide = m.kraus.transpose(1, 0, 2)  # G_k = X_k X_k^dag, X_k the operators of group k side by side
-    g = np.array([x @ dagger(x) for x in (wide[:, a:b].reshape(m.d_out, -1)
-                                          for a, b in zip(m.starts[:-1], m.starts[1:]))])
-    w, v = eigh_descending(g)
+    rows = np.logical_or.reduceat(m.nonzero_rows, m.starts[:-1], axis=0)  # the rows each group writes
+    sizes, counts = m.starts[1:] - m.starts[:-1], rows.sum(axis=1)
+    w, v = np.zeros((m.n_outcomes, m.d_out)), np.zeros((m.n_outcomes, m.d_out, m.d_out), dtype=complex)
+    for c in set(counts.tolist()):  # np.unique would import numpy.ma
+        ks = np.nonzero(counts == c)[0]
+        at, g = np.nonzero(rows[ks])[1].reshape(-1, c), np.empty((len(ks), c, c), dtype=complex)
+        for s in set(sizes[ks].tolist()):  # G_k = X_k X_k^dag, X_k the group's operators side by side
+            i = np.nonzero(sizes[ks] == s)[0]
+            x = m.kraus[m.starts[ks[i], None, None] + np.arange(s), at[i, :, None]].reshape(len(i), c, -1)
+            g[i] = x @ dagger(x)
+        w[ks, :c], v[ks[:, None], at, :c] = eigh_descending(g)
     keep = w > tol.rank_rel * w[:, :1]  # a prefix of each row: the support's eigenvectors
-    return ProjectiveRetrodictor.from_factor((v * keep[:, None, :])[:, :, :keep.sum(axis=1).max()], tol)
+    k = keep.sum(axis=1).max()
+    return ProjectiveRetrodictor.from_factor(v[:, :, :k] * keep[:, None, :k], tol)
 
 
 def projective_equivalence(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> ProjectiveEquivalence:

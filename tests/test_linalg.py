@@ -18,7 +18,8 @@ from retroq import (
     numeric_rank,
     support_projector,
 )
-from retroq.linalg import dagger, eigh_descending, psd_eig
+from retroq.linalg import as_matrix, as_vector, dagger, eigh_descending, operator_stack, psd_eig
+from retroq.measurement import Measurement, Retrodictor
 from retroq.rand import ginibre, random_psd, random_unitary
 
 PAULI = [
@@ -200,6 +201,54 @@ def test_numeric_rank_refuses_a_stack_with_a_nan():
     stack[2, 1, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         numeric_rank(stack)
+
+
+# ---------------------------------------------------------------- finite entries
+
+NON_FINITE = {"nan": complex(np.nan, 0.0), "i nan": complex(0.0, np.nan), "inf": complex(np.inf, 0.0),
+              "-inf": complex(-np.inf, 0.0), "i inf": complex(0.0, np.inf), "-i inf": complex(0.0, -np.inf)}
+
+
+# each intake: the shape it takes and its message for a NaN or Inf entry
+INTAKES = {
+    "as_matrix": (as_matrix, (2, 2), "matrix entries must be finite"),
+    "as_vector": (as_vector, (4,), "vector entries must be finite"),
+    "operator_stack": (lambda a: operator_stack(list(a)), (2, 2, 2), "matrix entries must be finite"),
+    "from_stack": (lambda a: Measurement.from_stack(2, 2, a, [1, 1]), (2, 2, 2), "matrix entries must be finite"),
+    "from_factor": (Retrodictor.from_factor, (2, 2, 2), "factor entries must be finite"),
+}
+
+
+def valid(shape, zero: complex = 0.0) -> np.ndarray:
+    """Entries each intake accepts: the stack ``diag(1, 0), diag(0, 1)`` is a measurement and a
+    retrodictor factor, and its first matrix and first four entries are a matrix and a vector."""
+    stack = np.full((2, 2, 2), zero, dtype=complex)
+    stack[0, 0, 0] = stack[1, 1, 1] = 1.0
+    return stack.reshape(-1)[:int(np.prod(shape))].reshape(shape)
+
+
+@pytest.mark.parametrize("intake", INTAKES)
+@pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE.keys())
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_every_intake_refuses_a_non_finite_real_or_imaginary_part(intake, bad, at):
+    take, shape, message = INTAKES[intake]
+    entries = valid(shape).copy()
+    flat = entries.reshape(-1)
+    flat[{"first": 0, "middle": flat.size // 2, "last": flat.size - 1}[at]] = bad
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        take(entries)
+
+
+@pytest.mark.parametrize("intake", INTAKES)
+def test_negative_zeros_are_finite(intake):
+    take, shape, _ = INTAKES[intake]
+    take(valid(shape, zero=-0.0 - 0.0j))
+
+
+def test_the_largest_magnitudes_are_finite():
+    huge = np.full((2, 2), 1e308 - 1e308j)
+    assert as_matrix(huge)[1, 1] == 1e308 - 1e308j and as_vector(huge[0])[0] == 1e308 - 1e308j
+    assert operator_stack([huge, -huge])[1, 0, 0] == -1e308 + 1e308j
 
 
 # ---------------------------------------------------------------- Tolerance

@@ -11,6 +11,7 @@ from retroq import (
     Measurement,
     NotFineGrainedError,
     NotPerfectlyRetrodictableError,
+    Povm,
     ProjectiveRetrodictor,
     QuantumState,
     Tolerance,
@@ -19,18 +20,20 @@ from retroq import (
     check_perfect,
     outcome_probabilities,
     projective_equivalence,
+    run_trials,
     synthesize,
 )
-from retroq.catalog import PAULI, get_example, two_to_four
+from retroq.catalog import PAULI, catalog, get_example, two_to_four
 from retroq.cli import main
 from retroq.jsonio import dumps, measurement_to_obj
-from retroq.linalg import DEFAULT_TOL
+from retroq.linalg import DEFAULT_TOL, eigh_descending
 from retroq.rand import (
     ginibre,
     psd_inv_sqrt,
     random_fine_grained,
     random_povm,
     random_projective_povm,
+    random_psd,
     random_pure_state,
     random_unitary,
 )
@@ -410,6 +413,122 @@ def test_retrodictor_identifies_outcome_with_certainty(rng):
                 for kp in range(3):
                     got = float(np.trace(retro.projectors[kp] @ rho_k).real)
                     assert got == pytest.approx(1.0 if kp == k else 0.0, abs=1e-9)
+
+
+def all_rows_factor(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """The retrodictor factor with every ``G_k`` formed on all ``d_out`` rows, one product
+    per group, and decomposed in one batched ``eigh``."""
+    wide = m.kraus.transpose(1, 0, 2)  # X_k = the operators of group k side by side
+    g = np.array([x @ dag(x) for x in (wide[:, a:b].reshape(m.d_out, -1)
+                                       for a, b in zip(m.starts[:-1], m.starts[1:]))])
+    w, v = eigh_descending(g)
+    keep = w > tol.rank_rel * w[:, :1]
+    return (v * keep[:, None, :])[:, :, :keep.sum(axis=1).max()]
+
+
+def mixed_rank_povm(d: int, n: int, rng):
+    """``n`` elements of ranks 1, 2, ..., cycling, scaled to resolve the identity."""
+    parts = []
+    for k in range(n):
+        w, v = np.linalg.eigh(random_psd(d, rng))
+        r = 1 + k % d
+        parts.append((v[:, -r:] * w[-r:]) @ dag(v[:, -r:]))
+    root = psd_inv_sqrt(sum(parts))
+    return Povm(d, [root @ e @ root for e in parts])
+
+
+def rank_one_regrouped(d: int, n: int, rng) -> Measurement:
+    """A rotated projective measurement whose rank-one members form groups of sizes 1, 2, ...:
+    every group writes every output row."""
+    u = random_unitary(d, rng)
+    members = [u @ np.outer(c, c.conj()) for c in random_unitary(d, rng).T]
+    cuts = [c for c in np.cumsum(np.arange(1, n)) if c < d]
+    return Measurement(d, d, [list(g) for g in np.split(np.array(members), cuts)])
+
+
+def written_row_cases():
+    rng = np.random.default_rng(20261021)
+    for _ in range(6):
+        d, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        d_out = max(d, n) + int(rng.integers(0, 3))
+        p = random_povm(d, n, rng)
+        yield "standard", synthesize(p, d_out).measurement
+        perm = np.eye(d_out)[rng.permutation(d_out)]
+        yield "permuted", synthesize(p, d_out, x_basis=list(perm)).measurement
+        yield "rotated", synthesize(p, d_out, x_basis=list(random_unitary(d_out, rng).T)).measurement
+        u = random_unitary(d + 1, rng)
+        yield "dense", Measurement(d + 1, d + 1, [[u @ q] for q in
+                                                  random_projective_povm(d + 1, n % (d + 1) + 1, rng).elements])
+        # groups of mixed sizes that share one written-row count: one row, or every row
+        yield "mixed one row", synthesize(mixed_rank_povm(d + 1, n + 1, rng), max(d, n) + 1).measurement
+        yield "mixed every row", rank_one_regrouped(d + 3, 3, rng)
+    yield "synthesized at d = 16", synthesize(random_povm(16, 16, rng), 16).measurement
+    for ex in catalog():
+        if ex.measurement is not None and check_perfect(ex.measurement).retrodictable:
+            yield ex.name, ex.measurement
+        if ex.povm is not None:
+            yield ex.name, synthesize(ex.povm, max(ex.povm.n_outcomes, ex.povm.d)).measurement
+
+
+def test_the_factor_equals_the_all_row_formation_bit_for_bit():
+    kinds = set()
+    for kind, m in written_row_cases():
+        factor, ref = build_retrodictor(m).factor, all_rows_factor(m)
+        assert factor.shape == ref.shape and factor.tobytes() == ref.tobytes(), kind
+        kinds.add(kind)
+    assert {"two_to_four", "trine_povm", "mixed one row", "mixed every row"} <= kinds
+
+
+def interleaved_rows(rng) -> Measurement:
+    """Groups of 1-3 operators, group ``k`` writing the rows ``k, k + n, k + 2n, ...`` of a
+    ``d_out`` space (at least two, never all of them) through a rotation of those rows;
+    each ``G_k`` has ``d_in`` eigenvalues ``1/n``, and zeros on its other written rows."""
+    n = int(rng.integers(2, 4))
+    d_out = int(rng.integers(2 * n, 3 * n + 1))
+    d_in = int(rng.integers(1, d_out // n + 1))
+    groups = []
+    for k in range(n):
+        at = np.arange(k, d_out, n)
+        image = np.zeros((d_out, d_in), dtype=complex)
+        image[at] = random_unitary(len(at), rng)[:, :d_in] / np.sqrt(n)  # B_k^dag B_k = I / n
+        weights = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
+        groups.append([np.sqrt(p) * image @ random_unitary(d_in, rng) for p in weights])
+    return Measurement(d_in, d_out, groups)
+
+
+def test_interleaved_written_rows_give_the_same_supports():
+    rng = np.random.default_rng(20261022)
+    for _ in range(60):
+        m = interleaved_rows(rng)
+        retro, ref = build_retrodictor(m), all_rows_factor(m)
+        written = np.logical_or.reduceat(m.nonzero_rows, m.starts[:-1], axis=0)
+        assert np.all(retro.factor[~written] == 0.0)
+        kept = [(f != 0).any(axis=1).sum(axis=1) for f in (retro.factor, ref)]  # columns per group
+        assert np.array_equal(*kept)
+        ref_elements = ProjectiveRetrodictor.from_factor(ref).elements
+        assert np.abs(retro.elements - ref_elements).max() < 1e-14
+        s = QuantumState.pure(random_pure_state(m.d_in, rng))
+        assert run_trials(m, retro, s, 200, int(rng.integers(2**31))).mismatches == 0
+
+
+def test_a_standard_synthesis_decomposes_only_one_by_one_blocks(monkeypatch, rng):
+    m = synthesize(random_povm(16, 16, rng), 16).measurement
+    eigh, shapes = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: shapes.append(a.shape) or eigh(a, *args, **kw))
+    build_retrodictor(m)
+    assert shapes and all(s[-2:] == (1, 1) for s in shapes)
+
+
+@pytest.mark.parametrize("d_out, message", [
+    (True, "^d_out must be an integer, not a boolean$"),
+    (np.True_, "^d_out must be an integer, not a boolean$"),
+    (2.0, "^'float' object cannot be interpreted as an integer$"),
+    (np.float64(1.0), "^'numpy.float64' object cannot be interpreted as an integer$"),
+])
+def test_projective_retrodictor_takes_its_dimension_by_the_one_integer_rule(d_out, message):
+    with pytest.raises(TypeError, match=message):
+        ProjectiveRetrodictor(d_out, [np.eye(1)])
+    assert ProjectiveRetrodictor(np.int64(1), [np.eye(1)]).d == 1  # numpy integers are integers
 
 
 def test_failing_measurements_leak_final_state_overlap(rng):
