@@ -1,7 +1,7 @@
-"""Dense complex linear-algebra kernel: tolerances, coercion, Hermitian eigendecompositions,
-supports and numerical ranks, consumed by every other module.  ``psd_eig`` checks a matrix
-(square, Hermitian, positive) at its own spectral scale and ``eigh_descending`` checks nothing;
-``dagger``, ``eigh_descending`` and ``numeric_rank`` also take a stack of matrices."""
+"""Dense complex linear-algebra kernel: tolerances, coercion, Hermitian eigendecompositions, the
+one relative cut ``above_cut`` of every rank and support, supports and numerical ranks.  ``psd_eig``
+checks a matrix (square, Hermitian, positive) at its own spectral scale, ``eigh_descending``
+nothing; ``dagger``, ``eigh_descending``, ``above_cut`` and ``numeric_rank`` also take a stack."""
 
 from __future__ import annotations
 
@@ -121,8 +121,7 @@ def psd_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = m.shape
     if rows != cols:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    norm = fro(m)
-    if norm > 0.0 and fro(m - dagger(m)) > tol.eq_residual * norm:
+    if fro(m - dagger(m)) > tol.eq_residual * fro(m):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     w, v = eigh_descending(m)
     if w.size:
@@ -133,24 +132,24 @@ def psd_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def support_projector(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of nonzero-eigenvalue eigenvectors of PSD ``g``.
+def above_cut(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Mask of the entries of ``x`` above ``tol.rank_rel`` times the largest of their last axis,
+    that largest taken as 0 where it is negative or the axis is empty, so that such an axis keeps
+    nothing: the one relative cut of every rank and support."""
+    return x > tol.rank_rel * x.max(axis=-1, keepdims=True, initial=0.0)
 
-    The zero matrix has empty support and maps to the zero matrix.
-    """
+
+def support_projector(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthogonal projector onto the span of the eigenvectors of PSD ``g`` whose eigenvalues
+    ``above_cut`` keeps.  The zero matrix has empty support and maps to the zero matrix."""
     w, v = psd_eig(g, tol)
-    lam_max = float(w[0]) if w.size else 0.0
-    if lam_max <= 0.0:
-        return np.zeros((w.size, w.size), dtype=complex)
-    keep = w > tol.rank_rel * lam_max
-    vk = v[:, keep]
+    vk = v[:, above_cut(w, tol)]
     return vk @ dagger(vk)
 
 
 def numeric_rank(m, tol: Tolerance = DEFAULT_TOL) -> int | np.ndarray:
-    """Number of singular values above ``tol.rank_rel`` times the largest (0 for the zero matrix):
-    an ``int`` for a matrix, an int array for a stack."""
+    """Number of singular values ``above_cut`` keeps (0 for the zero matrix): an ``int`` for a
+    matrix, an int array for a stack."""
     m = as_matrix(m) if np.ndim(m) <= 2 else finite(np.asarray(m, dtype=complex))
-    s = np.linalg.svd(m, compute_uv=False)
-    rank = np.count_nonzero(s > tol.rank_rel * s[..., :1], axis=-1)
+    rank = np.count_nonzero(above_cut(np.linalg.svd(m, compute_uv=False), tol), axis=-1)
     return int(rank) if m.ndim == 2 else rank

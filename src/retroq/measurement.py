@@ -141,26 +141,32 @@ def square_matrices(ops, d: int, what: str) -> np.ndarray:
     return stack
 
 
+def _bounded_eig(x: np.ndarray, tol: Tolerance, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh``'s ``(w, v)``, ``w`` ascending, of the Hermitian part(s) of a square matrix or
+    ``(n, d, d)`` stack ``x`` bounded by the identity, checked Hermitian to ``tol.eq_residual``
+    relative to each one's Frobenius norm by one batched norm, then PSD to ``tol.psd_floor`` at
+    scale 1; a failure names the first operator to fail as ``what.format(index)``."""
+    skew = np.flatnonzero(np.linalg.norm(x - dagger(x), axis=(-2, -1))
+                          > tol.eq_residual * np.linalg.norm(x, axis=(-2, -1)))
+    if skew.size:
+        raise NotHermitianError(f"{what.format(skew[0])} is not Hermitian within tolerance")
+    w, v = np.linalg.eigh((x + dagger(x)) / 2.0)
+    bad = np.flatnonzero(w[..., :1] < -tol.psd_floor)  # the least eigenvalue of each, if any
+    if bad.size:
+        raise InvalidOperatorSetError(f"{what.format(bad[0])} is not PSD: most negative eigenvalue "
+                                      f"{w[..., :1].flat[bad[0]]:.3e} below the admissible floor")
+    return w, v
+
+
 def povm_elements(elements, d: int, tol: Tolerance) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Check that ``elements`` are Hermitian, PSD ``d x d`` matrices summing to the identity.
 
-    Hermiticity is decided by one batched norm of the anti-Hermitian parts.  Every
-    element of such a set is bounded by the identity, so positivity is
-    decided against ``tol.psd_floor`` at scale 1, by one batched ``eigh`` of the
-    Hermitian parts.  Each check names the first element that fails.  Returns the
-    read-only ``(n, d, d)`` copy ``square_matrices`` makes and that ``eigh``'s
-    ``(w, v)``, ``w`` ascending, read-only too.
+    Every element of such a set is bounded by the identity, so ``_bounded_eig`` checks them all
+    at once and names the first that fails.  Returns the read-only ``(n, d, d)`` copy
+    ``square_matrices`` makes and that ``eigh``'s ``(w, v)``, ``w`` ascending, read-only too.
     """
     stack = square_matrices(elements, d, "element")
-    skew = np.flatnonzero(np.linalg.norm(stack - dagger(stack), axis=(1, 2))
-                          > tol.eq_residual * np.linalg.norm(stack, axis=(1, 2)))
-    if skew.size:
-        raise NotHermitianError(f"element {skew[0]} is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((stack + dagger(stack)) / 2.0)
-    bad = np.flatnonzero(w[:, 0] < -tol.psd_floor)
-    if bad.size:
-        raise InvalidOperatorSetError(f"element {bad[0]} is not PSD: most negative eigenvalue "
-                                      f"{w[bad[0], 0]:.3e} below the admissible floor")
+    w, v = _bounded_eig(stack, tol, "element {}")
     _check_identity(sum(stack), tol, "elements do not sum to the identity")
     w.setflags(write=False)
     v.setflags(write=False)
@@ -276,13 +282,7 @@ class QuantumState:
             data = as_matrix(data)
             if data.shape[0] != data.shape[1]:
                 raise DimensionMismatchError("density matrix must be square")
-            if fro(data - dagger(data)) > tol.eq_residual * fro(data):
-                raise NotHermitianError("matrix is not Hermitian within tolerance")
-            w, v = np.linalg.eigh((data + dagger(data)) / 2.0)
-            if w.size and w[0] < -tol.psd_floor:
-                raise InvalidOperatorSetError(f"density matrix is not PSD: most negative eigenvalue "
-                                              f"{w[0]:.3e} below the admissible floor")
-            factor = _factored(w, v)
+            factor = _factored(*_bounded_eig(data, tol, "density matrix"))
             tr = float(np.trace(data).real)
             if abs(tr - 1.0) > tol.eq_residual:
                 raise InvalidOperatorSetError(f"density matrix must have unit trace, got {tr!r}")

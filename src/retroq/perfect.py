@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOperatorSetError, NotFineGrainedError, NotPerfectlyRetrodictableError
-from .linalg import DEFAULT_TOL, Tolerance, as_index, dagger, eigh_descending, fro
+from .linalg import DEFAULT_TOL, Tolerance, above_cut, as_index, dagger, eigh_descending, fro
 from .measurement import Measurement, Povm, Retrodictor, _completed, square_matrices
 
 
@@ -46,9 +46,9 @@ class ProjectiveRetrodictor(Retrodictor):
     element (index 0) is the remainder ``I - sum_k P_k``, which never fires
     on a post-measurement state, and ``projectors`` are its other elements.
     ``build_retrodictor`` builds one with ``from_factor``.  Projectors from
-    outside are each tested for idempotence and Hermiticity, then completed
-    by their remainder and validated as ``Retrodictor`` elements, so
-    overlapping ones leave a remainder that is not PSD.
+    outside are each tested for idempotence, then completed by their remainder and validated
+    as ``Retrodictor`` elements, projector ``k`` as element ``k + 1``: that decides their
+    Hermiticity, and overlapping ones leave a remainder that is not PSD.
     """
 
     def __init__(self, d_out: int, projectors, tol: Tolerance = DEFAULT_TOL) -> None:
@@ -56,8 +56,6 @@ class ProjectiveRetrodictor(Retrodictor):
         for k, p in enumerate(projs):
             if fro(p @ p - p) > tol.eq_residual * max(fro(p), 1.0):
                 raise InvalidOperatorSetError(f"operator {k} is not idempotent")
-            if fro(p - dagger(p)) > tol.eq_residual * max(fro(p), 1.0):
-                raise InvalidOperatorSetError(f"operator {k} is not Hermitian")
         super().__init__(_completed(projs, d_out), 0, tol)
 
     @property
@@ -128,7 +126,7 @@ def build_retrodictor(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Projectiv
     post-measurement state with nonzero probability lies, on the ``c`` output rows group ``k``
     writes.  One ``eigh`` per ``c`` decomposes those ``c x c`` blocks, formed one product per
     group size; the factor holds each symmetrised block's eigenvectors (descending) with
-    eigenvalues above ``tol.rank_rel`` times its largest, zero off those rows.
+    eigenvalues ``above_cut`` keeps, zero off those rows.
     """
     report = check_perfect(m, tol)
     if not report.retrodictable:
@@ -146,7 +144,7 @@ def build_retrodictor(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> Projectiv
             x = m.kraus[m.starts[ks[i], None, None] + np.arange(s), at[i, :, None]].reshape(len(i), c, -1)
             g[i] = x @ dagger(x)
         w[ks, :c], v[ks[:, None], at, :c] = eigh_descending(g)
-    keep = w > tol.rank_rel * w[:, :1]  # a prefix of each row: the support's eigenvectors
+    keep = above_cut(w, tol)  # a prefix of each row: the support's eigenvectors
     k = keep.sum(axis=1).max()
     return ProjectiveRetrodictor.from_factor(v[:, :, :k] * keep[:, None, :k], tol)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dependence import check_linear_independence
-from .linalg import DEFAULT_TOL, Tolerance, dagger, numeric_rank, psd_eig
+from .linalg import DEFAULT_TOL, Tolerance, above_cut, dagger, numeric_rank, psd_eig
 from .measurement import Measurement, Povm
 
 MAX_COND = 1e4
@@ -36,10 +36,10 @@ def random_psd(d: int, rng) -> np.ndarray:
 
 
 def psd_inv_sqrt(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Inverse square root of a positive definite matrix: its smallest eigenvalue must exceed
-    ``tol.rank_rel`` times its largest, the cut at which ``numeric_rank`` counts a rank."""
+    """Inverse square root of a positive definite matrix: ``above_cut``, the cut at which
+    ``numeric_rank`` counts a rank, must keep every eigenvalue."""
     w, v = psd_eig(m, tol)
-    if float(w[-1]) <= tol.rank_rel * float(w[0]):
+    if not above_cut(w, tol).all():
         raise ValueError("matrix must be positive definite")
     return (v * (1.0 / np.sqrt(w))) @ dagger(v)
 

@@ -77,7 +77,8 @@ def _joint_table(m: Measurement, r: Retrodictor, s: QuantumState, tol: Tolerance
     joint output space and one on the first factor alike, with no ``kron(E, I_anc)`` lift.
     """
     stack = images(m.kraus, s)  # each operator is applied once
-    p = _clean_probs(_probabilities(stack, m.starts, tol), tol.rank_rel)
+    p = _probabilities(stack, m.starts, tol)  # clipped to [0, 1], zeroed below tol.rank_rel
+    p = p / p.sum()
     if r.n_outcomes != m.n_outcomes:
         raise DimensionMismatchError("retrodictor outcome count differs from measurement")
     dim = m.d_out * (s.dim // m.d_in)

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadBasisError, InvalidOperatorSetError, TooManyOutcomesError
-from .linalg import DEFAULT_TOL, Tolerance, _descending, as_index, as_vector, dagger, operator_stack
+from .linalg import (
+    DEFAULT_TOL, Tolerance, _descending, above_cut, as_index, as_vector, dagger, operator_stack,
+)
 from .measurement import Measurement, Povm
 
 
@@ -73,14 +75,14 @@ def synthesize(p: Povm, d_out: int, x_basis=None,
     Requires the number of outcomes not to exceed ``d_out``; this bound is
     also necessary, since more outcomes than output dimensions cannot have
     orthogonal post-measurement supports.  ``p`` was checked when it was made, and the
-    ``eigh`` that checked it, ``p.eig``, is read sorted descending.  Eigen-terms below
-    ``tol.rank_rel`` of each element's largest eigenvalue are dropped; the measurement
-    checks the Kraus stack that is left and holds it as built.
+    ``eigh`` that checked it, ``p.eig``, is read sorted descending.  Each element keeps the
+    eigen-terms ``above_cut`` keeps; the measurement checks the Kraus stack that is left and
+    holds it as built.
     """
     n = p.n_outcomes
     basis = _checked_basis(x_basis, n, n, d_out, tol)
     w, v = _descending(*p.eig)
-    keep = w > tol.rank_rel * w[:, :1]
+    keep = above_cut(w, tol)
     ks, rs = np.nonzero(keep)
     vt = v.swapaxes(1, 2)  # row r of vt[k] is eigenvector r of element k
     # sqrt(w_r) |x_k><v_r| for every kept eigen-term of every element at once
@@ -122,6 +124,6 @@ def dilated_kraus(factors: list[np.ndarray], x_basis,
     x = _checked_basis(x_basis, n, max(n, d_in), d_out, tol)  # rows x_j
     rows = np.conj(x[:d_in]) @ b  # rows[k, r] = x_r^dag B_k
     weights = np.linalg.norm(rows, axis=2) ** 2  # ||x_k x_r^dag B_k||_F^2, x_k being a unit vector
-    keep = weights > tol.rank_rel * weights.max(axis=1, keepdims=True)
+    keep = above_cut(weights, tol)
     kraus = x[:n, None, :, None] * rows[:, :, None, :]  # |x_k><x_r| B_k for every k and r
     return Measurement.__new__(Measurement)._hold(d_in, d_out, kraus[keep], keep.sum(axis=1), tol)

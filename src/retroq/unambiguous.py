@@ -29,7 +29,7 @@ from .errors import (
     NotFineGrainedError,
     ZeroProbabilityOutcomeError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_vector, dagger, fro, numeric_rank, operator_stack
+from .linalg import DEFAULT_TOL, Tolerance, above_cut, as_vector, dagger, fro, numeric_rank, operator_stack
 from .measurement import Measurement, QuantumState, Retrodictor, _probabilities, images
 
 
@@ -59,7 +59,7 @@ def _dual_family(s: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]
     the largest that keeps the inconclusive remainder PSD and every ``q_k`` at most 1.
     G, whose condition number is the square of S's, is never formed."""
     u, sv, vh = np.linalg.svd(s, full_matrices=False)
-    if sv.size < s.shape[1] or not sv[-1] > tol.rank_rel * sv[0]:
+    if np.count_nonzero(above_cut(sv, tol)) < s.shape[1]:  # rank below the number of states
         raise LinearlyDependentStatesError(
             "states are linearly dependent and cannot be told apart without error"
         )

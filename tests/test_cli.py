@@ -15,7 +15,17 @@ import numpy as np
 import pytest
 
 import retroq
-from retroq import Measurement, QuantumState, build_retrodictor, get_example, synthesize
+from retroq import (
+    InvalidOperatorSetError,
+    Measurement,
+    NotHermitianError,
+    QuantumState,
+    ShapeMismatchError,
+    build_retrodictor,
+    fock_shift_example,
+    get_example,
+    synthesize,
+)
 from retroq.cli import main
 from retroq.catalog import PAULI
 from retroq.jsonio import (
@@ -26,9 +36,11 @@ from retroq.jsonio import (
     operators_to_obj,
     povm_to_obj,
     projective_to_obj,
+    state_from_obj,
     state_to_obj,
 )
-from retroq.linalg import Tolerance
+from retroq.linalg import Tolerance, as_vector
+from retroq.rand import random_nonsingular_dependent, random_nonsingular_independent, random_projective_povm
 
 
 def pauli_measurement() -> Measurement:
@@ -157,12 +169,13 @@ def test_validate_rejects_incomplete_measurement(files, capsys):
 
 
 def test_validate_rejects_a_non_hermitian_idempotent_projector(tmp_path, capsys):
-    # [[1, 1], [0, 0]] squares to itself: only the Hermiticity test refuses it, once
+    # [[1, 1], [0, 0]] squares to itself: only the element check refuses it, as element 1, and a
+    # Hermiticity failure is an input error for every kind of file
     path = tmp_path / "skew.json"
     path.write_text(dumps({"d_out": 2, "projectors": [array_to_obj(np.array([[1.0, 1.0], [0.0, 0.0]]))]}))
     code, _, err = run_cli(["validate", path], capsys)
-    assert code == 1
-    assert err == "InvalidOperatorSetError: operator 0 is not Hermitian\n"
+    assert code == 2
+    assert err == "NotHermitianError: element 1 is not Hermitian within tolerance\n"
 
 
 def test_validate_rejects_overlapping_projectors_by_their_remainder(tmp_path, capsys):
@@ -283,6 +296,51 @@ def test_validate_refuses_a_non_positive_dimension_as_every_kind_does(text, tmp_
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().err == "InvalidOperatorSetError: dimension must be positive\n"
+
+
+@pytest.mark.parametrize("text, code, err", [
+    ('{"d_in": 0, "d_out": 1, "outcomes": [[[[[1, 0]]]]]}', 1,
+     "InvalidOperatorSetError: dimensions must be positive"),
+    ('{"d_in": 1, "d_out": 1, "outcomes": []}', 1,
+     "InvalidOperatorSetError: a measurement needs at least one outcome"),
+    ('{"kind": "mixed", "data": [[[0.5, 0], [1, 0]], [[0, 0], [0.5, 0]]]}', 2,
+     "NotHermitianError: density matrix is not Hermitian within tolerance"),
+    ('{"kind": "pure", "data": [[1%s, 0]]}' % ("0" * 400), 2,
+     "error: expected a nonempty rank-1 array of [re, im] pairs"),
+    ('{"kind": "entangled", "data": [[1, 0]]}', 2,
+     "error: state kind must be 'pure' or 'mixed', got 'entangled'"),
+], ids=["zero_d_in", "no_outcomes", "non_hermitian_density", "integer_beyond_float", "state_kind"])
+def test_validate_names_each_refusal_with_its_exit_code(text, code, err, tmp_path, capsys):
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == code
+    assert capsys.readouterr().err == err + "\n"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Measurement(0, 1, [[np.ones((1, 1))]]), InvalidOperatorSetError,
+     "dimensions must be positive"),
+    (lambda: Measurement(1, 1, []), InvalidOperatorSetError, "a measurement needs at least one outcome"),
+    (lambda: QuantumState.mixed([[0.5, 1.0], [0.0, 0.5]]), NotHermitianError,
+     "density matrix is not Hermitian within tolerance"),
+    (lambda: array_from_obj([[10**400, 0]], 1), ValueError,
+     "expected a nonempty rank-1 array of [re, im] pairs"),
+    (lambda: state_from_obj({"kind": "entangled", "data": [[1, 0]]}), ValueError,
+     "state kind must be 'pure' or 'mixed', got 'entangled'"),
+    (lambda: as_vector(np.eye(2)), ShapeMismatchError, "expected a vector, got array of dimension 2"),
+    (lambda: fock_shift_example(1, 0.5), ValueError, "need at least two levels, got 1"),
+    (lambda: random_projective_povm(2, 3, 0), ValueError, "need 1 <= n <= 2, got 3"),
+    (lambda: random_nonsingular_independent(2, 5, 0), ValueError,
+     "at most 4 independent operators exist on dimension 2"),
+    (lambda: random_nonsingular_dependent(2, 1, 0), ValueError,
+     "need at least two operators for a dependence"),
+], ids=["zero_d_in", "no_outcomes", "non_hermitian_density", "integer_beyond_float", "state_kind",
+        "matrix_for_vector", "one_level_shift", "projective_outcomes", "independent_count",
+        "dependent_count"])
+def test_each_library_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("text, field", [

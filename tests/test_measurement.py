@@ -375,7 +375,7 @@ def _projective(projectors):
     (_projective, [np.zeros((3, 3))], DimensionMismatchError, "shape"),
     (_povm, [SKEW, np.eye(2) - SKEW], NotHermitianError, "Hermitian"),
     (_unambiguous, [SKEW, np.eye(2) - SKEW], NotHermitianError, "Hermitian"),
-    (_projective, [np.array([[1.0, 1.0], [0.0, 0.0]])], InvalidOperatorSetError, "Hermitian"),
+    (_projective, [np.array([[1.0, 1.0], [0.0, 0.0]])], NotHermitianError, "element 1 is not Hermitian"),
     (Retrodictor, [np.diag([1.1, 0.0]), np.diag([-0.1, 1.0])], InvalidOperatorSetError, "not PSD"),
     (Retrodictor, [np.eye(2) * 0.3, np.eye(2) * 0.3], InvalidOperatorSetError, "identity"),
     (Retrodictor, [np.eye(2), np.zeros((3, 3))], DimensionMismatchError, "shape"),

@@ -4,6 +4,8 @@ private function or class, the checks a linter such as pyflakes would make."""
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import retroq
 
 SRC = Path(retroq.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -224,3 +227,48 @@ def test_every_tolerance_parameter_defaults_to_the_default_tolerance():
     # one spelling of the default: `tol: Tolerance = DEFAULT_TOL`, as every function takes it
     found = [f"{path.name}:{hit}" for path in MODULES for hit in _tolerance_fallbacks(_tree(path))]
     assert found == []
+
+
+def _where_names(readme: str) -> list[str]:
+    """Every backticked name in the ``Where`` column of the README's table of comparisons."""
+    section = readme.split("## Numerical conventions", 1)[1].split("\n## ", 1)[0]
+    rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in section.splitlines() if line.startswith("|")]
+    column = [cell.strip() for cell in rows[0]].index("Where")
+    return [name for row in rows[2:] for name in re.findall(r"`([^`]+)`", row[column])]
+
+
+def _resolves(name: str) -> bool:
+    """Whether ``name`` is ``module.name``, ``Class``, ``Class.method`` or a public name of retroq."""
+    head, *rest = name.split(".")
+    try:
+        obj = importlib.import_module(f"retroq.{head}")
+    except ModuleNotFoundError:
+        obj = retroq
+        rest = [head, *rest]
+    for part in rest:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_the_where_parser_reads_every_name_of_a_row():
+    readme = """## Numerical conventions
+
+| Quantity | Scale | Field | Where |
+|---|---|---|---|
+| `\\|x\\|` | 1 | `eq_residual` | `linalg.above_cut`: `numeric_rank`, `Retrodictor.from_factor` |
+| y | 1 | `rank_rel` | `QuantumState` |
+
+## Next
+| a | b |
+"""
+    assert _where_names(readme) == ["linalg.above_cut", "numeric_rank", "Retrodictor.from_factor",
+                                    "QuantumState"]
+    assert not _resolves("linalg.no_such_name") and not _resolves("Retrodictor.no_such_method")
+
+
+def test_every_name_in_the_readme_table_of_comparisons_exists():
+    names = _where_names(README.read_text(encoding="utf-8"))
+    assert names
+    assert [name for name in names if not _resolves(name)] == []
