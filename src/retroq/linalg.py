@@ -1,7 +1,7 @@
 """Dense complex linear-algebra kernel: tolerances, coercion, Hermitian eigendecompositions, the
 one relative cut ``above_cut`` of every rank and support, supports and numerical ranks.  ``psd_eig``
-checks a matrix (square, Hermitian, positive) at its own spectral scale, ``eigh_descending``
-nothing; ``dagger``, ``eigh_descending``, ``above_cut`` and ``numeric_rank`` also take a stack."""
+checks a matrix (square, Hermitian, PSD) at its own spectral scale, ``eigh_descending`` nothing;
+``dagger``, ``eigh_descending``, ``above_cut`` and ``numeric_rank`` take stacks too, ``fro_stack`` only."""
 
 from __future__ import annotations
 
@@ -101,14 +101,27 @@ def fro(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+def fro_stack(ms: np.ndarray) -> np.ndarray:
+    """``fro`` of each matrix, read in C order, of a complex ``(n, a, b)`` stack, bit for bit:
+    one batched dot of the real parts and one of the imaginary parts, the BLAS dot ``fro`` takes."""
+    flat = np.ascontiguousarray(ms).reshape(len(ms), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel())
+
+
 def eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked ``eigh`` of the Hermitian part(s) of ``m``, descending, ties in ``eigh``'s order."""
     return _descending(*np.linalg.eigh((m + dagger(m)) / 2.0))
 
 
+def descending_order(w: np.ndarray) -> np.ndarray:
+    """Indices sorting the last axis of ``w`` descending, ties in their order in ``w``."""
+    return np.argsort(-w, axis=-1, kind="stable")
+
+
 def _descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """New arrays: ``eigh``'s ``(w, v)``, ``w`` ascending, sorted descending, ties in ``eigh``'s order."""
-    order = np.argsort(-w, axis=-1, kind="stable")
+    order = descending_order(w)
     return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
 
 

@@ -25,7 +25,8 @@ class Measurement:
     has exactly one member.  Validation happens at construction, so invalid
     operator families are unrepresentable: the summed products over all
     groups must resolve the identity on the input space and no group may be
-    numerically zero.  The measurement owns its operators read-only,
+    numerically zero.  NaN and Inf are refused by one scan of the gathered nonzero
+    rows, which hold every entry that is not zero.  The measurement owns its operators read-only,
     the stack ``kraus`` of shape ``(N, d_out, d_in)`` in outcome order;
     ``outcomes`` groups views of its rows afresh on each read.  It also stores, read-only:
     ``starts``, the ``n + 1`` offsets of the groups in that order;
@@ -75,10 +76,10 @@ class Measurement:
         self.starts = np.cumsum([0, *sizes])
         if self.starts[-1] != len(stack):
             raise InvalidOperatorSetError(f"group sizes sum to {self.starts[-1]}, not {len(stack)}")
-        self.kraus = finite(stack)
+        self.kraus = stack
         stack.setflags(write=False)  # before slicing, so that every view is read-only too
-        rows = self.nonzero_rows = (stack.view(float) != 0).any(axis=2)  # re or im nonzero
-        x = stack[rows]  # E_k = X_k^dag X_k over the nonzero rows X_k of group k
+        rows = self.nonzero_rows = stack.any(axis=2)  # re or im nonzero (NaN counts as nonzero)
+        x = finite(stack[rows])  # every entry but a zero; E_k = X_k^dag X_k over group k's rows X_k
         counts = np.add.reduceat(rows.sum(axis=1), self.starts[:-1])
         firsts = np.cumsum(counts) - counts
         self.elements = np.zeros((len(sizes), d_in, d_in), dtype=complex)
@@ -132,11 +133,11 @@ def square_matrices(ops, d: int, what: str) -> np.ndarray:
     ``InvalidOperatorSetError``; an operator of another shape ``DimensionMismatchError``."""
     if d < 1:
         raise InvalidOperatorSetError("dimension must be positive")
-    mats = [as_matrix(a) for a in ops]
+    mats = [as_2d(a) for a in ops]
     for k, a in enumerate(mats):
         if a.shape != (d, d):
             raise DimensionMismatchError(f"{what} {k} has shape {a.shape}; expected ({d}, {d})")
-    stack = np.array(mats, dtype=complex).reshape(len(mats), d, d)
+    stack = finite(np.array(mats, dtype=complex).reshape(len(mats), d, d))
     stack.setflags(write=False)
     return stack
 
@@ -146,11 +147,12 @@ def _bounded_eig(x: np.ndarray, tol: Tolerance, what: str) -> tuple[np.ndarray, 
     ``(n, d, d)`` stack ``x`` bounded by the identity, checked Hermitian to ``tol.eq_residual``
     relative to each one's Frobenius norm by one batched norm, then PSD to ``tol.psd_floor`` at
     scale 1; a failure names the first operator to fail as ``what.format(index)``."""
-    skew = np.flatnonzero(np.linalg.norm(x - dagger(x), axis=(-2, -1))
+    xh = dagger(x)
+    skew = np.flatnonzero(np.linalg.norm(x - xh, axis=(-2, -1))
                           > tol.eq_residual * np.linalg.norm(x, axis=(-2, -1)))
     if skew.size:
         raise NotHermitianError(f"{what.format(skew[0])} is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((x + dagger(x)) / 2.0)
+    w, v = np.linalg.eigh((x + xh) / 2.0)
     bad = np.flatnonzero(w[..., :1] < -tol.psd_floor)  # the least eigenvalue of each, if any
     if bad.size:
         raise InvalidOperatorSetError(f"{what.format(bad[0])} is not PSD: most negative eigenvalue "
@@ -167,7 +169,7 @@ def povm_elements(elements, d: int, tol: Tolerance) -> tuple[np.ndarray, tuple[n
     """
     stack = square_matrices(elements, d, "element")
     w, v = _bounded_eig(stack, tol, "element {}")
-    _check_identity(sum(stack), tol, "elements do not sum to the identity")
+    _check_identity(stack.sum(axis=0), tol, "elements do not sum to the identity")
     w.setflags(write=False)
     v.setflags(write=False)
     return stack, (w, v)
@@ -219,7 +221,7 @@ class Retrodictor:
         inconclusive_index = as_index(inconclusive_index, "inconclusive_index")
         if not 0 <= inconclusive_index < len(elements):
             raise ValueError(f"inconclusive index {inconclusive_index} out of range")
-        self._elements, eig = povm_elements(elements, as_matrix(elements[0]).shape[0], tol)
+        self._elements, eig = povm_elements(elements, as_2d(elements[0]).shape[0], tol)
         self._hold(_factored(*(np.delete(a, inconclusive_index, 0) for a in eig)), inconclusive_index)
 
     @classmethod

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOperatorSetError, NotFineGrainedError, NotPerfectlyRetrodictableError
-from .linalg import DEFAULT_TOL, Tolerance, above_cut, as_index, dagger, eigh_descending, fro
+from .linalg import DEFAULT_TOL, Tolerance, above_cut, as_index, dagger, eigh_descending, fro, fro_stack
 from .measurement import Measurement, Povm, Retrodictor, _completed, square_matrices
 
 
@@ -103,15 +103,15 @@ def check_perfect(m: Measurement, tol: Tolerance = DEFAULT_TOL) -> PerfectCheckR
     touched = m.nonzero_rows  # the output rows each operator writes
     last = np.where(touched, owner[:, None], -1).max(axis=0)  # last outcome writing each row
     meeting = np.flatnonzero((touched & (last > owner[:, None])).any(axis=1))
-    worst, witness = 0.0, None
+    worst, witness, tiny = 0.0, None, np.finfo(float).tiny
     if meeting.size:
         adjoints = dagger(np.hstack(ops))  # row block j is ops[j]^dag
-        norms = np.array([fro(a) for a in ops])
+        norms = fro_stack(ops)
     for i in meeting:
         k = owner[i]
         later = m.starts[k + 1]  # first operator of outcome k + 1
         products = (adjoints[later * m.d_in:] @ ops[i]).reshape(-1, m.d_in * m.d_in)
-        residuals = np.linalg.norm(products, axis=1) / (norms[i] * norms[later:] + np.finfo(float).tiny)
+        residuals = np.linalg.norm(products, axis=1) / (norms[i] * norms[later:] + tiny)
         if residuals.max() > worst:
             j = later + int(np.argmax(residuals))
             worst = float(residuals[j - later])

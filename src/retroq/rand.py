@@ -95,8 +95,6 @@ def random_nonsingular_dependent(d: int, n: int, rng,
         gs = [ginibre(d, d, rng) for _ in range(n - 1)]
         coeffs = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
         gs = np.array([*gs, sum(c * g for c, g in zip(coeffs, gs))])
-        if np.any(numeric_rank(gs, tol) < d):
-            continue
         root = psd_inv_sqrt(sum(dagger(g) @ g for g in gs), tol)
         ops = gs @ root
         if np.all(numeric_rank(ops, tol) == d):

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import BadBasisError, InvalidOperatorSetError, TooManyOutcomesError
 from .linalg import (
-    DEFAULT_TOL, Tolerance, _descending, above_cut, as_index, as_vector, dagger, operator_stack,
+    DEFAULT_TOL, Tolerance, _descending, above_cut, as_index, as_vector, dagger, descending_order,
+    operator_stack,
 )
 from .measurement import Measurement, Povm
 
@@ -75,18 +76,19 @@ def synthesize(p: Povm, d_out: int, x_basis=None,
     Requires the number of outcomes not to exceed ``d_out``; this bound is
     also necessary, since more outcomes than output dimensions cannot have
     orthogonal post-measurement supports.  ``p`` was checked when it was made, and the
-    ``eigh`` that checked it, ``p.eig``, is read sorted descending.  Each element keeps the
-    eigen-terms ``above_cut`` keeps; the measurement checks the Kraus stack that is left and
-    holds it as built.
+    ``eigh`` that checked it, ``p.eig``, is read with its eigenvalues sorted descending.  Each
+    element keeps the eigen-terms ``above_cut`` keeps, and only their eigenvectors are gathered;
+    the measurement checks the Kraus stack that is left and holds it as built.
     """
     n = p.n_outcomes
     basis = _checked_basis(x_basis, n, n, d_out, tol)
-    w, v = _descending(*p.eig)
+    w, v = p.eig
+    order = descending_order(w)
+    w = np.take_along_axis(w, order, -1)
     keep = above_cut(w, tol)
     ks, rs = np.nonzero(keep)
-    vt = v.swapaxes(1, 2)  # row r of vt[k] is eigenvector r of element k
     # sqrt(w_r) |x_k><v_r| for every kept eigen-term of every element at once
-    kraus = basis[ks][:, :, None] * np.conj(vt[ks, rs])[:, None, :]
+    kraus = basis[ks][:, :, None] * np.conj(v[ks, :, order[ks, rs]])[:, None, :]
     np.multiply(np.sqrt(w[ks, rs])[:, None, None], kraus, out=kraus)
     measurement = Measurement.__new__(Measurement)._hold(p.d, d_out, kraus, keep.sum(axis=1), tol)
     return SynthesisResult(measurement, list(basis))

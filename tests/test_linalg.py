@@ -18,7 +18,9 @@ from retroq import (
     numeric_rank,
     support_projector,
 )
-from retroq.linalg import as_matrix, as_vector, dagger, eigh_descending, operator_stack, psd_eig
+from retroq.linalg import (
+    as_matrix, as_vector, dagger, eigh_descending, fro, fro_stack, operator_stack, psd_eig,
+)
 from retroq.measurement import Measurement, Retrodictor
 from retroq.rand import ginibre, random_psd, random_unitary
 
@@ -194,6 +196,23 @@ def test_numeric_rank_of_a_stack_matches_each_matrix(rng):
         assert numeric_rank(np.zeros((2, 0, 3)), tol).tolist() == [0, 0]
     assert numeric_rank(np.stack(mats)).tolist() == [3, 2, 0, 3, 3]
     assert numeric_rank(np.stack(mats), Tolerance(rank_rel=1e-3)).tolist() == [3, 2, 0, 2, 3]
+
+
+def test_fro_stack_equals_fro_of_each_matrix_bit_for_bit():
+    rng = np.random.default_rng(37)
+    for case in range(300):
+        n, a, b = (int(x) for x in rng.integers(1, 9, 3))
+        if case % 5 == 0:
+            a = b = 1
+        scale = 10.0 ** rng.uniform(-150, 150)
+        stack = scale * (rng.standard_normal((n, a, b)) + 1j * rng.standard_normal((n, a, b)))
+        stack[rng.random(n) < 0.2] = 0.0  # all-zero matrices among the others
+        if case % 7 == 0:
+            stack[:] = 0.0
+        if case % 3 == 0:
+            stack.setflags(write=False)
+        got = fro_stack(stack)
+        assert got.tobytes() == np.array([fro(m) for m in stack]).tobytes()
 
 
 def test_numeric_rank_refuses_a_stack_with_a_nan():

@@ -195,9 +195,10 @@ def test_standard_synthesis_forms_no_product_and_no_norm(monkeypatch):
             calls["product"] += 1
             return np.asarray(self) @ other
 
-    fro = perfect.fro
+    fro_stack = perfect.fro_stack
     monkeypatch.setattr(perfect, "dagger", lambda a: dag(a).view(Counting))
-    monkeypatch.setattr(perfect, "fro", lambda a: calls.__setitem__("norm", calls["norm"] + 1) or fro(a))
+    monkeypatch.setattr(perfect, "fro_stack",
+                        lambda a: calls.__setitem__("norm", calls["norm"] + 1) or fro_stack(a))
     for seed in range(25):
         report = check_perfect(seeded_measurement("standard", seed))
         assert (report.max_residual, report.witness) == (0.0, None)

@@ -20,7 +20,7 @@ from retroq import (
     synthesize,
 )
 from retroq.catalog import trine_povm
-from retroq.linalg import DEFAULT_TOL, Tolerance, eigh_descending, psd_eig
+from retroq.linalg import DEFAULT_TOL, Tolerance, above_cut, eigh_descending, psd_eig
 from retroq.rand import random_povm, random_projective_povm, random_unitary
 
 
@@ -182,6 +182,24 @@ def test_synthesis_reads_the_decomposition_that_checked_the_povm(rng, monkeypatc
         got = synthesize(p, 5).measurement.kraus
         assert got.tobytes() == np.array([a for g in groups for a in g]).tobytes()
         assert np.array(b_factor(p)).tobytes() == factors.tobytes()
+
+
+def test_the_kept_eigenvector_gather_equals_the_full_descending_reorder(rng):
+    # synthesize sorts only the eigenvalues and gathers the kept eigenvectors; the reference
+    # reorders every eigenvector first, by the rule of eigh_descending
+    u = random_unitary(4, rng)
+    tied = Povm(4, [(u * [0.5, 0.5, 0.0, 0.0]) @ dag(u), (u * [0.5, 0.5, 1.0, 1.0]) @ dag(u)])
+    povms = [tied, trine_povm().povm]
+    for _ in range(20):
+        d = int(rng.integers(2, 6))
+        povms += [random_povm(d, int(rng.integers(2, d + 1)), rng), random_projective_povm(d, 2, rng)]
+    for p in povms:
+        w, v = eigh_descending(p.elements)  # as the Povm's held eigh, sorted descending
+        ks, rs = np.nonzero(above_cut(w))
+        x = np.eye(p.d + 1, dtype=complex)[ks]  # the standard reference vector of each term
+        expected = x[:, :, None] * np.conj(v.swapaxes(1, 2)[ks, rs])[:, None, :]
+        expected *= np.sqrt(w[ks, rs])[:, None, None]
+        assert synthesize(p, p.d + 1).measurement.kraus.tobytes() == expected.tobytes()
 
 
 def test_the_synthesised_stack_is_held_read_only_and_apart_from_the_povm(rng):
